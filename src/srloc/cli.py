@@ -9,8 +9,6 @@ Subcommands:
 * ``crb``       total-variance Cramer-Rao bound for a photon budget (JSON)
 
 Exit codes: 0 success, 1 numerical/model failure, 2 usage error.
-``QFIM_NUM_THREADS`` caps sweep parallelism (default 1); output row order
-is by grid index regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -18,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +29,7 @@ from .errors import (
     SrlocError,
 )
 from .psf import GaussianPsf, gaussian_constants, gaussian_overlap, gaussian_overlap_jet
-from .sld import PARAMETERS, gaussian_pipeline
+from .sld import PARAMETERS, PipelineStack, gaussian_pipeline, gaussian_pipeline_stack
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -112,18 +108,23 @@ class SweepSpec:
         return (value, self.fixed) if self.swept == "s" else (self.fixed, value)
 
 
-def _num_threads() -> int:
-    raw = os.environ.get("QFIM_NUM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        print(f"warning: ignoring non-integer QFIM_NUM_THREADS={raw!r}", file=sys.stderr)
-        return 1
-
-
 def _geometric_scale(h: np.ndarray) -> np.ndarray:
     diag = np.abs(np.diag(h))
     return np.sqrt(np.outer(diag, diag))
+
+
+def _pipeline_routes(psf: GaussianPsf, points: list[tuple[float, float]]) -> list[tuple]:
+    """(h, gamma, route) per point on the stacked pipeline; points below the
+    small-separation threshold fall back to the coincident-source limit with
+    route='limit'.  Raises the error of the first point the pipeline refuses."""
+    stack = gaussian_pipeline_stack(psf, *zip(*points))
+    if stack.error is not None:
+        raise stack.error
+    h_lim, g_lim = closed_forms.small_separation_limit(psf)
+    return [
+        (h_lim, g_lim, "limit") if below else (h, g, "pipeline")
+        for h, g, below in zip(stack.h, stack.gamma_mat, stack.limit)
+    ]
 
 
 def _route_matrices(psf: GaussianPsf, s: float, p: float, method: str):
@@ -144,41 +145,40 @@ def _route_matrices(psf: GaussianPsf, s: float, p: float, method: str):
             h, g = closed_forms.small_separation_limit(psf)
             return h, g, "limit"
     if method == "pipeline":
-        try:
-            result = gaussian_pipeline(psf, s, p)
-            return result.qfim.h, result.qfim.gamma_mat, "pipeline"
-        except SmallSeparationError:
-            h, g = closed_forms.small_separation_limit(psf)
-            return h, g, "limit"
+        return _pipeline_routes(psf, [(s, p)])[0]
     raise InvalidParameterError(f"unknown method {method!r}")
 
 
-def _available_routes(psf: GaussianPsf, s: float, p: float) -> dict[str, tuple]:
-    """All routes that accept (s, p), for cross-validation."""
-    routes: dict[str, tuple] = {}
-    try:
-        result = gaussian_pipeline(psf, s, p)
-        routes["pipeline"] = (result.qfim.h, result.qfim.gamma_mat)
-    except (SmallSeparationError, SrlocError):
-        pass
-    try:
-        jet = gaussian_overlap_jet(psf, s, p)
-        consts = gaussian_constants(psf)
-        routes["general"] = (
-            closed_forms.general_qfim(jet, consts),
-            closed_forms.general_gamma_matrix(jet, consts),
-        )
-    except DegenerateOverlapError:
-        pass
-    try:
-        inp = closed_forms.GaussianClosedFormInput.from_psf(psf, s, p)
-        routes["gaussian-closed"] = (
-            closed_forms.gaussian_qfim(inp),
-            closed_forms.gaussian_gamma_matrix(inp),
-        )
-    except SmallSeparationError:
-        pass
-    return routes
+def _available_routes(
+    psf: GaussianPsf, points: list[tuple[float, float]]
+) -> tuple[list[dict[str, tuple]], PipelineStack]:
+    """All routes that accept each (s, p), for cross-validation, and the
+    pipeline stack behind the 'pipeline' entries (one pass over all points)."""
+    stack = gaussian_pipeline_stack(psf, *zip(*points))
+    consts = gaussian_constants(psf)
+    per_point = []
+    for i, (s, p) in enumerate(points):
+        routes: dict[str, tuple] = {}
+        if not (stack.limit[i] or stack.failed[i]):
+            routes["pipeline"] = (stack.h[i], stack.gamma_mat[i])
+        try:
+            jet = gaussian_overlap_jet(psf, s, p)
+            routes["general"] = (
+                closed_forms.general_qfim(jet, consts),
+                closed_forms.general_gamma_matrix(jet, consts),
+            )
+        except DegenerateOverlapError:
+            pass
+        try:
+            inp = closed_forms.GaussianClosedFormInput.from_psf(psf, s, p)
+            routes["gaussian-closed"] = (
+                closed_forms.gaussian_qfim(inp),
+                closed_forms.gaussian_gamma_matrix(inp),
+            )
+        except SmallSeparationError:
+            pass
+        per_point.append(routes)
+    return per_point, stack
 
 
 def _cross_deviations(routes: dict[str, tuple]) -> tuple[float, float]:
@@ -223,7 +223,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         h, g, route = result.qfim.h, result.qfim.gamma_mat, "pipeline"
         rho_eigs = [float(v) for v in result.rho_eigenvalues]
     elif args.method == "all":
-        routes = _available_routes(psf, s, p)
+        [routes], stack = _available_routes(psf, [(s, p)])
         if "pipeline" not in routes:
             raise SmallSeparationError(
                 "pipeline route unavailable at this separation; use the `limits` command"
@@ -236,9 +236,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "tol": args.tol,
             "pass": max_rel <= args.tol,
         }
-        result = gaussian_pipeline(psf, s, p)
-        h, g, route = result.qfim.h, result.qfim.gamma_mat, "pipeline"
-        rho_eigs = [float(v) for v in result.rho_eigenvalues]
+        (h, g), route = routes["pipeline"], "pipeline"
+        rho_eigs = [float(v) for v in stack.rho_eigenvalues[0]]
     else:
         h, g, route = _route_matrices(psf, s, p, args.method)
         ag = record["abs_gamma"]
@@ -255,16 +254,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def run_sweep(spec: SweepSpec, out_path: str, tol: float = 1e-8) -> int:
-    """Evaluate a sweep and write the CSV; grid points are independent and
-    may be computed in parallel, rows are written in grid order."""
+    """Evaluate a sweep and write the CSV, rows in grid order."""
     values = spec.grid()
+    points = [spec.separations(value) for value in values]
     norm = spec.norm
     norm_flag = 1 if spec.normalized else 0
 
-    def point(value: float) -> tuple[str, str]:
-        s, p = spec.separations(value)
-        if spec.method == "all":
-            routes = _available_routes(spec.psf, s, p)
+    if spec.method == "pipeline":
+        results = _pipeline_routes(spec.psf, points)
+    elif spec.method == "all":
+        results = []
+        for (s, p), routes in zip(points, _available_routes(spec.psf, points)[0]):
             if len(routes) >= 2:
                 _, max_rel = _cross_deviations(routes)
                 if max_rel > tol:
@@ -272,25 +272,11 @@ def run_sweep(spec: SweepSpec, out_path: str, tol: float = 1e-8) -> int:
                         f"cross-method deviation {max_rel:.3e} > {tol:.1e} "
                         f"at (s={s!r}, p={p!r})"
                     )
-            h, g, route = _route_matrices(spec.psf, s, p, "gaussian-closed")
-        else:
-            h, g, route = _route_matrices(spec.psf, s, p, spec.method)
-        row = ",".join(
-            [spec.swept, _fmt(s), _fmt(p)]
-            + [_fmt(v / norm) for v in (h[0, 0], h[1, 1], h[2, 2], h[3, 3], h[1, 3])]
-            + [_fmt(v) for v in (g[0, 1], g[2, 3], g[0, 3], g[1, 2])]
-            + [str(norm_flag)]
-        )
-        return row, route
-
-    threads = _num_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(point, values))
+            results.append(_route_matrices(spec.psf, s, p, "gaussian-closed"))
     else:
-        results = [point(v) for v in values]
+        results = [_route_matrices(spec.psf, s, p, spec.method) for s, p in points]
 
-    rerouted = [values[i] for i, (_, route) in enumerate(results) if route == "limit"]
+    rerouted = [value for value, (_, _, route) in zip(values, results) if route == "limit"]
     if rerouted:
         print(
             f"note: {len(rerouted)} grid point(s) below the degeneracy threshold "
@@ -299,7 +285,13 @@ def run_sweep(spec: SweepSpec, out_path: str, tol: float = 1e-8) -> int:
         )
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row, _ in results:
+        for (s, p), (h, g, _) in zip(points, results):
+            row = ",".join(
+                [spec.swept, _fmt(s), _fmt(p)]
+                + [_fmt(v / norm) for v in (h[0, 0], h[1, 1], h[2, 2], h[3, 3], h[1, 3])]
+                + [_fmt(v) for v in (g[0, 1], g[2, 3], g[0, 3], g[1, 2])]
+                + [str(norm_flag)]
+            )
             fh.write(row + "\n")
     return EXIT_OK
 
@@ -336,38 +328,37 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     h_zero_pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
     g_zero_pairs = [(0, 2)]
 
-    for s in values:
-        for p in values:
-            routes = _available_routes(psf, s, p)
-            if len(routes) < 2:
-                continue
-            n_points += 1
-            n_full += len(routes) == 3
-            scale = _geometric_scale(next(iter(routes.values()))[0])
-            names = sorted(routes)
-            point_rel = 0.0
-            for i, a in enumerate(names):
-                for b in names[i + 1:]:
-                    dev_h = np.abs(routes[a][0] - routes[b][0])
-                    dev_g = np.abs(routes[a][1] - routes[b][1])
-                    per_entry_h = np.maximum(per_entry_h, dev_h / scale)
-                    per_entry_g = np.maximum(per_entry_g, dev_g / scale)
-                    max_abs = max(max_abs, float(dev_h.max()), float(dev_g.max()))
-                    point_rel = max(
-                        point_rel, float((dev_h / scale).max()), float((dev_g / scale).max())
-                    )
-            max_rel = max(max_rel, point_rel)
-            if point_rel > args.tol and len(failures) < 20:
-                failures.append({"s": s, "p": p, "max_rel_deviation": point_rel})
-            for h, g in routes.values():
-                for i, j in h_zero_pairs:
-                    if abs(h[i, j]) > 1e-10 * scale[i, j]:
-                        sparsity_ok = False
-                for i, j in g_zero_pairs:
-                    if abs(g[i, j]) > 1e-10 * scale[i, j]:
-                        sparsity_ok = False
-                if float(np.max(np.abs(g + g.T))) > 1e-12:
+    grid = [(s, p) for s in values for p in values]
+    for (s, p), routes in zip(grid, _available_routes(psf, grid)[0]):
+        if len(routes) < 2:
+            continue
+        n_points += 1
+        n_full += len(routes) == 3
+        scale = _geometric_scale(next(iter(routes.values()))[0])
+        names = sorted(routes)
+        point_rel = 0.0
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                dev_h = np.abs(routes[a][0] - routes[b][0])
+                dev_g = np.abs(routes[a][1] - routes[b][1])
+                per_entry_h = np.maximum(per_entry_h, dev_h / scale)
+                per_entry_g = np.maximum(per_entry_g, dev_g / scale)
+                max_abs = max(max_abs, float(dev_h.max()), float(dev_g.max()))
+                point_rel = max(
+                    point_rel, float((dev_h / scale).max()), float((dev_g / scale).max())
+                )
+        max_rel = max(max_rel, point_rel)
+        if point_rel > args.tol and len(failures) < 20:
+            failures.append({"s": s, "p": p, "max_rel_deviation": point_rel})
+        for h, g in routes.values():
+            for i, j in h_zero_pairs:
+                if abs(h[i, j]) > 1e-10 * scale[i, j]:
                     sparsity_ok = False
+            for i, j in g_zero_pairs:
+                if abs(g[i, j]) > 1e-10 * scale[i, j]:
+                    sparsity_ok = False
+            if float(np.max(np.abs(g + g.T))) > 1e-12:
+                sparsity_ok = False
 
     passed = max_rel <= args.tol and sparsity_ok and n_points > 0
     record = {

@@ -23,6 +23,7 @@ separations (s, p); centroid coordinates never enter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "GramMatrix",
     "ActionMatrix",
     "build_gram",
+    "build_gram_stack",
     "build_rho_action",
     "build_drho_action",
     "hermiticity_residual",
@@ -44,12 +46,6 @@ COORDINATES = ("x1", "z1", "x2", "z2")
 
 # (state row, derivative-vector row) populated by each coordinate derivative.
 _DRHO_ROWS = {"x1": (0, 2), "z1": (0, 3), "x2": (1, 4), "z2": (1, 5)}
-
-
-def _frozen_array(obj, attr: str, value, dtype) -> None:
-    arr = np.array(value, dtype=dtype)
-    arr.setflags(write=False)
-    object.__setattr__(obj, attr, arr)
 
 
 @dataclass(frozen=True)
@@ -97,12 +93,12 @@ class ActionMatrix:
         return complex(np.trace(self.m))
 
 
-def build_gram(
-    jet: OverlapJet,
+def build_gram_stack(
+    jets: Sequence[OverlapJet],
     consts: PsfConstants,
     degeneracy_threshold: float = 1e-12,
-) -> GramMatrix:
-    """Assemble the 6x6 Gram matrix from an overlap jet and PSF constants.
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Assemble the Gram matrices of N overlap jets as one (N, 6, 6) stack.
 
     Derivatives with respect to absolute coordinates reduce to separation
     derivatives by the chain rule (s = x2 - x1, p = z2 - z1):
@@ -111,54 +107,66 @@ def build_gram(
     The lower triangle is filled from conjugates, so Hermiticity holds by
     construction.
 
-    Raises
-    ------
-    DegenerateBasisError
-        If the smallest eigenvalue of the Gram matrix falls below
-        ``degeneracy_threshold`` times the largest (basis numerically
-        dependent; happens as (s, p) -> (0, 0)).
+    Returns the stack and, for each point whose basis is numerically
+    degenerate, the reason keyed by its index: the smallest eigenvalue of
+    its Gram matrix falls below ``degeneracy_threshold`` times the largest
+    (happens as (s, p) -> (0, 0)).  One ``eigvalsh`` covers the stack.
     """
-    g = complex(jet.gamma)
-    ds, dp = complex(jet.d_s), complex(jet.d_p)
-    dss, dpp, dsp = complex(jet.d_ss), complex(jet.d_pp), complex(jet.d_sp)
+    g, ds, dp, dss, dpp, dsp = np.array(
+        [(j.gamma, j.d_s, j.d_p, j.d_ss, j.d_pp, j.d_sp) for j in jets], dtype=complex
+    ).reshape(-1, 6).T
     n = consts.dpsi_norm_sq
     mg = consts.mean_g
     mg2 = consts.mean_g2
 
-    s = np.zeros((6, 6), dtype=complex)
-    s[0, 0] = 1.0
-    s[1, 1] = 1.0
-    s[2, 2] = n
-    s[3, 3] = mg2
-    s[4, 4] = n
-    s[5, 5] = mg2
-    s[0, 1] = g
-    s[0, 2] = 0.0
-    s[0, 3] = -1j * mg
-    s[0, 4] = ds          # <Psi1 | d/dx2 Psi2> = +d_s
-    s[0, 5] = dp          # <Psi1 | d/dz2 Psi2> = +d_p
-    s[1, 2] = -ds.conjugate()   # conj of <d/dx1 Psi1 | Psi2> = conj(-d_s)
-    s[1, 3] = -dp.conjugate()
-    s[1, 4] = 0.0
-    s[1, 5] = -1j * mg
-    s[2, 3] = 0.0
-    s[2, 4] = -dss        # <d/dx1 Psi1 | d/dx2 Psi2> = -d_ss
-    s[2, 5] = -dsp
-    s[3, 4] = -dsp
-    s[3, 5] = -dpp
-    s[4, 5] = 0.0
-    i_lower = np.tril_indices(6, k=-1)
-    s[i_lower] = s.T[i_lower].conj()
+    s = np.zeros((len(g), 6, 6), dtype=complex)
+    s[:, 0, 0] = 1.0
+    s[:, 1, 1] = 1.0
+    s[:, 2, 2] = n
+    s[:, 3, 3] = mg2
+    s[:, 4, 4] = n
+    s[:, 5, 5] = mg2
+    s[:, 0, 1] = g
+    s[:, 0, 3] = -1j * mg
+    s[:, 0, 4] = ds          # <Psi1 | d/dx2 Psi2> = +d_s
+    s[:, 0, 5] = dp          # <Psi1 | d/dz2 Psi2> = +d_p
+    s[:, 1, 2] = -ds.conj()  # conj of <d/dx1 Psi1 | Psi2> = conj(-d_s)
+    s[:, 1, 3] = -dp.conj()
+    s[:, 1, 5] = -1j * mg
+    s[:, 2, 4] = -dss        # <d/dx1 Psi1 | d/dx2 Psi2> = -d_ss
+    s[:, 2, 5] = -dsp
+    s[:, 3, 4] = -dsp
+    s[:, 3, 5] = -dpp
+    rows, cols = np.tril_indices(6, k=-1)
+    s[:, rows, cols] = s[:, cols, rows].conj()
 
     eigs = np.linalg.eigvalsh(s)
-    if eigs[0] < degeneracy_threshold * eigs[-1]:
-        raise DegenerateBasisError(
-            "basis is numerically degenerate "
-            f"(eigenvalue ratio {eigs[0]:.3e} / {eigs[-1]:.3e} below "
-            f"threshold {degeneracy_threshold:.1e}); the sources are too close "
-            "for the numerical route -- use the coincident-source limit"
-        )
-    return GramMatrix(s_mat=s)
+    degenerate = {
+        int(i): "basis is numerically degenerate "
+        f"(eigenvalue ratio {eigs[i, 0]:.3e} / {eigs[i, -1]:.3e} below "
+        f"threshold {degeneracy_threshold:.1e}); the sources are too close "
+        "for the numerical route -- use the coincident-source limit"
+        for i in np.flatnonzero(eigs[:, 0] < degeneracy_threshold * eigs[:, -1])
+    }
+    return s, degenerate
+
+
+def build_gram(
+    jet: OverlapJet,
+    consts: PsfConstants,
+    degeneracy_threshold: float = 1e-12,
+) -> GramMatrix:
+    """The 6x6 Gram matrix of one overlap jet (see :func:`build_gram_stack`).
+
+    Raises
+    ------
+    DegenerateBasisError
+        If the basis is numerically degenerate at this jet.
+    """
+    s, degenerate = build_gram_stack([jet], consts, degeneracy_threshold)
+    if degenerate:
+        raise DegenerateBasisError(degenerate[0])
+    return GramMatrix(s_mat=s[0])
 
 
 def build_rho_action(gram: GramMatrix) -> ActionMatrix:

@@ -1,15 +1,25 @@
 """Symmetric-logarithmic-derivative solve and information-matrix extraction.
 
-The pipeline: orthonormalize the six-vector basis (Cholesky), transport
-the state and its coordinate derivatives to the orthonormal frame, solve
-the SLD equation ``L rho + rho L = 2 drho`` on the eigenbasis of rho,
-rotate the four coordinate SLDs to the physical parameters
-(s, xbar, p, zbar), and read off
+The pipeline runs on a stack of N Gram matrices at once.  Per point it
+takes one Cholesky factor S = T^H T (T upper triangular) to reach an
+orthonormal frame.  There the identity S T^{-1} = T^H turns the state and
+its coordinate derivatives into closed expressions in the columns t_j of T,
 
-    H[mu, nu] + i * Gamma[mu, nu] = Tr(rho L_mu L_nu).
+    rho = (t0 t0^H + t1 t1^H) / 2,    drho_ab = (t_a t_b^H + t_b t_a^H) / 2,
+
+so no inverse is formed.  One ``eigh`` of rho gives the eigenbasis in which
+the SLD equation ``L rho + rho L = 2 drho`` is solved elementwise for the
+four physical parameters (s, xbar, p, zbar) together, and
+
+    H[mu, nu] + i * Gamma[mu, nu] = Tr(rho L_mu L_nu)
+                                  = sum_ij q_i L_mu[i, j] L_nu[j, i].
 
 All results are independent of the centroid coordinates by construction
 (the Gram data only sees the separations).
+
+``orthonormalize``, ``solve_sld``, ``rotate_to_physical`` and
+``compute_qfim`` are the same steps for one operator at a time in the
+action representation of any basis.
 """
 
 from __future__ import annotations
@@ -17,11 +27,24 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CutoffDegeneracyWarning, DegenerateBasisError, SmallSeparationError, SrlocError
-from .gram import ActionMatrix, GramMatrix, build_drho_action, build_gram, build_rho_action
+from .errors import (
+    CutoffDegeneracyWarning,
+    DegenerateBasisError,
+    InvalidParameterError,
+    SmallSeparationError,
+    SrlocError,
+)
+from .gram import (
+    _DRHO_ROWS,
+    COORDINATES,
+    ActionMatrix,
+    GramMatrix,
+    build_gram_stack,
+)
 from .psf import (
     GaussianPsf,
     OverlapJet,
@@ -36,12 +59,14 @@ __all__ = [
     "SldSet",
     "QfimResult",
     "PipelineResult",
+    "PipelineStack",
     "orthonormalize",
     "solve_sld",
     "rotate_to_physical",
     "compute_qfim",
     "qfim_from_jet",
     "gaussian_pipeline",
+    "gaussian_pipeline_stack",
 ]
 
 logger = logging.getLogger(__name__)
@@ -55,6 +80,20 @@ SUPPORT_CUTOFF = 1e-12
 
 # Max tolerated asymmetry of Re/Im Tr(rho L L) before symmetrization.
 _ASYMMETRY_LIMIT = 1e-10
+
+# Points per pass of the stacked core.  Bounds the working set of a long
+# sweep: the largest array of a pass holds 4 x 36 complex SLD entries per point.
+BLOCK_POINTS = 512
+
+# Basis columns (state, derivative) of each coordinate derivative of rho.
+_STATE_COLS, _DERIV_COLS = (list(cols) for cols in zip(*(_DRHO_ROWS[c] for c in COORDINATES)))
+
+# Coordinate (x1, z1, x2, z2) to physical (s, xbar, p, zbar) derivatives, as
+# in rotate_to_physical: L_s = (L_x2 - L_x1)/2, L_xbar = L_x1 + L_x2, same axially.
+_TO_PHYSICAL = np.array(
+    [[-0.5, 0.0, 0.5, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, -0.5, 0.0, 0.5], [0.0, 1.0, 0.0, 1.0]],
+    dtype=complex,
+)
 
 
 @dataclass(frozen=True)
@@ -103,6 +142,23 @@ class PipelineResult:
         object.__setattr__(self, "rho_eigenvalues", arr)
 
 
+@dataclass(frozen=True)
+class PipelineStack:
+    """Pipeline output for N points, in input order.
+
+    Points below the small-separation threshold (``limit``) and points the
+    pipeline refuses (``failed``) hold NaN.  ``error`` is the exception of
+    the first failed point, naming its (s, p), or None.
+    """
+
+    h: np.ndarray                # (N, 4, 4)
+    gamma_mat: np.ndarray        # (N, 4, 4)
+    rho_eigenvalues: np.ndarray  # (N, 6), descending
+    limit: np.ndarray            # (N,) bool
+    failed: np.ndarray           # (N,) bool
+    error: SrlocError | None
+
+
 def _gram_array(gram) -> np.ndarray:
     return gram.s_mat if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=complex)
 
@@ -112,19 +168,44 @@ def orthonormalize(gram) -> np.ndarray:
 
     T is the change of basis to an orthonormal frame: an action matrix M
     becomes A = T M T^{-1}, under which operator Hermiticity is the
-    ordinary A = A^H.
+    ordinary A = A^H.  A stack of Gram matrices (..., n, n) gives the
+    stack of their factors.
 
     Raises
     ------
     DegenerateBasisError
-        If S is not numerically positive definite.
+        If S (any S of a stack) is not numerically positive definite.
     """
     s = _gram_array(gram)
     try:
         lower = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise DegenerateBasisError(f"Gram matrix is not positive definite: {exc}") from exc
-    return lower.conj().T
+    return lower.conj().swapaxes(-1, -2)
+
+
+def _eigenframe_sld(q: np.ndarray, drho_e: np.ndarray, cutoff: float):
+    """SLD in the eigenbasis of rho, and the number of ill-conditioned entries.
+
+    L[i, j] = 2 drho[i, j] / (q_i + q_j) wherever q_i + q_j exceeds
+    ``cutoff`` and 0 on the kernel block (support-restricted completion; H
+    and Gamma do not depend on how the kernel block is completed).  An
+    eigenvalue sum within a decade of the cutoff makes its entry
+    ill-conditioned; their count is returned per leading index of ``q``.
+    """
+    qsum = q[..., :, None] + q[..., None, :]
+    l_e = drho_e * (2.0 / np.where(qsum > cutoff, qsum, np.inf))
+    shaky = np.count_nonzero((qsum > cutoff / 10.0) & (qsum <= cutoff * 10.0), axis=(-2, -1))
+    return l_e, shaky
+
+
+def _warn_cutoff(count: int, cutoff: float, where: str = "") -> None:
+    warnings.warn(
+        f"{count} eigenvalue sums within a decade of the support cutoff {cutoff:.1e}"
+        f"{where}; SLD entries there are low-confidence",
+        CutoffDegeneracyWarning,
+        stacklevel=3,
+    )
 
 
 def solve_sld(
@@ -142,6 +223,8 @@ def solve_sld(
 
     Emits :class:`CutoffDegeneracyWarning` when any eigenvalue sum lands
     within a decade of the cutoff, where the division is ill-conditioned.
+    This is the one-operator form of the solve inside the stacked pipeline,
+    for any basis and any state.
     """
     t = orthonormalize(gram)
     t_inv = np.linalg.inv(t)
@@ -149,18 +232,9 @@ def solve_sld(
     rho_o = (rho_o + rho_o.conj().T) / 2.0
     q, u = np.linalg.eigh(rho_o)
     drho_o = t @ drho.m @ t_inv
-    drho_e = u.conj().T @ drho_o @ u
-
-    qsum = q[:, None] + q[None, :]
-    shaky = (qsum > cutoff / 10.0) & (qsum <= cutoff * 10.0)
-    if np.any(shaky):
-        warnings.warn(
-            f"{int(np.count_nonzero(shaky))} eigenvalue sums within a decade of the "
-            f"support cutoff {cutoff:.1e}; SLD entries there are low-confidence",
-            CutoffDegeneracyWarning,
-            stacklevel=2,
-        )
-    l_e = np.where(qsum > cutoff, 2.0 * drho_e / np.where(qsum > cutoff, qsum, 1.0), 0.0)
+    l_e, shaky = _eigenframe_sld(q, u.conj().T @ drho_o @ u, cutoff)
+    if shaky:
+        _warn_cutoff(int(shaky), cutoff)
     l_o = u @ l_e @ u.conj().T
     return ActionMatrix(m=t_inv @ l_o @ t)
 
@@ -212,6 +286,126 @@ def compute_qfim(rho: ActionMatrix, slds: SldSet, gram: GramMatrix) -> QfimResul
     return QfimResult(h=(h_raw + h_raw.T) / 2.0, gamma_mat=(g_raw - g_raw.T) / 2.0)
 
 
+@dataclass(frozen=True)
+class _Block:
+    """The stacked pipeline on one block of points (see ``_pipeline_block``)."""
+
+    s_mat: np.ndarray            # (n, 6, 6) Gram matrices
+    t: np.ndarray                # (n, 6, 6) Cholesky factors, S = T^H T
+    u: np.ndarray                # (n, 6, 6) eigenvectors of rho in the orthonormal frame
+    l_e: np.ndarray              # (n, 4, 6, 6) physical SLDs in the eigenframe of rho
+    h: np.ndarray                # (n, 4, 4)
+    gamma_mat: np.ndarray        # (n, 4, 4)
+    rho_eigenvalues: np.ndarray  # (n, 6), descending
+    shaky: np.ndarray            # (n,) eigenvalue sums within a decade of the cutoff
+    failures: dict[int, tuple[type, str]]  # index -> (error type, reason), in index order
+
+
+def _cholesky_stack(s_mat: np.ndarray, failures: dict[int, tuple[type, str]]) -> np.ndarray:
+    """Cholesky factors of a stack; a matrix that is not positive definite
+    is recorded in ``failures`` and replaced by the identity in ``s_mat``."""
+    try:
+        return orthonormalize(s_mat)
+    except DegenerateBasisError:
+        pass
+    # numpy does not say which matrix of a stack failed; find them one by one.
+    for i in range(len(s_mat)):
+        try:
+            orthonormalize(s_mat[i])
+        except DegenerateBasisError as exc:
+            failures[i] = (DegenerateBasisError, str(exc))
+            s_mat[i] = np.eye(6)
+    return orthonormalize(s_mat)
+
+
+def _pipeline_block(
+    jets: Sequence[OverlapJet],
+    consts: PsfConstants,
+    degeneracy_threshold: float,
+    cutoff: float,
+) -> _Block:
+    """Run the pipeline on n overlap jets at once.
+
+    Per point: one ``eigvalsh`` (the Gram degeneracy test), one Cholesky
+    factor and one ``eigh``; every other step is a broadcast array
+    operation, so a point gives the same bits alone as inside a stack.  A
+    point that fails a check goes on with the identity as its Gram matrix,
+    so that the stack stays whole; its outputs are NaN and its failure is
+    recorded.
+    """
+    s_mat, degenerate = build_gram_stack(jets, consts, degeneracy_threshold)
+    failures = {i: (DegenerateBasisError, reason) for i, reason in degenerate.items()}
+    if failures:
+        s_mat[list(failures)] = np.eye(6)
+    t = _cholesky_stack(s_mat, failures)
+    n = len(t)
+
+    pair = t[:, :, :2]
+    rho = pair @ pair.conj().swapaxes(-1, -2) / 2.0
+    q, u = np.linalg.eigh(rho)
+    w = u.conj().swapaxes(-1, -2) @ t        # basis columns t_j in the eigenframe
+    state = w[:, :, _STATE_COLS].swapaxes(-1, -2)
+    deriv = w[:, :, _DERIV_COLS].swapaxes(-1, -2)
+    outer = (state[..., :, None] * deriv.conj()[..., None, :]).reshape(n, 4, 36)
+    x = (_TO_PHYSICAL @ outer).reshape(n, 4, 6, 6)
+    l_e, shaky = _eigenframe_sld(q[:, None, :], (x + x.conj().swapaxes(-1, -2)) / 2.0, cutoff)
+
+    # Tr(rho L_mu L_nu) = sum_ij q_i L_mu[i, j] conj(L_nu[i, j]), L Hermitian.
+    rho_l = (q[:, None, :, None] * l_e).reshape(n, 4, 36)
+    c = rho_l @ l_e.conj().reshape(n, 4, 36).swapaxes(-1, -2)
+    c_h = c.conj().swapaxes(-1, -2)
+    # max(|H - H^T|, |Gamma + Gamma^T|) before symmetrization, per point
+    asym = np.max(np.abs((c - c_h).view(float)), axis=(-2, -1))
+    for i in np.flatnonzero(asym >= _ASYMMETRY_LIMIT):
+        failures.setdefault(int(i), (
+            SrlocError,
+            f"information-matrix asymmetry {asym[i]:.3e} exceeds "
+            f"{_ASYMMETRY_LIMIT:.1e}; inputs are inconsistent or ill-conditioned",
+        ))
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("qfim pre-symmetrization residual, max over %d points: %.3e",
+                     n, float(np.max(asym, initial=0.0)))
+
+    sym = (c + c_h) / 2.0
+    h, gamma_mat, eigs, shaky = sym.real, sym.imag, q[:, ::-1], shaky[:, 0]
+    if failures:
+        bad = list(failures)
+        h[bad] = gamma_mat[bad] = eigs[bad] = np.nan
+        shaky[bad] = 0
+    return _Block(s_mat=s_mat, t=t, u=u, l_e=l_e, h=h, gamma_mat=gamma_mat,
+                  rho_eigenvalues=eigs, shaky=shaky, failures=dict(sorted(failures.items())))
+
+
+def _located(error: type, reason: str, s: float, p: float) -> SrlocError:
+    return error(f"pipeline fails at (s={float(s)!r}, p={float(p)!r}): {reason}")
+
+
+def _single_point(
+    jet: OverlapJet,
+    consts: PsfConstants,
+    degeneracy_threshold: float,
+    cutoff: float,
+    where: tuple[float, float] | None,
+) -> PipelineResult:
+    """The stacked pipeline on one point, with its SLDs back in the action
+    representation: L = T^{-1} (U L_e U^H) T, all four in one solve."""
+    block = _pipeline_block([jet], consts, degeneracy_threshold, cutoff)
+    if block.failures:
+        error, reason = block.failures[0]
+        raise error(reason) if where is None else _located(error, reason, *where)
+    if block.shaky[0]:
+        _warn_cutoff(int(block.shaky[0]), cutoff)
+    t, u = block.t[0], block.u[0]
+    rhs = (u @ block.l_e[0] @ u.conj().T @ t).transpose(1, 0, 2).reshape(6, 24)
+    l_action = np.linalg.solve(t, rhs).reshape(6, 4, 6).transpose(1, 0, 2)
+    slds = SldSet(*(ActionMatrix(m=m) for m in l_action), gram=GramMatrix(s_mat=block.s_mat[0]))
+    return PipelineResult(
+        qfim=QfimResult(h=block.h[0], gamma_mat=block.gamma_mat[0]),
+        rho_eigenvalues=block.rho_eigenvalues[0],
+        slds=slds,
+    )
+
+
 def qfim_from_jet(
     jet: OverlapJet,
     consts: PsfConstants,
@@ -222,21 +416,23 @@ def qfim_from_jet(
 
     Returns the information matrices together with all six eigenvalues of
     the state in the orthonormal frame (descending; exactly two are
-    nonzero up to roundoff).
-    """
-    gram = build_gram(jet, consts, degeneracy_threshold=degeneracy_threshold)
-    rho = build_rho_action(gram)
-    l_coord = {
-        coord: solve_sld(rho, build_drho_action(gram, coord), gram, cutoff=cutoff)
-        for coord in ("x1", "z1", "x2", "z2")
-    }
-    slds = rotate_to_physical(l_coord["x1"], l_coord["x2"], l_coord["z1"], l_coord["z2"], gram)
-    qfim = compute_qfim(rho, slds, gram)
+    nonzero up to roundoff) and the four SLDs in action representation.
 
-    t = orthonormalize(gram)
-    rho_o = t @ rho.m @ np.linalg.inv(t)
-    eigs = np.linalg.eigvalsh((rho_o + rho_o.conj().T) / 2.0)[::-1]
-    return PipelineResult(qfim=qfim, rho_eigenvalues=eigs, slds=slds)
+    Raises
+    ------
+    DegenerateBasisError
+        If the basis is numerically degenerate or its Gram matrix is not
+        positive definite.
+    SrlocError
+        If Tr(rho L L) is asymmetric beyond roundoff.
+    """
+    return _single_point(jet, consts, degeneracy_threshold, cutoff, None)
+
+
+def _below_threshold(psf: GaussianPsf, s, p):
+    """Whether s^2 + p^2 is below the square of the small-separation threshold."""
+    threshold = small_separation_threshold(psf.k, psf.z_r)
+    return s * s + p * p < threshold * threshold
 
 
 def gaussian_pipeline(
@@ -250,17 +446,71 @@ def gaussian_pipeline(
 
     Refuses separations with s^2 + p^2 below the square of
     ``small_separation_threshold(k, z_R)``: that regime is served
-    analytically by the coincident-source limit, not numerically.
+    analytically by the coincident-source limit, not numerically.  Other
+    failures are those of :func:`qfim_from_jet`, naming (s, p).
     """
-    threshold = small_separation_threshold(psf.k, psf.z_r)
-    if s * s + p * p < threshold * threshold:
+    if _below_threshold(psf, s, p):
+        threshold = small_separation_threshold(psf.k, psf.z_r)
         raise SmallSeparationError(
             f"separations (s={s!r}, p={p!r}) below the pipeline threshold "
             f"{threshold:.3e}; use small_separation_limit (CLI: the `limits` command)"
         )
-    return qfim_from_jet(
+    return _single_point(
         gaussian_overlap_jet(psf, s, p),
         gaussian_constants(psf),
-        degeneracy_threshold=degeneracy_threshold,
-        cutoff=cutoff,
+        degeneracy_threshold,
+        cutoff,
+        (s, p),
     )
+
+
+def gaussian_pipeline_stack(
+    psf: GaussianPsf,
+    s: Sequence[float],
+    p: Sequence[float],
+    degeneracy_threshold: float = 1e-12,
+    cutoff: float = SUPPORT_CUTOFF,
+) -> PipelineStack:
+    """Numerical pipeline for the Gaussian PSF at N points (s[i], p[i]).
+
+    Points below the small-separation threshold are marked ``limit`` and not
+    evaluated (see :func:`gaussian_pipeline`).  A point that fails does not
+    fail the stack: it is marked ``failed``, and the exception of the first
+    one, naming its (s, p), is kept in ``error``.  Points are evaluated in
+    blocks of ``BLOCK_POINTS``.  Emits one :class:`CutoffDegeneracyWarning`
+    for the stack when any evaluated point has an eigenvalue sum within a
+    decade of the cutoff.
+    """
+    s = np.asarray(s, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if s.shape != p.shape or s.ndim != 1:
+        raise InvalidParameterError(
+            f"s and p must be 1-D and of equal length, got shapes {s.shape} and {p.shape}"
+        )
+    n = len(s)
+    limit = _below_threshold(psf, s, p)
+    h = np.full((n, 4, 4), np.nan)
+    gamma_mat = np.full((n, 4, 4), np.nan)
+    eigs = np.full((n, 6), np.nan)
+    failed = np.zeros(n, dtype=bool)
+    shaky = np.zeros(n, dtype=int)
+    error = None
+    consts = gaussian_constants(psf)
+    todo = np.flatnonzero(~limit)
+    for start in range(0, len(todo), BLOCK_POINTS):
+        idx = todo[start:start + BLOCK_POINTS]
+        jets = [gaussian_overlap_jet(psf, a, b) for a, b in zip(s[idx].tolist(), p[idx].tolist())]
+        block = _pipeline_block(jets, consts, degeneracy_threshold, cutoff)
+        h[idx], gamma_mat[idx], eigs[idx], shaky[idx] = (
+            block.h, block.gamma_mat, block.rho_eigenvalues, block.shaky)
+        failed[idx[list(block.failures)]] = True
+        if block.failures and error is None:
+            i, (kind, reason) = next(iter(block.failures.items()))
+            error = _located(kind, reason, s[idx[i]], p[idx[i]])
+    if shaky.any():
+        first = int(np.flatnonzero(shaky)[0])
+        _warn_cutoff(int(shaky.sum()), cutoff,
+                     f" at {np.count_nonzero(shaky)} point(s), first (s={float(s[first])!r}, "
+                     f"p={float(p[first])!r})")
+    return PipelineStack(h=h, gamma_mat=gamma_mat, rho_eigenvalues=eigs,
+                         limit=limit, failed=failed, error=error)

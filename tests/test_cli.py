@@ -1,13 +1,17 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import srloc.cli
 import srloc.closed_forms
-from srloc.cli import SweepSpec, main, run_sweep
-from srloc.errors import InvalidParameterError
+from srloc.cli import SweepSpec, _available_routes, main, run_sweep
+from srloc.closed_forms import small_separation_limit
+from srloc.errors import InvalidParameterError, SrlocError
 from srloc.psf import GaussianPsf
+from srloc.sld import gaussian_pipeline
 
 
 def run(capsys, *argv):
@@ -49,6 +53,28 @@ def test_eval_all_methods_cross_check(capsys):
     assert sorted(check["routes"]) == ["gaussian-closed", "general", "pipeline"]
     assert check["max_rel_deviation"] <= 1e-8
     assert check["pass"] is True
+
+
+def test_eval_all_runs_the_pipeline_once(capsys, monkeypatch):
+    calls = []
+    stack = srloc.cli.gaussian_pipeline_stack
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stack(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval --method all evaluated the pipeline a second time")
+
+    monkeypatch.setattr(srloc.cli, "gaussian_pipeline_stack", counted)
+    monkeypatch.setattr(srloc.cli, "gaussian_pipeline", refuse)
+    record = run_json(
+        capsys, "eval", "--k", "1", "--zr", "2", "--s", "1", "--p", "0", "--method", "all",
+    )
+    assert len(calls) == 1
+    assert record["route"] == "pipeline"
+    assert record["rho_eigenvalues"][0] == pytest.approx(0.941249, abs=1e-6)
+    assert max(abs(v) for v in record["rho_eigenvalues"][2:]) <= 1e-10
 
 
 def test_eval_pipeline_refuses_coincident_sources(capsys):
@@ -174,6 +200,70 @@ def test_sweep_flags_rerouted_points(capsys, tmp_path):
     assert float(rows[0][4]) == 1.0  # H_xx limit = 2k/z_r
 
 
+def test_sweep_pipeline_matches_per_point_pipeline(capsys, tmp_path):
+    psf = GaussianPsf(k=1.0, z_r=2.0)
+    out = tmp_path / "pipeline.csv"
+    code, _, err = run(
+        capsys, "sweep", "--k", "1", "--zr", "2", "--sweep", "s", "--range", "0:3:0.25",
+        "--fixed", "0", "--method", "pipeline", "--out", str(out),
+    )
+    assert code == 0
+    assert "1 grid point(s)" in err
+    _, rows = read_csv(out)
+    assert len(rows) == 13
+    h_lim, g_lim = small_separation_limit(psf)
+    for row in rows:
+        s, p = float(row[1]), float(row[2])
+        if s == 0.0:  # below the threshold: the coincident-source limit
+            h, g = h_lim, g_lim
+        else:
+            result = gaussian_pipeline(psf, s, p)
+            h, g = result.qfim.h, result.qfim.gamma_mat
+        want = [h[0, 0], h[1, 1], h[2, 2], h[3, 3], h[1, 3], g[0, 1], g[2, 3], g[0, 3], g[1, 2]]
+        scale = [h[0, 0], h[1, 1], h[2, 2], h[3, 3], math.sqrt(h[1, 1] * h[3, 3]),
+                 math.sqrt(h[0, 0] * h[1, 1]), math.sqrt(h[2, 2] * h[3, 3]),
+                 math.sqrt(h[0, 0] * h[3, 3]), math.sqrt(h[1, 1] * h[2, 2])]
+        for got, value, unit in zip(row[3:12], want, scale):
+            assert abs(float(got) - value) <= 1e-12 * unit
+
+
+def test_sweep_pipeline_names_first_failing_point(capsys, tmp_path):
+    out = tmp_path / "refused.csv"
+    code, _, err = run(
+        capsys, "sweep", "--k", "1", "--zr", "2", "--sweep", "p", "--range", "0:0.1:0.01",
+        "--fixed", "0", "--method", "pipeline", "--out", str(out),
+    )
+    assert code == 1
+    assert "(s=0.0, p=0.01)" in err
+    assert not out.exists()
+
+
+def test_sweep_pipeline_linalg_calls_independent_of_length(capsys, tmp_path, monkeypatch):
+    counts = Counter()
+    for name in ("cholesky", "inv", "eigh", "eigvalsh", "solve"):
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def calls(stop):
+        counts.clear()
+        out = tmp_path / "count.csv"
+        assert main([
+            "sweep", "--k", "1", "--zr", "2", "--sweep", "s", "--range", f"0.5:{stop}:0.01",
+            "--fixed", "1", "--method", "pipeline", "--out", str(out),
+        ]) == 0
+        return len(read_csv(out)[1]), dict(counts)
+
+    rows_short, short = calls(0.74)
+    rows_long, long = calls(2.99)
+    capsys.readouterr()
+    assert (rows_short, rows_long) == (25, 250)
+    assert short == long
+    assert short.get("inv", 0) == 0
+    assert short["cholesky"] >= 1 and short["eigh"] >= 1 and short["eigvalsh"] >= 1
+
+
 def test_sweep_unwritable_path(capsys, tmp_path):
     code, _, err = run(
         capsys, "sweep", "--k", "1", "--zr", "2", "--sweep", "s",
@@ -235,6 +325,22 @@ def test_crossval_includes_zero_s_points(capsys):
     record = run_json(capsys, "crossval", "--k", "1", "--zr", "2", "--range", "0:2:1")
     assert record["pass"] is True
     assert record["n_points"] > record["n_points_all_three_routes"]
+
+
+def test_crossval_drops_pipeline_route_exactly_where_it_fails():
+    psf = GaussianPsf(k=1.0, z_r=2.0)
+    grid = [(s, p) for s in (0.0, 0.01, 0.04, 0.5) for p in (0.0, 0.02, 1.0)]
+    per_point, stack = _available_routes(psf, grid)
+    accepted = []
+    for (s, p), routes in zip(grid, per_point):
+        try:
+            gaussian_pipeline(psf, s, p)
+            accepted.append(True)
+        except SrlocError:
+            accepted.append(False)
+        assert ("pipeline" in routes) == accepted[-1]
+    assert any(accepted) and not all(accepted)
+    assert stack.failed.any() and stack.limit.any()
 
 
 def test_crossval_detects_corrupted_formula(capsys, monkeypatch):

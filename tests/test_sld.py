@@ -1,16 +1,33 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import srloc.sld
 from srloc.closed_forms import evaluate_gaussian_closed
-from srloc.errors import CutoffDegeneracyWarning, DegenerateBasisError, SmallSeparationError
-from srloc.gram import ActionMatrix, GramMatrix, build_drho_action, build_gram, build_rho_action
+from srloc.errors import (
+    CutoffDegeneracyWarning,
+    DegenerateBasisError,
+    InvalidParameterError,
+    SmallSeparationError,
+    SrlocError,
+)
+from srloc.gram import (
+    COORDINATES,
+    ActionMatrix,
+    GramMatrix,
+    build_drho_action,
+    build_gram,
+    build_rho_action,
+    hermiticity_residual,
+)
 from srloc.psf import SourceGeometry, gaussian_constants, gaussian_overlap_jet
 from srloc.sld import (
     PARAMETERS,
     compute_qfim,
     gaussian_pipeline,
+    gaussian_pipeline_stack,
     orthonormalize,
     qfim_from_jet,
     rotate_to_physical,
@@ -261,3 +278,119 @@ def test_compute_qfim_trivial_commuting_family():
     assert result.h[2, 2] == pytest.approx(4.0)
     assert result.h[0, 2] == pytest.approx(2.0)
     assert result.h[1, 1] == 0.0 and result.h[3, 3] == 0.0
+
+
+# --------------------------------------------------------- stacked pipeline
+
+
+def scaled_deviation(a, b, h):
+    diag = np.abs(np.diag(h))
+    return float(np.max(np.abs(a - b) / np.sqrt(np.outer(diag, diag))))
+
+
+def per_operator_qfim(psf, s, p):
+    """Reference: the pipeline one operator at a time in action representation."""
+    gram = build_gram(gaussian_overlap_jet(psf, s, p), gaussian_constants(psf))
+    rho = build_rho_action(gram)
+    l_coord = {c: solve_sld(rho, build_drho_action(gram, c), gram) for c in COORDINATES}
+    slds = rotate_to_physical(l_coord["x1"], l_coord["x2"], l_coord["z1"], l_coord["z2"], gram)
+    return compute_qfim(rho, slds, gram)
+
+
+STACK_S = [0.1, 0.5, 1.0, 2.5, 4.9, 3.0, 0.3]
+STACK_P = [0.1, 2.0, 0.0, 1.5, 4.9, 0.2, 4.0]
+
+
+def test_stack_matches_per_operator_route(psf):
+    stack = gaussian_pipeline_stack(psf, STACK_S, STACK_P)
+    assert not stack.failed.any() and not stack.limit.any() and stack.error is None
+    for i, (s, p) in enumerate(zip(STACK_S, STACK_P)):
+        ref = per_operator_qfim(psf, s, p)
+        assert scaled_deviation(stack.h[i], ref.h, ref.h) <= 1e-12
+        assert scaled_deviation(stack.gamma_mat[i], ref.gamma_mat, ref.h) <= 1e-12
+
+
+def test_single_point_slds_in_action_representation(psf, consts):
+    # the back-transformed SLDs reproduce H and Gamma through the action traces
+    for s, p in [(1.0, 2.0), (0.4, 3.0), (2.5, 0.0)]:
+        result = gaussian_pipeline(psf, s, p)
+        gram = result.slds.gram
+        for sld in result.slds.in_order():
+            assert hermiticity_residual(gram, sld) <= 1e-10
+        traced = compute_qfim(build_rho_action(gram), result.slds, gram)
+        assert scaled_deviation(traced.h, result.qfim.h, result.qfim.h) <= 1e-12
+        assert scaled_deviation(traced.gamma_mat, result.qfim.gamma_mat, result.qfim.h) <= 1e-12
+
+
+def test_stack_point_bits_independent_of_stack(psf, monkeypatch):
+    s = np.linspace(0.1, 4.9, 25)
+    p = np.linspace(4.0, 0.2, 25)
+    full = gaussian_pipeline_stack(psf, s, p)
+    for i in (0, 7, 24):
+        alone = gaussian_pipeline_stack(psf, [s[i]], [p[i]])
+        single = gaussian_pipeline(psf, float(s[i]), float(p[i]))
+        for name in ("h", "gamma_mat", "rho_eigenvalues"):
+            assert getattr(alone, name)[0].tobytes() == getattr(full, name)[i].tobytes()
+        assert single.qfim.h.tobytes() == full.h[i].tobytes()
+        assert single.qfim.gamma_mat.tobytes() == full.gamma_mat[i].tobytes()
+        assert single.rho_eigenvalues.tobytes() == full.rho_eigenvalues[i].tobytes()
+    monkeypatch.setattr(srloc.sld, "BLOCK_POINTS", 4)
+    blocked = gaussian_pipeline_stack(psf, s, p)
+    assert blocked.h.tobytes() == full.h.tobytes()
+    assert blocked.gamma_mat.tobytes() == full.gamma_mat.tobytes()
+
+
+def test_stack_reports_failures_per_point(psf):
+    s = [1.0, 0.0, 0.01, 2.0, 0.02]
+    p = [1.0, 0.0, 0.0, 0.5, 0.0]
+    stack = gaussian_pipeline_stack(psf, s, p)
+    assert stack.limit.tolist() == [False, True, False, False, False]
+    assert stack.failed.tolist() == [False, False, True, False, True]
+    assert isinstance(stack.error, DegenerateBasisError)
+    assert "(s=0.01, p=0.0)" in str(stack.error)
+    assert np.all(np.isnan(stack.h[[1, 2, 4]]))
+    assert stack.h[3].tobytes() == gaussian_pipeline(psf, 2.0, 0.5).qfim.h.tobytes()
+    with pytest.raises(DegenerateBasisError, match=r"\(s=0\.01, p=0\.0\)"):
+        gaussian_pipeline(psf, 0.01, 0.0)
+
+
+def test_stack_isolates_cholesky_failure(psf, monkeypatch):
+    victim = gaussian_overlap_jet(psf, 2.0, 1.0).gamma
+    factor = srloc.sld.orthonormalize
+
+    def refuse_victim(gram):
+        if np.any(np.asarray(gram)[..., 0, 1] == victim):
+            raise DegenerateBasisError("Gram matrix is not positive definite")
+        return factor(gram)
+
+    monkeypatch.setattr(srloc.sld, "orthonormalize", refuse_victim)
+    stack = gaussian_pipeline_stack(psf, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+    assert stack.failed.tolist() == [False, True, False]
+    assert isinstance(stack.error, DegenerateBasisError)
+    assert "(s=2.0, p=1.0)" in str(stack.error)
+    monkeypatch.undo()
+    assert stack.h[2].tobytes() == gaussian_pipeline(psf, 3.0, 1.0).qfim.h.tobytes()
+
+
+def test_stack_asymmetry_limit_names_first_point(psf, monkeypatch):
+    monkeypatch.setattr(srloc.sld, "_ASYMMETRY_LIMIT", 0.0)
+    stack = gaussian_pipeline_stack(psf, [0.0, 1.5, 2.0], [0.0, 0.5, 1.0])
+    assert stack.failed.tolist() == [False, True, True]
+    assert type(stack.error) is SrlocError
+    assert "asymmetry" in str(stack.error) and "(s=1.5, p=0.5)" in str(stack.error)
+    with pytest.raises(SrlocError, match="asymmetry"):
+        gaussian_pipeline(psf, 1.5, 0.5)
+
+
+def test_stack_warns_on_cutoff_marginal_point(psf):
+    # at s = 0.1, p = 0 the small eigenvalue of rho is 6e-4, within a decade of 1e-4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CutoffDegeneracyWarning)
+        gaussian_pipeline_stack(psf, [3.0, 4.0], [0.0, 0.0], cutoff=1e-4)
+    with pytest.warns(CutoffDegeneracyWarning, match=r"1 point\(s\), first \(s=0\.1, p=0\.0\)"):
+        gaussian_pipeline_stack(psf, [3.0, 0.1, 4.0], [0.0, 0.0, 0.0], cutoff=1e-4)
+
+
+def test_stack_rejects_mismatched_coordinates(psf):
+    with pytest.raises(InvalidParameterError):
+        gaussian_pipeline_stack(psf, [1.0, 2.0], [1.0])
