@@ -5,26 +5,14 @@ matrix Gamma for the four parameters (angular separation s, angular
 centroid xbar, axial separation p, axial centroid zbar) of two weak
 incoherent point sources, via three mutually cross-validating routes,
 plus the quantum Cramer-Rao bound and parameter-compatibility analysis.
+
+The names below are the documented surface; everything else lives in the
+submodules (``psf``, ``gram``, ``sld``, ``closed_forms``, ``routes``,
+``analysis``).
 """
 
-from .analysis import (
-    CompatibilityReport,
-    EstimationBudget,
-    PairCompatibility,
-    compatibility_report,
-    qcrb_subset,
-    qcrb_total,
-)
-from .closed_forms import (
-    GaussianClosedFormInput,
-    evaluate_gaussian_closed,
-    gaussian_gamma_matrix,
-    gaussian_qfim,
-    general_gamma_matrix,
-    general_qfim,
-    small_separation_limit,
-    varsigma,
-)
+from .analysis import EstimationBudget, compatibility_report, qcrb_subset, qcrb_total
+from .closed_forms import evaluate_gaussian_closed, general_qfim, small_separation_limit
 from .errors import (
     CutoffDegeneracyWarning,
     DegenerateBasisError,
@@ -36,95 +24,34 @@ from .errors import (
     SmallSeparationError,
     SrlocError,
 )
-from .gram import (
-    COORDINATES,
-    ActionMatrix,
-    GramMatrix,
-    build_drho_action,
-    build_gram,
-    build_rho_action,
-    hermiticity_residual,
-)
-from .psf import (
-    GaussianPsf,
-    OverlapJet,
-    PsfConstants,
-    SourceGeometry,
-    fd_default_step,
-    fd_overlap_jet,
-    gaussian_constants,
-    gaussian_overlap,
-    gaussian_overlap_jet,
-    small_separation_threshold,
-)
-from .sld import (
-    PARAMETERS,
-    PipelineResult,
-    PipelineStack,
-    QfimResult,
-    SldSet,
-    compute_qfim,
-    gaussian_pipeline,
-    gaussian_pipeline_stack,
-    orthonormalize,
-    qfim_from_jet,
-    rotate_to_physical,
-    solve_sld,
-)
+from .psf import GaussianPsf, PsfConstants, SourceGeometry, fd_overlap_jet
+from .routes import evaluate
+from .sld import gaussian_pipeline, gaussian_pipeline_stack
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionMatrix",
-    "CompatibilityReport",
-    "COORDINATES",
     "CutoffDegeneracyWarning",
     "DegenerateBasisError",
     "DegenerateOverlapError",
     "EstimationBudget",
-    "GaussianClosedFormInput",
     "GaussianPsf",
-    "GramMatrix",
     "InvalidParameterError",
     "ModelValidityWarning",
     "NonFiniteSampleError",
-    "OverlapJet",
-    "PARAMETERS",
-    "PairCompatibility",
-    "PipelineResult",
-    "PipelineStack",
     "PsfConstants",
-    "QfimResult",
     "SingularMatrixError",
-    "SldSet",
     "SmallSeparationError",
     "SourceGeometry",
     "SrlocError",
-    "build_drho_action",
-    "build_gram",
-    "build_rho_action",
     "compatibility_report",
-    "compute_qfim",
+    "evaluate",
     "evaluate_gaussian_closed",
-    "fd_default_step",
     "fd_overlap_jet",
-    "gaussian_constants",
-    "gaussian_gamma_matrix",
-    "gaussian_overlap",
-    "gaussian_overlap_jet",
     "gaussian_pipeline",
     "gaussian_pipeline_stack",
-    "gaussian_qfim",
-    "general_gamma_matrix",
     "general_qfim",
-    "hermiticity_residual",
-    "orthonormalize",
     "qcrb_subset",
     "qcrb_total",
-    "qfim_from_jet",
-    "rotate_to_physical",
     "small_separation_limit",
-    "small_separation_threshold",
-    "solve_sld",
-    "varsigma",
 ]

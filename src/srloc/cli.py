@@ -21,21 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, closed_forms
-from .errors import (
-    DegenerateOverlapError,
-    InvalidParameterError,
-    SmallSeparationError,
-    SrlocError,
-)
-from .psf import GaussianPsf, gaussian_constants, gaussian_overlap, gaussian_overlap_jet
-from .sld import PARAMETERS, PipelineStack, gaussian_pipeline, gaussian_pipeline_stack
+from . import analysis, closed_forms, routes
+from .errors import InvalidParameterError, SmallSeparationError, SrlocError
+from .psf import GaussianPsf, gaussian_overlap
+from .sld import PARAMETERS
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
 
-METHODS = ("pipeline", "general", "gaussian-closed", "all")
+METHODS = (*routes.METHODS, "all")
 
 CSV_COLUMNS = (
     "swept_var", "s", "p",
@@ -53,6 +48,16 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_range(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -61,9 +66,9 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         start, stop, step = (float(part) for part in parts)
     except ValueError as exc:
         raise InvalidParameterError(f"non-numeric --range component in {text!r}") from exc
-    if start < 0.0 or step <= 0.0 or stop <= start:
+    if not (0.0 <= start < stop < math.inf and 0.0 < step < math.inf):
         raise InvalidParameterError(
-            f"--range needs start >= 0, step > 0, stop > start; got {text!r}"
+            f"--range needs finite start >= 0, step > 0, stop > start; got {text!r}"
         )
     return start, stop, step
 
@@ -91,9 +96,9 @@ class SweepSpec:
             raise InvalidParameterError(f"swept variable must be 's' or 'p', got {self.swept!r}")
         if self.method not in METHODS:
             raise InvalidParameterError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.start < 0.0 or self.step <= 0.0 or self.stop <= self.start:
+        if not (0.0 <= self.start < self.stop < math.inf and 0.0 < self.step < math.inf):
             raise InvalidParameterError(
-                f"need start >= 0, step > 0, stop > start; got "
+                f"need finite start >= 0, step > 0, stop > start; got "
                 f"{self.start}:{self.stop}:{self.step}"
             )
 
@@ -106,94 +111,6 @@ class SweepSpec:
 
     def separations(self, value: float) -> tuple[float, float]:
         return (value, self.fixed) if self.swept == "s" else (self.fixed, value)
-
-
-def _geometric_scale(h: np.ndarray) -> np.ndarray:
-    diag = np.abs(np.diag(h))
-    return np.sqrt(np.outer(diag, diag))
-
-
-def _pipeline_routes(psf: GaussianPsf, points: list[tuple[float, float]]) -> list[tuple]:
-    """(h, gamma, route) per point on the stacked pipeline; points below the
-    small-separation threshold fall back to the coincident-source limit with
-    route='limit'.  Raises the error of the first point the pipeline refuses."""
-    stack = gaussian_pipeline_stack(psf, *zip(*points))
-    if stack.error is not None:
-        raise stack.error
-    h_lim, g_lim = closed_forms.small_separation_limit(psf)
-    return [
-        (h_lim, g_lim, "limit") if below else (h, g, "pipeline")
-        for h, g, below in zip(stack.h, stack.gamma_mat, stack.limit)
-    ]
-
-
-def _route_matrices(psf: GaussianPsf, s: float, p: float, method: str):
-    """(h, gamma, route) for one method; small-separation points fall back
-    to the coincident-source limit with route='limit'."""
-    if method == "gaussian-closed":
-        return closed_forms.evaluate_gaussian_closed(psf, s, p)
-    if method == "general":
-        try:
-            jet = gaussian_overlap_jet(psf, s, p)
-            consts = gaussian_constants(psf)
-            return (
-                closed_forms.general_qfim(jet, consts),
-                closed_forms.general_gamma_matrix(jet, consts),
-                "general",
-            )
-        except DegenerateOverlapError:
-            h, g = closed_forms.small_separation_limit(psf)
-            return h, g, "limit"
-    if method == "pipeline":
-        return _pipeline_routes(psf, [(s, p)])[0]
-    raise InvalidParameterError(f"unknown method {method!r}")
-
-
-def _available_routes(
-    psf: GaussianPsf, points: list[tuple[float, float]]
-) -> tuple[list[dict[str, tuple]], PipelineStack]:
-    """All routes that accept each (s, p), for cross-validation, and the
-    pipeline stack behind the 'pipeline' entries (one pass over all points)."""
-    stack = gaussian_pipeline_stack(psf, *zip(*points))
-    consts = gaussian_constants(psf)
-    per_point = []
-    for i, (s, p) in enumerate(points):
-        routes: dict[str, tuple] = {}
-        if not (stack.limit[i] or stack.failed[i]):
-            routes["pipeline"] = (stack.h[i], stack.gamma_mat[i])
-        try:
-            jet = gaussian_overlap_jet(psf, s, p)
-            routes["general"] = (
-                closed_forms.general_qfim(jet, consts),
-                closed_forms.general_gamma_matrix(jet, consts),
-            )
-        except DegenerateOverlapError:
-            pass
-        try:
-            inp = closed_forms.GaussianClosedFormInput.from_psf(psf, s, p)
-            routes["gaussian-closed"] = (
-                closed_forms.gaussian_qfim(inp),
-                closed_forms.gaussian_gamma_matrix(inp),
-            )
-        except SmallSeparationError:
-            pass
-        per_point.append(routes)
-    return per_point, stack
-
-
-def _cross_deviations(routes: dict[str, tuple]) -> tuple[float, float]:
-    """Max absolute and scale-relative deviation over route pairs, H and Gamma."""
-    names = sorted(routes)
-    max_abs = 0.0
-    max_rel = 0.0
-    for i, a in enumerate(names):
-        scale = _geometric_scale(routes[a][0])
-        for b in names[i + 1:]:
-            for idx in (0, 1):
-                dev = np.abs(routes[a][idx] - routes[b][idx])
-                max_abs = max(max_abs, float(dev.max()))
-                max_rel = max(max_rel, float((dev / scale).max()))
-    return max_abs, max_rel
 
 
 def _emit(record: dict, out: str | None) -> None:
@@ -218,33 +135,36 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "abs_gamma": abs(gaussian_overlap(psf, s, p)),
         "varsigma": closed_forms.varsigma(psf.k, psf.z_r, s, p),
     }
-    if args.method == "pipeline":
-        result = gaussian_pipeline(psf, s, p)  # SmallSeparationError -> exit 1
-        h, g, route = result.qfim.h, result.qfim.gamma_mat, "pipeline"
-        rho_eigs = [float(v) for v in result.rho_eigenvalues]
-    elif args.method == "all":
-        [routes], stack = _available_routes(psf, [(s, p)])
-        if "pipeline" not in routes:
-            raise SmallSeparationError(
-                "pipeline route unavailable at this separation; use the `limits` command"
-            )
-        max_abs, max_rel = _cross_deviations(routes)
-        record["cross_check"] = {
-            "routes": sorted(routes),
-            "max_abs_deviation": max_abs,
-            "max_rel_deviation": max_rel,
-            "tol": args.tol,
-            "pass": max_rel <= args.tol,
-        }
-        (h, g), route = routes["pipeline"], "pipeline"
-        rho_eigs = [float(v) for v in stack.rho_eigenvalues[0]]
+    if args.method == "all":
+        [served], evs = routes.all_routes(psf, [s], [p])
+        ev = evs["pipeline"]
     else:
-        h, g, route = _route_matrices(psf, s, p, args.method)
+        ev = routes.evaluate(psf, [s], [p], args.method)
+    route = ev.route[0]
+    if args.method in ("pipeline", "all") and route != "pipeline":
+        # eval reports the pipeline's own matrices, never the limit in their place
+        raise ev.error or SmallSeparationError(
+            f"separations (s={s!r}, p={p!r}) below the pipeline threshold; "
+            "use the `limits` command"
+        )
+    h, g = ev.h[0], ev.gamma_mat[0]
+    if ev.rho_eigenvalues is not None:
+        rho_eigs = ev.rho_eigenvalues[0].tolist()
+    else:
         ag = record["abs_gamma"]
         rho_eigs = [0.5 * (1.0 + ag), 0.5 * (1.0 - ag), 0.0, 0.0, 0.0, 0.0]
+    if args.method == "all":
+        dev = routes.deviations(served)
+        record["cross_check"] = {
+            "routes": sorted(served),
+            "max_abs_deviation": dev.max_abs,
+            "max_rel_deviation": dev.max_rel,
+            "tol": args.tol,
+            "pass": dev.max_rel <= args.tol,
+        }
     record["route"] = route
-    record["h"] = [[float(v) for v in row] for row in h]
-    record["gamma_matrix"] = [[float(v) for v in row] for row in g]
+    record["h"] = h.tolist()
+    record["gamma_matrix"] = g.tolist()
     record["rho_eigenvalues"] = rho_eigs
     _emit(record, args.out)
     if "cross_check" in record and not record["cross_check"]["pass"]:
@@ -255,37 +175,35 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def run_sweep(spec: SweepSpec, out_path: str, tol: float = 1e-8) -> int:
     """Evaluate a sweep and write the CSV, rows in grid order."""
-    values = spec.grid()
-    points = [spec.separations(value) for value in values]
+    points = [spec.separations(value) for value in spec.grid()]
     norm = spec.norm
     norm_flag = 1 if spec.normalized else 0
 
-    if spec.method == "pipeline":
-        results = _pipeline_routes(spec.psf, points)
-    elif spec.method == "all":
-        results = []
-        for (s, p), routes in zip(points, _available_routes(spec.psf, points)[0]):
-            if len(routes) >= 2:
-                _, max_rel = _cross_deviations(routes)
-                if max_rel > tol:
-                    raise SrlocError(
-                        f"cross-method deviation {max_rel:.3e} > {tol:.1e} "
-                        f"at (s={s!r}, p={p!r})"
-                    )
-            results.append(_route_matrices(spec.psf, s, p, "gaussian-closed"))
+    if spec.method == "all":
+        per_point, evs = routes.all_routes(spec.psf, *zip(*points))
+        for (s, p), served in zip(points, per_point):
+            if len(served) < 2:
+                continue
+            max_rel = routes.deviations(served).max_rel
+            if max_rel > tol:
+                raise SrlocError(
+                    f"cross-method deviation {max_rel:.3e} > {tol:.1e} at (s={s!r}, p={p!r})"
+                )
+        ev = evs["gaussian-closed"]
     else:
-        results = [_route_matrices(spec.psf, s, p, spec.method) for s, p in points]
+        ev = routes.evaluate(spec.psf, *zip(*points), spec.method)
+        if ev.error is not None:
+            raise ev.error
 
-    rerouted = [value for value, (_, _, route) in zip(values, results) if route == "limit"]
-    if rerouted:
+    if "limit" in ev.route:
         print(
-            f"note: {len(rerouted)} grid point(s) below the degeneracy threshold "
+            f"note: {ev.route.count('limit')} grid point(s) below the degeneracy threshold "
             "were served by the coincident-source limit",
             file=sys.stderr,
         )
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for (s, p), (h, g, _) in zip(points, results):
+        for (s, p), h, g in zip(points, ev.h, ev.gamma_mat):
             row = ",".join(
                 [spec.swept, _fmt(s), _fmt(p)]
                 + [_fmt(v / norm) for v in (h[0, 0], h[1, 1], h[2, 2], h[3, 3], h[1, 3])]
@@ -329,28 +247,21 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     g_zero_pairs = [(0, 2)]
 
     grid = [(s, p) for s in values for p in values]
-    for (s, p), routes in zip(grid, _available_routes(psf, grid)[0]):
-        if len(routes) < 2:
+    per_point, _ = routes.all_routes(psf, *zip(*grid))
+    for (s, p), served in zip(grid, per_point):
+        if len(served) < 2:
             continue
         n_points += 1
-        n_full += len(routes) == 3
-        scale = _geometric_scale(next(iter(routes.values()))[0])
-        names = sorted(routes)
-        point_rel = 0.0
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                dev_h = np.abs(routes[a][0] - routes[b][0])
-                dev_g = np.abs(routes[a][1] - routes[b][1])
-                per_entry_h = np.maximum(per_entry_h, dev_h / scale)
-                per_entry_g = np.maximum(per_entry_g, dev_g / scale)
-                max_abs = max(max_abs, float(dev_h.max()), float(dev_g.max()))
-                point_rel = max(
-                    point_rel, float((dev_h / scale).max()), float((dev_g / scale).max())
-                )
-        max_rel = max(max_rel, point_rel)
-        if point_rel > args.tol and len(failures) < 20:
-            failures.append({"s": s, "p": p, "max_rel_deviation": point_rel})
-        for h, g in routes.values():
+        n_full += len(served) == 3
+        dev = routes.deviations(served)
+        per_entry_h = np.maximum(per_entry_h, dev.rel_h)
+        per_entry_g = np.maximum(per_entry_g, dev.rel_g)
+        max_abs = max(max_abs, dev.max_abs)
+        max_rel = max(max_rel, dev.max_rel)
+        if dev.max_rel > args.tol and len(failures) < 20:
+            failures.append({"s": s, "p": p, "max_rel_deviation": dev.max_rel})
+        scale = dev.scale
+        for h, g in served.values():
             for i, j in h_zero_pairs:
                 if abs(h[i, j]) > 1e-10 * scale[i, j]:
                     sparsity_ok = False
@@ -371,8 +282,8 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         "n_points_all_three_routes": n_full,
         "max_abs_deviation": max_abs,
         "max_rel_deviation": max_rel,
-        "per_entry_max_rel_deviation_h": [[float(v) for v in row] for row in per_entry_h],
-        "per_entry_max_rel_deviation_gamma": [[float(v) for v in row] for row in per_entry_g],
+        "per_entry_max_rel_deviation_h": per_entry_h.tolist(),
+        "per_entry_max_rel_deviation_gamma": per_entry_g.tolist(),
         "sparsity_pattern_ok": sparsity_ok,
         "failures": failures,
         "pass": passed,
@@ -389,8 +300,8 @@ def cmd_limits(args: argparse.Namespace) -> int:
         "k": psf.k,
         "zr": psf.z_r,
         "parameters": list(PARAMETERS),
-        "h": [[float(v) for v in row] for row in h],
-        "gamma_matrix": [[float(v) for v in row] for row in g],
+        "h": h.tolist(),
+        "gamma_matrix": g.tolist(),
     }
     _emit(record, args.out)
     return EXIT_OK
@@ -405,7 +316,10 @@ def cmd_crb(args: argparse.Namespace) -> int:
     else:
         if args.s is None or args.p is None:
             raise InvalidParameterError("crb needs either --from-limits or both --s and --p")
-        h, _, source = _route_matrices(psf, args.s, args.p, args.method)
+        ev = routes.evaluate(psf, [args.s], [args.p], args.method)
+        if ev.error is not None:
+            raise ev.error
+        h, source = ev.h[0], ev.route[0]
     bound = analysis.qcrb_total(h, budget)
     h_inv = np.linalg.inv(h)
     record = {
@@ -427,8 +341,8 @@ def cmd_crb(args: argparse.Namespace) -> int:
 
 
 def _add_psf_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=float, required=True, help="wavenumber (inverse length)")
-    parser.add_argument("--zr", type=float, required=True, help="Rayleigh-type length z_R")
+    parser.add_argument("--k", type=_finite, required=True, help="wavenumber (inverse length)")
+    parser.add_argument("--zr", type=_finite, required=True, help="Rayleigh-type length z_R")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate H and Gamma at one (s, p)")
     _add_psf_args(p_eval)
-    p_eval.add_argument("--s", type=float, required=True, help="angular separation")
-    p_eval.add_argument("--p", type=float, required=True, help="axial separation")
+    p_eval.add_argument("--s", type=_finite, required=True, help="angular separation")
+    p_eval.add_argument("--p", type=_finite, required=True, help="axial separation")
     p_eval.add_argument("--method", choices=METHODS, default="gaussian-closed")
-    p_eval.add_argument("--tol", type=float, default=1e-8, help="cross-check tolerance")
+    p_eval.add_argument("--tol", type=_finite, default=1e-8, help="cross-check tolerance")
     p_eval.add_argument("--out", help="also write the JSON record to this path")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -455,14 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--range", default="0:5:0.01", help="swept grid as start:stop:step (default 0:5:0.01)"
     )
     p_sweep.add_argument(
-        "--fixed", type=float, default=0.0, help="value of the non-swept separation"
+        "--fixed", type=_finite, default=0.0, help="value of the non-swept separation"
     )
     p_sweep.add_argument("--method", choices=METHODS, default="gaussian-closed")
     p_sweep.add_argument(
         "--normalized", action="store_true",
         help="divide H columns by N = k/(2 z_R)",
     )
-    p_sweep.add_argument("--tol", type=float, default=1e-8, help="method=all check tolerance")
+    p_sweep.add_argument("--tol", type=_finite, default=1e-8, help="method=all check tolerance")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -471,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cross.add_argument(
         "--range", default="0.1:5:0.25", help="grid for both s and p, start:stop:step"
     )
-    p_cross.add_argument("--tol", type=float, default=1e-8, help="relative tolerance")
+    p_cross.add_argument("--tol", type=_finite, default=1e-8, help="relative tolerance")
     p_cross.add_argument("--out", help="also write the JSON report to this path")
     p_cross.set_defaults(func=cmd_crossval)
 
@@ -483,12 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_crb = sub.add_parser("crb", help="total-variance Cramer-Rao bound")
     _add_psf_args(p_crb)
     p_crb.add_argument("--from-limits", action="store_true", help="use the limit H")
-    p_crb.add_argument("--s", type=float, help="angular separation (point evaluation)")
-    p_crb.add_argument("--p", type=float, help="axial separation (point evaluation)")
+    p_crb.add_argument("--s", type=_finite, help="angular separation (point evaluation)")
+    p_crb.add_argument("--p", type=_finite, help="axial separation (point evaluation)")
     p_crb.add_argument("--method", choices=METHODS[:3], default="gaussian-closed")
-    p_crb.add_argument("--nu", type=float, required=True, help="number of runs")
-    p_crb.add_argument("--m", type=float, required=True, help="coherence intervals per run")
-    p_crb.add_argument("--eps", type=float, required=True, help="mean photons per interval")
+    p_crb.add_argument("--nu", type=_finite, required=True, help="number of runs")
+    p_crb.add_argument("--m", type=_finite, required=True, help="coherence intervals per run")
+    p_crb.add_argument("--eps", type=_finite, required=True, help="mean photons per interval")
     p_crb.add_argument("--out", help="also write the JSON record to this path")
     p_crb.set_defaults(func=cmd_crb)
 

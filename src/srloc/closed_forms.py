@@ -21,7 +21,6 @@ Matrix layout is 4x4 in the parameter order (s, xbar, p, zbar); only the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .psf import (
 )
 
 __all__ = [
-    "GaussianClosedFormInput",
     "varsigma",
     "general_qfim",
     "general_gamma_matrix",
@@ -58,46 +56,18 @@ def varsigma(k: float, z_r: float, s: float, p: float) -> float:
     return 2.0 * k * s * s * z_r / (p * p + 4.0 * z_r * z_r)
 
 
-@dataclass(frozen=True)
-class GaussianClosedFormInput:
-    """Gaussian PSF parameters plus an evaluation point."""
-
-    k: float
-    z_r: float
-    s: float
-    p: float
-
-    def __post_init__(self) -> None:
-        if not (self.k > 0.0 and self.z_r > 0.0):
-            raise InvalidParameterError(
-                f"need k > 0 and z_r > 0, got k={self.k}, z_r={self.z_r}"
-            )
-
-    @classmethod
-    def from_psf(cls, psf: GaussianPsf, s: float, p: float) -> "GaussianClosedFormInput":
-        return cls(k=psf.k, z_r=psf.z_r, s=s, p=p)
-
-    @property
-    def varsigma(self) -> float:
-        return varsigma(self.k, self.z_r, self.s, self.p)
-
-
-def _overlap_factors(jet: OverlapJet, overlap_tol: float):
+def _overlap_factors(jet: OverlapJet):
     ag = jet.abs_gamma
     one_minus = 1.0 - ag * ag
-    if one_minus < overlap_tol:
+    if one_minus < OVERLAP_DEGENERACY_TOL:
         raise DegenerateOverlapError(
-            f"1 - |gamma|^2 = {one_minus:.3e} below {overlap_tol:.1e}; "
+            f"1 - |gamma|^2 = {one_minus:.3e} below {OVERLAP_DEGENERACY_TOL:.1e}; "
             "use small_separation_limit for (nearly) coincident sources"
         )
     return ag, one_minus, jet.d_s_abs, jet.d_p_abs, jet.d_s_phase, jet.d_p_phase
 
 
-def general_qfim(
-    jet: OverlapJet,
-    consts: PsfConstants,
-    overlap_tol: float = OVERLAP_DEGENERACY_TOL,
-) -> np.ndarray:
+def general_qfim(jet: OverlapJet, consts: PsfConstants) -> np.ndarray:
     """Quantum Fisher information matrix for an arbitrary PSF.
 
     The separation blocks are constant: H_ss equals the transverse
@@ -105,7 +75,7 @@ def general_qfim(
     centroid blocks involve the overlap magnitude/phase derivatives and
     1/(1 - |gamma|^2).
     """
-    ag, one_minus, dsa, dpa, dsph, dpph = _overlap_factors(jet, overlap_tol)
+    ag, one_minus, dsa, dpa, dsph, dpph = _overlap_factors(jet)
     n = consts.dpsi_norm_sq
     mg, mg2 = consts.mean_g, consts.mean_g2
     ag2 = ag * ag
@@ -125,11 +95,7 @@ def general_qfim(
     return h
 
 
-def general_gamma_matrix(
-    jet: OverlapJet,
-    consts: PsfConstants,
-    overlap_tol: float = OVERLAP_DEGENERACY_TOL,
-) -> np.ndarray:
+def general_gamma_matrix(jet: OverlapJet, consts: PsfConstants) -> np.ndarray:
     """SLD-commutator matrix for an arbitrary PSF.
 
     Only the (s,xbar), (p,zbar), (s,zbar) and (xbar,p) pairs are nonzero;
@@ -137,7 +103,7 @@ def general_gamma_matrix(
     (s, p) entry is identically zero: that parameter pair is always
     jointly measurable.
     """
-    ag, one_minus, dsa, dpa, dsph, dpph = _overlap_factors(jet, overlap_tol)
+    ag, one_minus, dsa, dpa, dsph, dpph = _overlap_factors(jet)
     mg = consts.mean_g
     ag2 = ag * ag
 
@@ -149,22 +115,22 @@ def general_gamma_matrix(
     return g - g.T
 
 
-def _require_s_in_range(inp: GaussianClosedFormInput) -> None:
-    threshold = small_separation_threshold(inp.k, inp.z_r)
-    if abs(inp.s) < threshold:
+def _require_s_in_range(psf: GaussianPsf, s: float) -> None:
+    threshold = small_separation_threshold(psf.k, psf.z_r)
+    if abs(s) < threshold:
         raise SmallSeparationError(
-            f"|s| = {abs(inp.s):.3e} below {threshold:.3e}: the explicit Gaussian "
+            f"|s| = {abs(s):.3e} below {threshold:.3e}: the explicit Gaussian "
             "expressions have removable singularities at s = 0; use general_qfim / "
             "general_gamma_matrix with the analytic jet (p != 0) or "
             "small_separation_limit (both separations small)"
         )
 
 
-def gaussian_qfim(inp: GaussianClosedFormInput) -> np.ndarray:
-    """Explicit Gaussian-beam Fisher information matrix."""
-    _require_s_in_range(inp)
-    k, zr, s, p = inp.k, inp.z_r, inp.s, inp.p
-    vs = inp.varsigma
+def gaussian_qfim(psf: GaussianPsf, s: float, p: float) -> np.ndarray:
+    """Explicit Gaussian-beam Fisher information matrix at separations (s, p)."""
+    _require_s_in_range(psf, s)
+    k, zr = psf.k, psf.z_r
+    vs = varsigma(k, zr, s, p)
     evs = math.exp(vs)
     emvs = math.exp(-vs)
 
@@ -190,11 +156,11 @@ def gaussian_qfim(inp: GaussianClosedFormInput) -> np.ndarray:
     return h
 
 
-def gaussian_gamma_matrix(inp: GaussianClosedFormInput) -> np.ndarray:
-    """Explicit Gaussian-beam SLD-commutator matrix."""
-    _require_s_in_range(inp)
-    k, zr, s, p = inp.k, inp.z_r, inp.s, inp.p
-    vs = inp.varsigma
+def gaussian_gamma_matrix(psf: GaussianPsf, s: float, p: float) -> np.ndarray:
+    """Explicit Gaussian-beam SLD-commutator matrix at separations (s, p)."""
+    _require_s_in_range(psf, s)
+    k, zr = psf.k, psf.z_r
+    vs = varsigma(k, zr, s, p)
     evs = math.exp(vs)
     emvs = math.exp(-vs)
 
@@ -238,8 +204,7 @@ def evaluate_gaussian_closed(
     (1 - |gamma|^2 <= 1e-8, where the limit is accurate to O(1e-8)).
     """
     if abs(s) >= small_separation_threshold(psf.k, psf.z_r):
-        inp = GaussianClosedFormInput.from_psf(psf, s, p)
-        return gaussian_qfim(inp), gaussian_gamma_matrix(inp), "gaussian-closed"
+        return gaussian_qfim(psf, s, p), gaussian_gamma_matrix(psf, s, p), "gaussian-closed"
     ag = abs(gaussian_overlap(psf, s, p))
     if 1.0 - ag * ag <= 1e-8:
         h, g = small_separation_limit(psf)

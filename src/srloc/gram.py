@@ -44,6 +44,10 @@ __all__ = [
 # Coordinate labels for the derivative operators, in basis-row order.
 COORDINATES = ("x1", "z1", "x2", "z2")
 
+# A basis whose smallest Gram eigenvalue falls below this times the largest
+# counts as numerically degenerate.
+DEGENERACY_THRESHOLD = 1e-12
+
 # (state row, derivative-vector row) populated by each coordinate derivative.
 _DRHO_ROWS = {"x1": (0, 2), "z1": (0, 3), "x2": (1, 4), "z2": (1, 5)}
 
@@ -69,10 +73,6 @@ class GramMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "s_mat", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.s_mat.shape[0]
-
 
 @dataclass(frozen=True)
 class ActionMatrix:
@@ -94,9 +94,7 @@ class ActionMatrix:
 
 
 def build_gram_stack(
-    jets: Sequence[OverlapJet],
-    consts: PsfConstants,
-    degeneracy_threshold: float = 1e-12,
+    jets: Sequence[OverlapJet], consts: PsfConstants
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Assemble the Gram matrices of N overlap jets as one (N, 6, 6) stack.
 
@@ -109,7 +107,7 @@ def build_gram_stack(
 
     Returns the stack and, for each point whose basis is numerically
     degenerate, the reason keyed by its index: the smallest eigenvalue of
-    its Gram matrix falls below ``degeneracy_threshold`` times the largest
+    its Gram matrix falls below ``DEGENERACY_THRESHOLD`` times the largest
     (happens as (s, p) -> (0, 0)).  One ``eigvalsh`` covers the stack.
     """
     g, ds, dp, dss, dpp, dsp = np.array(
@@ -144,18 +142,14 @@ def build_gram_stack(
     degenerate = {
         int(i): "basis is numerically degenerate "
         f"(eigenvalue ratio {eigs[i, 0]:.3e} / {eigs[i, -1]:.3e} below "
-        f"threshold {degeneracy_threshold:.1e}); the sources are too close "
+        f"threshold {DEGENERACY_THRESHOLD:.1e}); the sources are too close "
         "for the numerical route -- use the coincident-source limit"
-        for i in np.flatnonzero(eigs[:, 0] < degeneracy_threshold * eigs[:, -1])
+        for i in np.flatnonzero(eigs[:, 0] < DEGENERACY_THRESHOLD * eigs[:, -1])
     }
     return s, degenerate
 
 
-def build_gram(
-    jet: OverlapJet,
-    consts: PsfConstants,
-    degeneracy_threshold: float = 1e-12,
-) -> GramMatrix:
+def build_gram(jet: OverlapJet, consts: PsfConstants) -> GramMatrix:
     """The 6x6 Gram matrix of one overlap jet (see :func:`build_gram_stack`).
 
     Raises
@@ -163,7 +157,7 @@ def build_gram(
     DegenerateBasisError
         If the basis is numerically degenerate at this jet.
     """
-    s, degenerate = build_gram_stack([jet], consts, degeneracy_threshold)
+    s, degenerate = build_gram_stack([jet], consts)
     if degenerate:
         raise DegenerateBasisError(degenerate[0])
     return GramMatrix(s_mat=s[0])

@@ -184,41 +184,37 @@ def orthonormalize(gram) -> np.ndarray:
     return lower.conj().swapaxes(-1, -2)
 
 
-def _eigenframe_sld(q: np.ndarray, drho_e: np.ndarray, cutoff: float):
+def _eigenframe_sld(q: np.ndarray, drho_e: np.ndarray):
     """SLD in the eigenbasis of rho, and the number of ill-conditioned entries.
 
     L[i, j] = 2 drho[i, j] / (q_i + q_j) wherever q_i + q_j exceeds
-    ``cutoff`` and 0 on the kernel block (support-restricted completion; H
+    ``SUPPORT_CUTOFF`` and 0 on the kernel block (support-restricted completion; H
     and Gamma do not depend on how the kernel block is completed).  An
     eigenvalue sum within a decade of the cutoff makes its entry
     ill-conditioned; their count is returned per leading index of ``q``.
     """
+    cutoff = SUPPORT_CUTOFF
     qsum = q[..., :, None] + q[..., None, :]
     l_e = drho_e * (2.0 / np.where(qsum > cutoff, qsum, np.inf))
     shaky = np.count_nonzero((qsum > cutoff / 10.0) & (qsum <= cutoff * 10.0), axis=(-2, -1))
     return l_e, shaky
 
 
-def _warn_cutoff(count: int, cutoff: float, where: str = "") -> None:
+def _warn_cutoff(count: int, where: str = "") -> None:
     warnings.warn(
-        f"{count} eigenvalue sums within a decade of the support cutoff {cutoff:.1e}"
+        f"{count} eigenvalue sums within a decade of the support cutoff {SUPPORT_CUTOFF:.1e}"
         f"{where}; SLD entries there are low-confidence",
         CutoffDegeneracyWarning,
         stacklevel=3,
     )
 
 
-def solve_sld(
-    rho: ActionMatrix,
-    drho: ActionMatrix,
-    gram,
-    cutoff: float = SUPPORT_CUTOFF,
-) -> ActionMatrix:
+def solve_sld(rho: ActionMatrix, drho: ActionMatrix, gram) -> ActionMatrix:
     """Solve ``L rho + rho L = 2 drho`` for the SLD in action representation.
 
     The solve runs in the orthonormal frame on the eigenbasis of rho:
     L[i, j] = 2 drho[i, j] / (q_i + q_j) wherever q_i + q_j exceeds
-    ``cutoff`` and 0 on the kernel block (support-restricted completion;
+    ``SUPPORT_CUTOFF`` and 0 on the kernel block (support-restricted completion;
     H and Gamma do not depend on how the kernel block is completed).
 
     Emits :class:`CutoffDegeneracyWarning` when any eigenvalue sum lands
@@ -232,9 +228,9 @@ def solve_sld(
     rho_o = (rho_o + rho_o.conj().T) / 2.0
     q, u = np.linalg.eigh(rho_o)
     drho_o = t @ drho.m @ t_inv
-    l_e, shaky = _eigenframe_sld(q, u.conj().T @ drho_o @ u, cutoff)
+    l_e, shaky = _eigenframe_sld(q, u.conj().T @ drho_o @ u)
     if shaky:
-        _warn_cutoff(int(shaky), cutoff)
+        _warn_cutoff(int(shaky))
     l_o = u @ l_e @ u.conj().T
     return ActionMatrix(m=t_inv @ l_o @ t)
 
@@ -318,12 +314,7 @@ def _cholesky_stack(s_mat: np.ndarray, failures: dict[int, tuple[type, str]]) ->
     return orthonormalize(s_mat)
 
 
-def _pipeline_block(
-    jets: Sequence[OverlapJet],
-    consts: PsfConstants,
-    degeneracy_threshold: float,
-    cutoff: float,
-) -> _Block:
+def _pipeline_block(jets: Sequence[OverlapJet], consts: PsfConstants) -> _Block:
     """Run the pipeline on n overlap jets at once.
 
     Per point: one ``eigvalsh`` (the Gram degeneracy test), one Cholesky
@@ -333,7 +324,7 @@ def _pipeline_block(
     so that the stack stays whole; its outputs are NaN and its failure is
     recorded.
     """
-    s_mat, degenerate = build_gram_stack(jets, consts, degeneracy_threshold)
+    s_mat, degenerate = build_gram_stack(jets, consts)
     failures = {i: (DegenerateBasisError, reason) for i, reason in degenerate.items()}
     if failures:
         s_mat[list(failures)] = np.eye(6)
@@ -348,7 +339,7 @@ def _pipeline_block(
     deriv = w[:, :, _DERIV_COLS].swapaxes(-1, -2)
     outer = (state[..., :, None] * deriv.conj()[..., None, :]).reshape(n, 4, 36)
     x = (_TO_PHYSICAL @ outer).reshape(n, 4, 6, 6)
-    l_e, shaky = _eigenframe_sld(q[:, None, :], (x + x.conj().swapaxes(-1, -2)) / 2.0, cutoff)
+    l_e, shaky = _eigenframe_sld(q[:, None, :], (x + x.conj().swapaxes(-1, -2)) / 2.0)
 
     # Tr(rho L_mu L_nu) = sum_ij q_i L_mu[i, j] conj(L_nu[i, j]), L Hermitian.
     rho_l = (q[:, None, :, None] * l_e).reshape(n, 4, 36)
@@ -381,20 +372,16 @@ def _located(error: type, reason: str, s: float, p: float) -> SrlocError:
 
 
 def _single_point(
-    jet: OverlapJet,
-    consts: PsfConstants,
-    degeneracy_threshold: float,
-    cutoff: float,
-    where: tuple[float, float] | None,
+    jet: OverlapJet, consts: PsfConstants, where: tuple[float, float] | None
 ) -> PipelineResult:
     """The stacked pipeline on one point, with its SLDs back in the action
     representation: L = T^{-1} (U L_e U^H) T, all four in one solve."""
-    block = _pipeline_block([jet], consts, degeneracy_threshold, cutoff)
+    block = _pipeline_block([jet], consts)
     if block.failures:
         error, reason = block.failures[0]
         raise error(reason) if where is None else _located(error, reason, *where)
     if block.shaky[0]:
-        _warn_cutoff(int(block.shaky[0]), cutoff)
+        _warn_cutoff(int(block.shaky[0]))
     t, u = block.t[0], block.u[0]
     rhs = (u @ block.l_e[0] @ u.conj().T @ t).transpose(1, 0, 2).reshape(6, 24)
     l_action = np.linalg.solve(t, rhs).reshape(6, 4, 6).transpose(1, 0, 2)
@@ -406,12 +393,7 @@ def _single_point(
     )
 
 
-def qfim_from_jet(
-    jet: OverlapJet,
-    consts: PsfConstants,
-    degeneracy_threshold: float = 1e-12,
-    cutoff: float = SUPPORT_CUTOFF,
-) -> PipelineResult:
+def qfim_from_jet(jet: OverlapJet, consts: PsfConstants) -> PipelineResult:
     """Run the full numerical pipeline from overlap data.
 
     Returns the information matrices together with all six eigenvalues of
@@ -426,7 +408,7 @@ def qfim_from_jet(
     SrlocError
         If Tr(rho L L) is asymmetric beyond roundoff.
     """
-    return _single_point(jet, consts, degeneracy_threshold, cutoff, None)
+    return _single_point(jet, consts, None)
 
 
 def _below_threshold(psf: GaussianPsf, s, p):
@@ -435,13 +417,7 @@ def _below_threshold(psf: GaussianPsf, s, p):
     return s * s + p * p < threshold * threshold
 
 
-def gaussian_pipeline(
-    psf: GaussianPsf,
-    s: float,
-    p: float,
-    degeneracy_threshold: float = 1e-12,
-    cutoff: float = SUPPORT_CUTOFF,
-) -> PipelineResult:
+def gaussian_pipeline(psf: GaussianPsf, s: float, p: float) -> PipelineResult:
     """Numerical pipeline for the Gaussian PSF at separations (s, p).
 
     Refuses separations with s^2 + p^2 below the square of
@@ -455,21 +431,11 @@ def gaussian_pipeline(
             f"separations (s={s!r}, p={p!r}) below the pipeline threshold "
             f"{threshold:.3e}; use small_separation_limit (CLI: the `limits` command)"
         )
-    return _single_point(
-        gaussian_overlap_jet(psf, s, p),
-        gaussian_constants(psf),
-        degeneracy_threshold,
-        cutoff,
-        (s, p),
-    )
+    return _single_point(gaussian_overlap_jet(psf, s, p), gaussian_constants(psf), (s, p))
 
 
 def gaussian_pipeline_stack(
-    psf: GaussianPsf,
-    s: Sequence[float],
-    p: Sequence[float],
-    degeneracy_threshold: float = 1e-12,
-    cutoff: float = SUPPORT_CUTOFF,
+    psf: GaussianPsf, s: Sequence[float], p: Sequence[float]
 ) -> PipelineStack:
     """Numerical pipeline for the Gaussian PSF at N points (s[i], p[i]).
 
@@ -500,7 +466,7 @@ def gaussian_pipeline_stack(
     for start in range(0, len(todo), BLOCK_POINTS):
         idx = todo[start:start + BLOCK_POINTS]
         jets = [gaussian_overlap_jet(psf, a, b) for a, b in zip(s[idx].tolist(), p[idx].tolist())]
-        block = _pipeline_block(jets, consts, degeneracy_threshold, cutoff)
+        block = _pipeline_block(jets, consts)
         h[idx], gamma_mat[idx], eigs[idx], shaky[idx] = (
             block.h, block.gamma_mat, block.rho_eigenvalues, block.shaky)
         failed[idx[list(block.failures)]] = True
@@ -509,7 +475,7 @@ def gaussian_pipeline_stack(
             error = _located(kind, reason, s[idx[i]], p[idx[i]])
     if shaky.any():
         first = int(np.flatnonzero(shaky)[0])
-        _warn_cutoff(int(shaky.sum()), cutoff,
+        _warn_cutoff(int(shaky.sum()),
                      f" at {np.count_nonzero(shaky)} point(s), first (s={float(s[first])!r}, "
                      f"p={float(p[first])!r})")
     return PipelineStack(h=h, gamma_mat=gamma_mat, rho_eigenvalues=eigs,

@@ -10,7 +10,6 @@ import pytest
 from srloc.analysis import EstimationBudget, qcrb_total
 from srloc.cli import main
 from srloc.closed_forms import (
-    GaussianClosedFormInput,
     gaussian_gamma_matrix,
     gaussian_qfim,
     general_gamma_matrix,
@@ -51,14 +50,13 @@ def grid_matrices():
         for p in GRID:
             result = gaussian_pipeline(PSF, s, p)
             jet = gaussian_overlap_jet(PSF, s, p)
-            point = GaussianClosedFormInput.from_psf(PSF, s, p)
             points.append(
                 {
                     "s": s,
                     "p": p,
                     "pipeline": (result.qfim.h, result.qfim.gamma_mat),
                     "general": (general_qfim(jet, CONSTS), general_gamma_matrix(jet, CONSTS)),
-                    "closed": (gaussian_qfim(point), gaussian_gamma_matrix(point)),
+                    "closed": (gaussian_qfim(PSF, s, p), gaussian_gamma_matrix(PSF, s, p)),
                     "rho_eigenvalues": result.rho_eigenvalues,
                     "abs_gamma": jet.abs_gamma,
                 }
@@ -123,9 +121,8 @@ def test_criterion_4_sparsity_pattern(grid_matrices):
 
 def test_criterion_5_small_separation_limit():
     h_lim, _ = small_separation_limit(PSF)
-    point = GaussianClosedFormInput.from_psf(PSF, 1e-3, 1e-3)
-    h = gaussian_qfim(point)
-    g = gaussian_gamma_matrix(point)
+    h = gaussian_qfim(PSF, 1e-3, 1e-3)
+    g = gaussian_gamma_matrix(PSF, 1e-3, 1e-3)
     diag_ok = np.max(np.abs(np.diag(h) - np.diag(h_lim)) / np.diag(h_lim)) <= 1e-3
     scale = scale_of(h_lim)
     off_ok = abs(h[1, 3]) <= 1e-3 * scale[1, 3] and np.max(np.abs(g) / scale) <= 1e-3

@@ -13,7 +13,6 @@ from srloc.closed_forms import (
     gaussian_qfim,
     small_separation_limit,
 )
-from srloc.closed_forms import GaussianClosedFormInput
 from srloc.errors import InvalidParameterError, ModelValidityWarning, SingularMatrixError
 
 UNIT_BUDGET = EstimationBudget(nu=1.0, m=1.0, eps=1.0)
@@ -88,7 +87,7 @@ def test_qcrb_subset_separations_is_constant(psf):
 
 
 def test_qcrb_subset_full_set_equals_total(psf):
-    h = gaussian_qfim(GaussianClosedFormInput.from_psf(psf, 1.0, 2.0))
+    h = gaussian_qfim(psf, 1.0, 2.0)
     assert qcrb_subset(h, ("s", "xbar", "p", "zbar"), UNIT_BUDGET) == pytest.approx(
         qcrb_total(h, UNIT_BUDGET), rel=1e-14
     )
@@ -127,8 +126,9 @@ def test_limit_matrices_are_fully_compatible(psf):
 
 
 def test_reference_point_pair_flags(psf):
-    point = GaussianClosedFormInput.from_psf(psf, 1.0, 2.0)
-    report = compatibility_report(gaussian_qfim(point), gaussian_gamma_matrix(point))
+    report = compatibility_report(
+        gaussian_qfim(psf, 1.0, 2.0), gaussian_gamma_matrix(psf, 1.0, 2.0)
+    )
     assert report.sp_pair_compatible
     assert report.pairs[("s", "p")].measurement_compatible
     assert report.pairs[("s", "p")].statistically_independent

@@ -5,9 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import srloc.cli
 import srloc.closed_forms
-from srloc.cli import SweepSpec, _available_routes, main, run_sweep
+import srloc.routes
+import srloc.sld
+from srloc.cli import SweepSpec, main, run_sweep
 from srloc.closed_forms import small_separation_limit
 from srloc.errors import InvalidParameterError, SrlocError
 from srloc.psf import GaussianPsf
@@ -57,7 +58,7 @@ def test_eval_all_methods_cross_check(capsys):
 
 def test_eval_all_runs_the_pipeline_once(capsys, monkeypatch):
     calls = []
-    stack = srloc.cli.gaussian_pipeline_stack
+    stack = srloc.routes.gaussian_pipeline_stack
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -66,8 +67,8 @@ def test_eval_all_runs_the_pipeline_once(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eval --method all evaluated the pipeline a second time")
 
-    monkeypatch.setattr(srloc.cli, "gaussian_pipeline_stack", counted)
-    monkeypatch.setattr(srloc.cli, "gaussian_pipeline", refuse)
+    monkeypatch.setattr(srloc.routes, "gaussian_pipeline_stack", counted)
+    monkeypatch.setattr(srloc.sld, "_single_point", refuse)
     record = run_json(
         capsys, "eval", "--k", "1", "--zr", "2", "--s", "1", "--p", "0", "--method", "all",
     )
@@ -99,6 +100,36 @@ def test_eval_usage_error_exit_code(capsys):
     assert code == 2
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
+
+
+def test_eval_all_reports_the_pipeline_refusal(capsys):
+    code, _, err = run(
+        capsys, "eval", "--k", "1e3", "--zr", "1e3", "--s", "1", "--p", "1e3", "--method", "all",
+    )
+    assert code == 1
+    assert "(s=1.0, p=1000.0)" in err and "degenerate" in err
+
+
+PSF = ["--k", "1", "--zr", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", *PSF, "--sweep", "s", "--fixed", "nan", "--method", "pipeline", "--out", "x.csv"],
+    ["sweep", *PSF, "--sweep", "s", "--fixed", "nan", "--out", "x.csv"],
+    ["sweep", *PSF, "--sweep", "p", "--range", "0:inf:1", "--out", "x.csv"],
+    ["crossval", *PSF, "--range", "0.1:nan:0.5"],
+    ["crb", *PSF, "--s", "nan", "--p", "1", "--nu", "1", "--m", "1", "--eps", "1"],
+    ["crb", *PSF, "--from-limits", "--nu", "1", "--m", "inf", "--eps", "1"],
+    ["eval", *PSF, "--s", "1", "--p", "-inf"],
+    ["eval", *PSF, "--s", "1", "--p", "1", "--tol", "nan"],
+    ["eval", "--k", "nan", "--zr", "2", "--s", "1", "--p", "1"],
+])
+def test_non_finite_numbers_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert out == "" and not (tmp_path / "x.csv").exists()
 
 
 def test_eval_json_round_trip_idempotent(capsys, tmp_path):
@@ -330,7 +361,7 @@ def test_crossval_includes_zero_s_points(capsys):
 def test_crossval_drops_pipeline_route_exactly_where_it_fails():
     psf = GaussianPsf(k=1.0, z_r=2.0)
     grid = [(s, p) for s in (0.0, 0.01, 0.04, 0.5) for p in (0.0, 0.02, 1.0)]
-    per_point, stack = _available_routes(psf, grid)
+    per_point, evs = srloc.routes.all_routes(psf, *zip(*grid))
     accepted = []
     for (s, p), routes in zip(grid, per_point):
         try:
@@ -340,14 +371,14 @@ def test_crossval_drops_pipeline_route_exactly_where_it_fails():
             accepted.append(False)
         assert ("pipeline" in routes) == accepted[-1]
     assert any(accepted) and not all(accepted)
-    assert stack.failed.any() and stack.limit.any()
+    assert "failed" in evs["pipeline"].route and "limit" in evs["pipeline"].route
 
 
 def test_crossval_detects_corrupted_formula(capsys, monkeypatch):
     true_fn = srloc.closed_forms.gaussian_qfim
 
-    def corrupted(inp):
-        h = true_fn(inp).copy()
+    def corrupted(psf, s, p):
+        h = true_fn(psf, s, p).copy()
         h[1, 1] *= 1.001
         return h
 

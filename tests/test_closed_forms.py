@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from srloc.closed_forms import (
-    GaussianClosedFormInput,
     evaluate_gaussian_closed,
     gaussian_gamma_matrix,
     gaussian_qfim,
@@ -15,10 +14,6 @@ from srloc.closed_forms import (
 )
 from srloc.errors import DegenerateOverlapError, InvalidParameterError, SmallSeparationError
 from srloc.psf import GaussianPsf, PsfConstants, gaussian_overlap_jet
-
-
-def inp(psf, s, p):
-    return GaussianClosedFormInput.from_psf(psf, s, p)
 
 
 def scale_of(h):
@@ -38,7 +33,7 @@ def test_varsigma_validates_parameters():
     with pytest.raises(InvalidParameterError):
         varsigma(0.0, 1.0, 1.0, 1.0)
     with pytest.raises(InvalidParameterError):
-        GaussianClosedFormInput(k=1.0, z_r=-1.0, s=1.0, p=1.0)
+        GaussianPsf(k=1.0, z_r=-1.0)
 
 
 # ------------------------------------------------------------ general form
@@ -79,7 +74,7 @@ def test_general_gamma_zero_structure(psf, consts):
 
 def test_general_gamma_matches_explicit_forms(psf, consts):
     g = general_gamma_matrix(gaussian_overlap_jet(psf, 1.0, 2.0), consts)
-    g_explicit = gaussian_gamma_matrix(inp(psf, 1.0, 2.0))
+    g_explicit = gaussian_gamma_matrix(psf, 1.0, 2.0)
     assert g[0, 1] != 0.0
     assert np.max(np.abs(g - g_explicit)) <= 1e-10
 
@@ -88,7 +83,7 @@ def test_general_gamma_matches_explicit_forms(psf, consts):
 
 
 def test_gaussian_qfim_reference_point(psf):
-    h = gaussian_qfim(inp(psf, 1.0, 0.0))
+    h = gaussian_qfim(psf, 1.0, 0.0)
     assert h[0, 0] == 0.25
     assert h[2, 2] == 0.0625
     assert h[1, 1] == pytest.approx(0.805300, abs=1e-6)
@@ -98,16 +93,16 @@ def test_gaussian_qfim_reference_point(psf):
 
 
 def test_gaussian_qfim_offdiag_reference_point(psf):
-    h = gaussian_qfim(inp(psf, 1.0, 2.0))
+    h = gaussian_qfim(psf, 1.0, 2.0)
     assert h[1, 1] == pytest.approx(0.8192656089453823, rel=1e-13)
     assert h[1, 3] == pytest.approx(-0.09127797008700612, rel=1e-13)
     assert h[3, 3] == pytest.approx(0.2011490730828441, rel=1e-13)
 
 
 def test_gaussian_gamma_reference_points(psf):
-    g0 = gaussian_gamma_matrix(inp(psf, 1.0, 0.0))
+    g0 = gaussian_gamma_matrix(psf, 1.0, 0.0)
     assert g0[0, 1] == 0.0 and g0[2, 3] == 0.0  # both proportional to p
-    g = gaussian_gamma_matrix(inp(psf, 1.0, 2.0))
+    g = gaussian_gamma_matrix(psf, 1.0, 2.0)
     assert g[0, 1] == pytest.approx(-0.04973747056214069, rel=1e-12)
     assert g[2, 3] == pytest.approx(-0.01293174234615658, rel=1e-12)
     assert g[0, 3] == pytest.approx(-0.03887920189001531, rel=1e-12)
@@ -118,21 +113,21 @@ def test_gaussian_gamma_reference_points(psf):
 def test_gaussian_gamma_sp_identically_zero(psf):
     for s in np.linspace(0.1, 5.0, 7):
         for p in np.linspace(0.0, 5.0, 7):
-            g = gaussian_gamma_matrix(inp(psf, s, p))
+            g = gaussian_gamma_matrix(psf, s, p)
             assert g[0, 2] == 0.0
 
 
 def test_gaussian_forms_reject_small_s(psf):
     with pytest.raises(SmallSeparationError):
-        gaussian_qfim(inp(psf, 1e-7, 2.0))
+        gaussian_qfim(psf, 1e-7, 2.0)
     with pytest.raises(SmallSeparationError):
-        gaussian_gamma_matrix(inp(psf, 0.0, 2.0))
+        gaussian_gamma_matrix(psf, 0.0, 2.0)
 
 
 def test_h_ss_h_pp_constant_across_grid(psf):
     for s in np.linspace(0.1, 5.0, 6):
         for p in np.linspace(0.0, 5.0, 6):
-            h = gaussian_qfim(inp(psf, s, p))
+            h = gaussian_qfim(psf, s, p)
             assert h[0, 0] == psf.k / (2.0 * psf.z_r)
             assert h[2, 2] == 1.0 / (4.0 * psf.z_r ** 2)
 
@@ -142,9 +137,8 @@ def test_general_equals_gaussian_on_grid(psf, consts):
     for s in np.linspace(0.1, 5.0, 8):
         for p in np.linspace(0.0, 5.0, 8):
             jet = gaussian_overlap_jet(psf, s, p)
-            point = inp(psf, s, p)
-            h1, h2 = general_qfim(jet, consts), gaussian_qfim(point)
-            g1, g2 = general_gamma_matrix(jet, consts), gaussian_gamma_matrix(point)
+            h1, h2 = general_qfim(jet, consts), gaussian_qfim(psf, s, p)
+            g1, g2 = general_gamma_matrix(jet, consts), gaussian_gamma_matrix(psf, s, p)
             scale = scale_of(h2)
             worst = max(
                 worst,
@@ -160,16 +154,16 @@ def test_p_zero_reduction_of_angular_centroid_entry(psf):
     for s in (0.3, 1.0, 2.4):
         vs = varsigma(psf.k, psf.z_r, s, 0.0)
         expected = 4.0 * n * (1.0 - vs * math.exp(-vs))
-        assert gaussian_qfim(inp(psf, s, 0.0))[1, 1] == pytest.approx(expected, rel=1e-12)
+        assert gaussian_qfim(psf, s, 0.0)[1, 1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_reflection_symmetry_in_s_closed_forms(psf):
     j = np.diag([-1.0, -1.0, 1.0, 1.0])
-    h_plus = gaussian_qfim(inp(psf, 1.3, 2.2))
-    h_minus = gaussian_qfim(inp(psf, -1.3, 2.2))
+    h_plus = gaussian_qfim(psf, 1.3, 2.2)
+    h_minus = gaussian_qfim(psf, -1.3, 2.2)
     assert np.allclose(j @ h_plus @ j, h_minus, rtol=0, atol=1e-15)
-    g_plus = gaussian_gamma_matrix(inp(psf, 1.3, 2.2))
-    g_minus = gaussian_gamma_matrix(inp(psf, -1.3, 2.2))
+    g_plus = gaussian_gamma_matrix(psf, 1.3, 2.2)
+    g_minus = gaussian_gamma_matrix(psf, -1.3, 2.2)
     assert np.allclose(j @ g_plus @ j, g_minus, rtol=0, atol=1e-15)
     # the diagonal (and the even Gamma pairs) are plain even functions
     assert np.allclose(np.diag(h_plus), np.diag(h_minus), rtol=1e-15)
@@ -190,8 +184,8 @@ def test_limit_reference_values():
 
 def test_limit_consistency_with_closed_forms(psf):
     h_lim, _ = small_separation_limit(psf)
-    h = gaussian_qfim(inp(psf, 1e-3, 1e-3))
-    g = gaussian_gamma_matrix(inp(psf, 1e-3, 1e-3))
+    h = gaussian_qfim(psf, 1e-3, 1e-3)
+    g = gaussian_gamma_matrix(psf, 1e-3, 1e-3)
     assert np.max(np.abs(np.diag(h) - np.diag(h_lim)) / np.diag(h_lim)) <= 1e-3
     scale = scale_of(h_lim)
     assert abs(h[1, 3]) <= 1e-3 * scale[1, 3]
@@ -204,7 +198,7 @@ def test_limit_consistency_with_closed_forms(psf):
 def test_routed_evaluation_selects_explicit_forms(psf):
     h, g, route = evaluate_gaussian_closed(psf, 1.0, 2.0)
     assert route == "gaussian-closed"
-    assert np.array_equal(h, gaussian_qfim(inp(psf, 1.0, 2.0)))
+    assert np.array_equal(h, gaussian_qfim(psf, 1.0, 2.0))
 
 
 def test_routed_evaluation_reroutes_zero_s(psf, consts):

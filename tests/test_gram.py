@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import srloc.gram
 from srloc.errors import DegenerateBasisError, InvalidParameterError
 from srloc.gram import (
     COORDINATES,
@@ -71,11 +72,12 @@ def test_degenerate_at_coincident_sources(psf):
         gram_at(psf, 0.0, 0.0)
 
 
-def test_degeneracy_threshold_configurable(psf, consts):
+def test_degeneracy_threshold_configurable(psf, consts, monkeypatch):
     jet = gaussian_overlap_jet(psf, 0.05, 0.05)
     build_gram(jet, consts)  # fine at the default threshold
+    monkeypatch.setattr(srloc.gram, "DEGENERACY_THRESHOLD", 1e-2)
     with pytest.raises(DegenerateBasisError):
-        build_gram(jet, consts, degeneracy_threshold=1e-2)
+        build_gram(jet, consts)
 
 
 def test_gram_matrix_validates_input():

@@ -382,13 +382,14 @@ def test_stack_asymmetry_limit_names_first_point(psf, monkeypatch):
         gaussian_pipeline(psf, 1.5, 0.5)
 
 
-def test_stack_warns_on_cutoff_marginal_point(psf):
+def test_stack_warns_on_cutoff_marginal_point(psf, monkeypatch):
     # at s = 0.1, p = 0 the small eigenvalue of rho is 6e-4, within a decade of 1e-4
+    monkeypatch.setattr(srloc.sld, "SUPPORT_CUTOFF", 1e-4)
     with warnings.catch_warnings():
         warnings.simplefilter("error", CutoffDegeneracyWarning)
-        gaussian_pipeline_stack(psf, [3.0, 4.0], [0.0, 0.0], cutoff=1e-4)
+        gaussian_pipeline_stack(psf, [3.0, 4.0], [0.0, 0.0])
     with pytest.warns(CutoffDegeneracyWarning, match=r"1 point\(s\), first \(s=0\.1, p=0\.0\)"):
-        gaussian_pipeline_stack(psf, [3.0, 0.1, 4.0], [0.0, 0.0, 0.0], cutoff=1e-4)
+        gaussian_pipeline_stack(psf, [3.0, 0.1, 4.0], [0.0, 0.0, 0.0])
 
 
 def test_stack_rejects_mismatched_coordinates(psf):
