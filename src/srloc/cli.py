@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -38,14 +39,15 @@ CSV_COLUMNS = (
     "G_sx", "G_pz", "G_sz", "G_xp",
     "norm_flag",
 )
+# (row, column) of the H and Gamma entries in the CSV value columns.
+_H_ENTRIES = ([0, 1, 2, 3, 1], [0, 1, 2, 3, 3])
+_G_ENTRIES = ([0, 2, 0, 1], [1, 3, 3, 2])
+# Rows formatted per write: bounds the Python floats held for a long sweep.
+_CSV_BLOCK_ROWS = 4096
 
-
-def _fmt(value: float) -> str:
-    """Fixed 17-significant-digit, locale-independent float formatting."""
-    value = float(value)
-    if value == 0.0:  # avoid "-0" rows
-        value = 0.0
-    return format(value, ".17g")
+# Most points a sweep, or a crossval grid (the square of its --range), may
+# have: each point holds about 1 kB of arrays while it is evaluated.
+MAX_GRID_POINTS = 10**6
 
 
 def _finite(text: str) -> float:
@@ -73,9 +75,20 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return start, stop, step
 
 
-def _grid(start: float, stop: float, step: float) -> list[float]:
-    count = int(math.floor((stop - start) / step + 1e-6)) + 1
-    return [start + i * step for i in range(count)]
+def _grid(start: float, stop: float, step: float, dims: int = 1) -> np.ndarray:
+    """The values start + i * step up to stop, for a grid of ``dims`` axes.
+
+    Raises ``InvalidParameterError``, before allocating them, where the
+    grid would have more than ``MAX_GRID_POINTS`` points.
+    """
+    span = (stop - start) / step + 1e-6  # overflows to inf for 0:1e300:1e-300
+    count = math.floor(span) + 1 if math.isfinite(span) else math.inf
+    if count ** dims > MAX_GRID_POINTS:
+        raise InvalidParameterError(
+            f"--range {start!r}:{stop!r}:{step!r} gives {count ** dims} grid points, "
+            f"more than {MAX_GRID_POINTS}"
+        )
+    return start + np.arange(count) * step
 
 
 @dataclass(frozen=True)
@@ -106,11 +119,13 @@ class SweepSpec:
     def norm(self) -> float:
         return self.psf.k / (2.0 * self.psf.z_r) if self.normalized else 1.0
 
-    def grid(self) -> list[float]:
+    def grid(self) -> np.ndarray:
         return _grid(self.start, self.stop, self.step)
 
-    def separations(self, value: float) -> tuple[float, float]:
-        return (value, self.fixed) if self.swept == "s" else (self.fixed, value)
+    def separations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(s, p) at the swept ``values``."""
+        fixed = np.full_like(values, self.fixed)
+        return (values, fixed) if self.swept == "s" else (fixed, values)
 
 
 def _emit(record: dict, out: str | None) -> None:
@@ -132,7 +147,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "s": s,
         "p": p,
         "parameters": list(PARAMETERS),
-        "abs_gamma": abs(gaussian_overlap(psf, s, p)),
+        "abs_gamma": float(abs(gaussian_overlap(psf, s, p))),
         "varsigma": closed_forms.varsigma(psf.k, psf.z_r, s, p),
     }
     if args.method == "all":
@@ -173,25 +188,32 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _csv_rows(swept: str, normalized: bool, table: np.ndarray) -> Iterator[str]:
+    """CSV rows of an (N, 11) table of s, p and the nine value columns, in
+    blocks: fixed 17-significant-digit, locale-independent floats, no "-0"."""
+    table = table + 0.0  # -0.0 + 0.0 is 0.0
+    row = ",".join([swept, *["%.17g"] * 11, "1" if normalized else "0"]) + "\n"
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[start:start + _CSV_BLOCK_ROWS].tolist()
+        yield "".join([row % tuple(values) for values in block])
+
+
 def run_sweep(spec: SweepSpec, out_path: str, tol: float = 1e-8) -> int:
     """Evaluate a sweep and write the CSV, rows in grid order."""
-    points = [spec.separations(value) for value in spec.grid()]
-    norm = spec.norm
-    norm_flag = 1 if spec.normalized else 0
-
+    s, p = spec.separations(spec.grid())
     if spec.method == "all":
-        per_point, evs = routes.all_routes(spec.psf, *zip(*points))
-        for (s, p), served in zip(points, per_point):
+        per_point, evs = routes.all_routes(spec.psf, s, p)
+        for a, b, served in zip(s.tolist(), p.tolist(), per_point):
             if len(served) < 2:
                 continue
             max_rel = routes.deviations(served).max_rel
             if max_rel > tol:
                 raise SrlocError(
-                    f"cross-method deviation {max_rel:.3e} > {tol:.1e} at (s={s!r}, p={p!r})"
+                    f"cross-method deviation {max_rel:.3e} > {tol:.1e} at (s={a!r}, p={b!r})"
                 )
         ev = evs["gaussian-closed"]
     else:
-        ev = routes.evaluate(spec.psf, *zip(*points), spec.method)
+        ev = routes.evaluate(spec.psf, s, p, spec.method)
         if ev.error is not None:
             raise ev.error
 
@@ -201,16 +223,14 @@ def run_sweep(spec: SweepSpec, out_path: str, tol: float = 1e-8) -> int:
             "were served by the coincident-source limit",
             file=sys.stderr,
         )
+    table = np.empty((len(s), 11))
+    table[:, 0] = s
+    table[:, 1] = p
+    table[:, 2:7] = ev.h[:, _H_ENTRIES[0], _H_ENTRIES[1]] / spec.norm
+    table[:, 7:] = ev.gamma_mat[:, _G_ENTRIES[0], _G_ENTRIES[1]]
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for (s, p), h, g in zip(points, ev.h, ev.gamma_mat):
-            row = ",".join(
-                [spec.swept, _fmt(s), _fmt(p)]
-                + [_fmt(v / norm) for v in (h[0, 0], h[1, 1], h[2, 2], h[3, 3], h[1, 3])]
-                + [_fmt(v) for v in (g[0, 1], g[2, 3], g[0, 3], g[1, 2])]
-                + [str(norm_flag)]
-            )
-            fh.write(row + "\n")
+        fh.writelines(_csv_rows(spec.swept, spec.normalized, table))
     return EXIT_OK
 
 
@@ -232,7 +252,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_crossval(args: argparse.Namespace) -> int:
     psf = GaussianPsf(k=args.k, z_r=args.zr)
     start, stop, step = _parse_range(args.range)
-    values = _grid(start, stop, step)
+    values = _grid(start, stop, step, dims=2)
 
     max_abs = 0.0
     max_rel = 0.0
@@ -246,9 +266,10 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     h_zero_pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
     g_zero_pairs = [(0, 2)]
 
-    grid = [(s, p) for s in values for p in values]
-    per_point, _ = routes.all_routes(psf, *zip(*grid))
-    for (s, p), served in zip(grid, per_point):
+    grid_s = np.repeat(values, len(values))
+    grid_p = np.tile(values, len(values))
+    per_point, _ = routes.all_routes(psf, grid_s, grid_p)
+    for s, p, served in zip(grid_s.tolist(), grid_p.tolist(), per_point):
         if len(served) < 2:
             continue
         n_points += 1

@@ -23,7 +23,6 @@ separations (s, p); centroid coordinates never enter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -93,10 +92,9 @@ class ActionMatrix:
         return complex(np.trace(self.m))
 
 
-def build_gram_stack(
-    jets: Sequence[OverlapJet], consts: PsfConstants
-) -> tuple[np.ndarray, dict[int, str]]:
-    """Assemble the Gram matrices of N overlap jets as one (N, 6, 6) stack.
+def build_gram_stack(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray, dict[int, str]]:
+    """Assemble the Gram matrices of a jet of N points as one (N, 6, 6) stack
+    (a jet of scalars is one point).
 
     Derivatives with respect to absolute coordinates reduce to separation
     derivatives by the chain rule (s = x2 - x1, p = z2 - z1):
@@ -111,8 +109,8 @@ def build_gram_stack(
     (happens as (s, p) -> (0, 0)).  One ``eigvalsh`` covers the stack.
     """
     g, ds, dp, dss, dpp, dsp = np.array(
-        [(j.gamma, j.d_s, j.d_p, j.d_ss, j.d_pp, j.d_sp) for j in jets], dtype=complex
-    ).reshape(-1, 6).T
+        [jet.gamma, jet.d_s, jet.d_p, jet.d_ss, jet.d_pp, jet.d_sp], dtype=complex
+    ).reshape(6, -1)
     n = consts.dpsi_norm_sq
     mg = consts.mean_g
     mg2 = consts.mean_g2
@@ -157,7 +155,7 @@ def build_gram(jet: OverlapJet, consts: PsfConstants) -> GramMatrix:
     DegenerateBasisError
         If the basis is numerically degenerate at this jet.
     """
-    s, degenerate = build_gram_stack([jet], consts)
+    s, degenerate = build_gram_stack(jet, consts)
     if degenerate:
         raise DegenerateBasisError(degenerate[0])
     return GramMatrix(s_mat=s[0])

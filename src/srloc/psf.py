@@ -20,10 +20,11 @@ All lengths are in one consistent, caller-chosen unit; the wavenumber
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import InvalidParameterError, NonFiniteSampleError
 
@@ -101,7 +102,8 @@ class PsfConstants:
 
 @dataclass(frozen=True)
 class OverlapJet:
-    """Overlap ``gamma`` at one (s, p) with first and second partials.
+    """Overlap ``gamma`` at one (s, p) with first and second partials, or at
+    N points with array fields.
 
     ``d_s`` and ``d_p`` are the first partials in the angular and axial
     separation, ``d_ss``/``d_pp``/``d_sp`` the pure and mixed second
@@ -117,6 +119,11 @@ class OverlapJet:
     d_pp: complex
     d_sp: complex
 
+    def __getitem__(self, index) -> "OverlapJet":
+        """The jet at the points ``index`` of an array-valued jet."""
+        return OverlapJet(self.gamma[index], self.d_s[index], self.d_p[index],
+                          self.d_ss[index], self.d_pp[index], self.d_sp[index])
+
     @property
     def abs_gamma(self) -> float:
         return abs(self.gamma)
@@ -124,7 +131,7 @@ class OverlapJet:
     @property
     def phase(self) -> float:
         """Argument of gamma (principal value)."""
-        return cmath.phase(self.gamma)
+        return np.angle(self.gamma)
 
     @property
     def d_s_abs(self) -> float:
@@ -177,42 +184,89 @@ def gaussian_constants(psf: GaussianPsf) -> PsfConstants:
     )
 
 
-def gaussian_overlap(psf: GaussianPsf, s: float, p: float) -> complex:
+def _points(*values, dtype=float):
+    """``values`` as numpy values of ``dtype``, and the shape of their broadcast.
+
+    One point comes back as numpy scalars, which cost about a tenth of
+    one-element arrays per operation and round as the array loops do, except
+    in complex products (see ``_cmul``).  So a point gives the same bits
+    alone as among others.
+    """
+    arrays = [np.asarray(v, dtype=dtype) for v in values]
+    shapes = {a.shape for a in arrays}
+    shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    if math.prod(shape) == 1:
+        return shape, [a.reshape(())[()] for a in arrays]
+    return shape, arrays
+
+
+def _shaped(shape, values):
+    """``values``, computed elementwise on the output of ``_points``, in ``shape``."""
+    if shape and math.prod(shape) == 1:
+        return [v.reshape(shape) for v in values]
+    return values
+
+
+def _cmul(a, b):
+    """a * b for complex a and b, rounded alike on numpy scalars and arrays.
+
+    numpy's array loops fuse the multiply-adds of a complex product and its
+    scalars do not; this textbook form rounds the same way in both.
+    """
+    return a.real * b + a.imag * (1j * b)
+
+
+def _overlap_terms(psf: GaussianPsf, s, p):
+    """The shape of the points, s, p, gamma, 1/d and i k s^2 / (2 d) with
+    d = p + 2i z_R, elementwise (see ``_points``)."""
+    k, zr = psf.k, psf.z_r
+    # complex s and p: numpy mixes its real scalars with Python complex slowly
+    shape, (s, p) = _points(s, p, dtype=complex)
+    inv = 1.0 / (p + 2j * zr)
+    t = (0.5j * k) * (s * s) * inv  # an imaginary factor times inv rounds alike
+    gamma = _cmul((2j * zr) * inv, np.exp((-1j * k) * p - t))
+    return shape, s, p, gamma, inv, t
+
+
+def gaussian_overlap(psf: GaussianPsf, s, p):
     """Complex overlap of the two Gaussian source images.
 
     gamma(s, p) = [2i z_R / (p + 2i z_R)] * exp(-i k p - i k s^2 / (2 (p + 2i z_R)))
 
-    Entire in (s, p); gamma(0, 0) = 1 and |gamma| < 1 elsewhere.
+    Entire in (s, p); gamma(0, 0) = 1 and |gamma| < 1 elsewhere.  Broadcasts
+    over array ``s`` and ``p``; scalars give a scalar.
     """
-    k, zr = psf.k, psf.z_r
-    d = complex(p, 2.0 * zr)
-    return (2j * zr / d) * cmath.exp(-1j * k * p - 1j * k * s * s / (2.0 * d))
+    shape, _, _, gamma, _, _ = _overlap_terms(psf, s, p)
+    return _shaped(shape, [gamma])[0]
 
 
-def gaussian_overlap_jet(psf: GaussianPsf, s: float, p: float) -> OverlapJet:
+def gaussian_overlap_jet(psf: GaussianPsf, s, p) -> OverlapJet:
     """Overlap jet of the Gaussian beam, by analytic differentiation.
 
     With d = p + 2i z_R the log-derivatives of gamma are polynomial in 1/d,
     so every partial is gamma times a rational factor; all expressions are
-    smooth for z_R > 0.
+    smooth for z_R > 0.  Broadcasts over array ``s`` and ``p``: the fields
+    are arrays of their broadcast shape, or scalars for scalar ``s`` and ``p``.
     """
-    k, zr = psf.k, psf.z_r
-    d = complex(p, 2.0 * zr)
-    gamma = (2j * zr / d) * cmath.exp(-1j * k * p - 1j * k * s * s / (2.0 * d))
+    k = psf.k
+    shape, s, p, gamma, inv, t = _overlap_terms(psf, s, p)
     # d log(gamma)/ds and /dp, plus their own derivatives
-    ls = -1j * k * s / d
-    lp = -1.0 / d - 1j * k + 1j * k * s * s / (2.0 * d * d)
-    ls_s = -1j * k / d
-    lp_p = 1.0 / (d * d) - 1j * k * s * s / (d * d * d)
-    ls_p = 1j * k * s / (d * d)
-    return OverlapJet(
-        gamma=gamma,
-        d_s=gamma * ls,
-        d_p=gamma * lp,
-        d_ss=gamma * (ls * ls + ls_s),
-        d_pp=gamma * (lp * lp + lp_p),
-        d_sp=gamma * (ls * lp + ls_p),
+    iks = (-1j * k) * s
+    ls = iks * inv
+    lp = _cmul(t, inv) - inv - 1j * k
+    inv2 = _cmul(inv, inv)
+    ls_s = (-1j * k) * inv
+    lp_p = _cmul(inv2, 1.0 - 2.0 * t)
+    ls_p = -iks * inv2
+    fields = (
+        gamma,
+        _cmul(gamma, ls),
+        _cmul(gamma, lp),
+        _cmul(gamma, _cmul(ls, ls) + ls_s),
+        _cmul(gamma, _cmul(lp, lp) + lp_p),
+        _cmul(gamma, _cmul(ls, lp) + ls_p),
     )
+    return OverlapJet(*_shaped(shape, fields))
 
 
 def fd_default_step(s: float, p: float) -> float:

@@ -314,8 +314,8 @@ def _cholesky_stack(s_mat: np.ndarray, failures: dict[int, tuple[type, str]]) ->
     return orthonormalize(s_mat)
 
 
-def _pipeline_block(jets: Sequence[OverlapJet], consts: PsfConstants) -> _Block:
-    """Run the pipeline on n overlap jets at once.
+def _pipeline_block(jet: OverlapJet, consts: PsfConstants) -> _Block:
+    """Run the pipeline on the n points of an overlap jet at once.
 
     Per point: one ``eigvalsh`` (the Gram degeneracy test), one Cholesky
     factor and one ``eigh``; every other step is a broadcast array
@@ -324,7 +324,7 @@ def _pipeline_block(jets: Sequence[OverlapJet], consts: PsfConstants) -> _Block:
     so that the stack stays whole; its outputs are NaN and its failure is
     recorded.
     """
-    s_mat, degenerate = build_gram_stack(jets, consts)
+    s_mat, degenerate = build_gram_stack(jet, consts)
     failures = {i: (DegenerateBasisError, reason) for i, reason in degenerate.items()}
     if failures:
         s_mat[list(failures)] = np.eye(6)
@@ -376,7 +376,7 @@ def _single_point(
 ) -> PipelineResult:
     """The stacked pipeline on one point, with its SLDs back in the action
     representation: L = T^{-1} (U L_e U^H) T, all four in one solve."""
-    block = _pipeline_block([jet], consts)
+    block = _pipeline_block(jet, consts)
     if block.failures:
         error, reason = block.failures[0]
         raise error(reason) if where is None else _located(error, reason, *where)
@@ -465,8 +465,7 @@ def gaussian_pipeline_stack(
     todo = np.flatnonzero(~limit)
     for start in range(0, len(todo), BLOCK_POINTS):
         idx = todo[start:start + BLOCK_POINTS]
-        jets = [gaussian_overlap_jet(psf, a, b) for a, b in zip(s[idx].tolist(), p[idx].tolist())]
-        block = _pipeline_block(jets, consts)
+        block = _pipeline_block(gaussian_overlap_jet(psf, s[idx], p[idx]), consts)
         h[idx], gamma_mat[idx], eigs[idx], shaky[idx] = (
             block.h, block.gamma_mat, block.rho_eigenvalues, block.shaky)
         failed[idx[list(block.failures)]] = True

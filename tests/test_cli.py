@@ -4,11 +4,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import srloc.closed_forms
 import srloc.routes
 import srloc.sld
-from srloc.cli import SweepSpec, main, run_sweep
+from srloc.cli import SweepSpec, _csv_rows, main, run_sweep
 from srloc.closed_forms import small_separation_limit
 from srloc.errors import InvalidParameterError, SrlocError
 from srloc.psf import GaussianPsf
@@ -132,6 +134,19 @@ def test_non_finite_numbers_are_usage_errors(capsys, tmp_path, monkeypatch, argv
     assert out == "" and not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["crossval", *PSF, "--range", "0:1e300:1e-300"],
+    ["crossval", *PSF, "--range", "0:1001:1"],
+    ["sweep", *PSF, "--sweep", "s", "--range", "0:1e9:1e-3", "--out", "x.csv"],
+])
+def test_oversized_grids_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and "grid points" in err and "Traceback" not in err
+    assert out == "" and not (tmp_path / "x.csv").exists()
+
+
 def test_eval_json_round_trip_idempotent(capsys, tmp_path):
     out_file = tmp_path / "record.json"
     code, out, _ = run(
@@ -189,6 +204,30 @@ def test_sweep_axial_panel_values(capsys, tmp_path):
     _, rows = read_csv(out)
     assert all(row[5] == "0.25" for row in rows)
     assert float(rows[0][6]) == pytest.approx(1.0, abs=1e-3)   # H_zz / N -> 1
+
+
+def reference_fmt(value):
+    """The per-cell CSV formatting the row formatting must reproduce."""
+    value = float(value)
+    if value == 0.0:  # avoid "-0" rows
+        value = 0.0
+    return format(value, ".17g")
+
+
+cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308]),
+)
+
+
+@given(rows=st.lists(st.lists(cells, min_size=11, max_size=11), min_size=1, max_size=8),
+       swept=st.sampled_from("sp"), normalized=st.booleans())
+def test_csv_rows_match_per_cell_formatting(rows, swept, normalized):
+    text = "".join(_csv_rows(swept, normalized, np.array(rows)))
+    flag = "1" if normalized else "0"
+    want = "".join(",".join([swept, *map(reference_fmt, row), flag]) + "\n" for row in rows)
+    assert text == want
+    assert "-0" not in [field for line in text.splitlines() for field in line.split(",")]
 
 
 def test_sweep_deterministic_byte_identical(capsys, tmp_path):
@@ -379,7 +418,7 @@ def test_crossval_detects_corrupted_formula(capsys, monkeypatch):
 
     def corrupted(psf, s, p):
         h = true_fn(psf, s, p).copy()
-        h[1, 1] *= 1.001
+        h[..., 1, 1] *= 1.001
         return h
 
     monkeypatch.setattr("srloc.closed_forms.gaussian_qfim", corrupted)

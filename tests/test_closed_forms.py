@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -169,6 +170,85 @@ def test_reflection_symmetry_in_s_closed_forms(psf):
     assert np.allclose(np.diag(h_plus), np.diag(h_minus), rtol=1e-15)
     assert g_plus[0, 1] == g_minus[0, 1]
     assert g_plus[2, 3] == g_minus[2, 3]
+
+
+# ------------------------------------------------------------ array forms
+
+
+def test_forms_broadcast_and_keep_scalar_shapes(psf, consts):
+    s = np.array([0.5, 1.0, 2.5, 4.0])
+    p = np.array([0.0, 2.0, 4.0, 1.5])
+    jet = gaussian_overlap_jet(psf, s, p)
+    stacks = [gaussian_qfim(psf, s, p), gaussian_gamma_matrix(psf, s, p),
+              general_qfim(jet, consts), general_gamma_matrix(jet, consts)]
+    assert all(m.shape == (4, 4, 4) for m in stacks)
+    for i in range(len(s)):
+        one = gaussian_overlap_jet(psf, float(s[i]), float(p[i]))
+        for name in ("gamma", "d_s", "d_p", "d_ss", "d_pp", "d_sp"):
+            value = getattr(one, name)
+            assert isinstance(value, complex) and np.ndim(value) == 0
+            assert value == getattr(jet, name)[i]
+        singles = [gaussian_qfim(psf, float(s[i]), float(p[i])),
+                   gaussian_gamma_matrix(psf, float(s[i]), float(p[i])),
+                   general_qfim(one, consts), general_gamma_matrix(one, consts)]
+        for single, stack in zip(singles, stacks):
+            assert single.shape == (4, 4)
+            assert single.tobytes() == stack[i].tobytes()
+
+
+def oracle(psf, s, p):
+    """H and Gamma at 50 digits: the general forms on the analytic jet of
+    gamma = (2i z_R / d) exp(-i k p - i k s^2 / (2 d)), d = p + 2i z_R."""
+    with mpmath.workdps(50):
+        k, zr, s, p = (mpmath.mpf(v) for v in (psf.k, psf.z_r, s, p))
+        d = p + 2j * zr
+        g = (2j * zr / d) * mpmath.exp(-1j * k * p - 1j * k * s * s / (2 * d))
+        ls = -1j * k * s / d                                   # d log(gamma) / ds
+        lp = -1 / d - 1j * k + 1j * k * s * s / (2 * d * d)    # d log(gamma) / dp
+        ag = abs(g)
+        om = 1 - ag * ag
+        dsa, dpa, dsph, dpph = ag * ls.real, ag * lp.real, ls.imag, lp.imag
+        n, mg, var = k / (2 * zr), k - 1 / (2 * zr), 1 / (4 * zr * zr)
+        mg2 = var + mg * mg
+        h = [[0] * 4 for _ in range(4)]
+        gm = [[0] * 4 for _ in range(4)]
+        h[0][0], h[2][2] = n, var
+        h[1][1] = 4 * n - 4 * dsa ** 2 - 4 * ag ** 2 * dsph ** 2 / om
+        h[3][3] = (4 / om) * (var - dpa ** 2 - ag ** 2 * (mg2 - dpa ** 2 + 2 * mg * dpph + dpph ** 2))
+        h[1][3] = h[3][1] = -4 * ag ** 2 * dsph * (mg + dpph) / om - 4 * dsa * dpa
+        gm[0][1] = -2 * ag ** 3 * dsa * dsph / om
+        gm[2][3] = -2 * ag ** 3 * dpa * (mg + dpph) / om
+        gm[0][3] = 2 * ag * (dpa * dsph - dsa * (dpph + mg) / om)
+        gm[1][2] = 2 * ag * (-dsa * (mg + dpph) + dpa * dsph / om)
+        for i, j in ((0, 1), (2, 3), (0, 3), (1, 2)):
+            gm[j][i] = -gm[i][j]
+        return np.array(h, dtype=float), np.array(gm, dtype=float)
+
+
+def row_scaled_error(h, g, h_ref, g_ref):
+    """Largest |error| of H and Gamma entries over the largest |H| of their row."""
+    scale = np.abs(h_ref).max(axis=-1, keepdims=True)
+    return max(float(np.max(np.abs(h - h_ref) / scale)), float(np.max(np.abs(g - g_ref) / scale)))
+
+
+def test_array_forms_match_the_mpmath_oracle_on_the_certified_box(psf, consts):
+    s, p = (a.ravel() for a in np.meshgrid(np.linspace(0.1, 5.0, 9), np.linspace(0.0, 5.0, 9)))
+    jet = gaussian_overlap_jet(psf, s, p)
+    forms = {
+        "explicit": (gaussian_qfim(psf, s, p), gaussian_gamma_matrix(psf, s, p)),
+        "general": (general_qfim(jet, consts), general_gamma_matrix(jet, consts)),
+    }
+    refs = [oracle(psf, a, b) for a, b in zip(s, p)]
+    for name, (h, g) in forms.items():
+        worst = max(row_scaled_error(h[i], g[i], *ref) for i, ref in enumerate(refs))
+        assert worst <= 1e-12, name
+
+
+def test_explicit_forms_match_the_mpmath_oracle_at_physical_scale():
+    psf = GaussianPsf(k=1e3, z_r=1e3)
+    h_ref, g_ref = oracle(psf, 1.0, 1e3)
+    h, g = gaussian_qfim(psf, 1.0, 1e3), gaussian_gamma_matrix(psf, 1.0, 1e3)
+    assert row_scaled_error(h, g, h_ref, g_ref) <= 1e-12
 
 
 # ------------------------------------------------------------------ limits

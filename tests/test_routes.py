@@ -51,6 +51,20 @@ def test_evaluate_fails_closed_on_closed_forms(psf, method, s, reason):
         evaluate(psf, [1.0, s, s + 1.0], [0.0, 0.0, 0.0], method)
 
 
+@pytest.mark.parametrize("method", ["gaussian-closed", "general"])
+def test_closed_route_point_bits_independent_of_stack(psf, method):
+    # explicit points, rerouted points (s = 0, p != 0) and limit points, mixed
+    s = np.array([0.1, 0.0, 1.3, 0.0, 4.9, 2.5, 0.0, 1e-7, 3.7])
+    p = np.array([0.0, 2.0, 2.2, 0.0, 5.0, 0.0, 0.3, 1e-5, 1.1])
+    full = evaluate(psf, s, p, method)
+    assert {"general", "limit"} <= set(full.route)
+    for i in range(len(s)):
+        alone = evaluate(psf, s[i:i + 1], p[i:i + 1], method)
+        assert alone.route == full.route[i:i + 1]
+        assert alone.h.tobytes() == full.h[i].tobytes()
+        assert alone.gamma_mat.tobytes() == full.gamma_mat[i].tobytes()
+
+
 def test_all_routes_keeps_each_method_on_its_own_route(psf):
     per_point, evs = all_routes(psf, [1.0, 0.0, 0.0], [2.0, 2.0, 0.0])
     assert [list(served) for served in per_point] == [list(METHODS), ["pipeline", "general"], []]
