@@ -79,8 +79,9 @@ def _failure(psf: GaussianPsf, route: str, s: float, p: float) -> str:
     (s, p), or "" when it is not."""
     if route == "gaussian-closed" and 2.0 * closed_forms.varsigma(psf.k, psf.z_r, s, p) > _LOG_MAX:
         return "exp(2 varsigma) overflows"
-    if route == "general" and gaussian_overlap(psf, s, p) == 0.0:
-        return "|gamma| underflows to 0"
+    with np.errstate(all="ignore"):  # NaN where s^2 overflows: |gamma| is 0 there too
+        if route == "general" and not np.abs(gaussian_overlap(psf, s, p)) > 0.0:
+            return "|gamma| underflows to 0"
     return ""
 
 

@@ -65,6 +65,13 @@ def test_closed_route_point_bits_independent_of_stack(psf, method):
         assert alone.gamma_mat.tobytes() == full.gamma_mat[i].tobytes()
 
 
+@pytest.mark.parametrize("method", ["gaussian-closed", "general"])
+def test_evaluate_names_the_failure_where_s_squared_overflows(psf, method):
+    # no numpy warning escapes (pytest turns RuntimeWarning into an error)
+    with pytest.raises(SrlocError, match=rf"{method} route fails at \(s=1e\+200, p=0\.0\)"):
+        evaluate(psf, [1.0, 1e200], [0.0, 0.0], method)
+
+
 def test_all_routes_keeps_each_method_on_its_own_route(psf):
     per_point, evs = all_routes(psf, [1.0, 0.0, 0.0], [2.0, 2.0, 0.0])
     assert [list(served) for served in per_point] == [list(METHODS), ["pipeline", "general"], []]
