@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Run a fixed list of srloc commands under two source trees and compare them.
+
+    python scripts/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Each tree is a ``src`` directory holding the ``srloc`` package.  Every
+command runs as ``python -m srloc.cli ...`` in a fresh directory with that
+tree first on PYTHONPATH.  Per command the report gives whether stdout, the
+CSV a sweep writes and stderr are byte-identical, both exit codes, and,
+where bytes differ, the largest relative difference between the numbers of
+the two texts, taken in order (``layout`` where their words or number
+counts differ).  The last line is a summary; the exit code is 0 when every
+command is identical in all four respects, else 1.
+
+The commands: the README's, the four figure panels of
+``scripts/localization_curves.py`` for every ``--method``, ``crossval`` on
+the default grid, ``0:2:1``, ``0:0.1:0.01``, ``0.37:4.37:1.0`` and at
+``k = z_R = 1e3``, ``eval`` and ``crb`` for every method at (1, 0), (1, 2),
+(0, 1) and (0, 0), and the far-separation commands where the overlap jet
+overflows.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PSF = ["--k", "1", "--zr", "2"]
+METHODS = ("pipeline", "general", "gaussian-closed", "all")
+POINTS = (("1", "0"), ("1", "2"), ("0", "1"), ("0", "0"))
+PANELS = (("s", "0"), ("s", "2"), ("p", "0"), ("p", "1"))
+CSV = "out.csv"
+
+
+def commands() -> list[list[str]]:
+    cmds = [
+        ["eval", *PSF, "--s", "1", "--p", "0", "--method", "gaussian-closed"],
+        ["eval", *PSF, "--s", "1", "--p", "2", "--method", "all"],
+        ["sweep", *PSF, "--sweep", "s", "--range", "0.01:5:0.01", "--fixed", "0",
+         "--normalized", "--out", CSV],
+        ["crossval", *PSF, "--range", "0.1:5:0.25", "--tol", "1e-8"],
+        ["limits", *PSF],
+        ["crb", "--from-limits", *PSF, "--nu", "1000", "--m", "1", "--eps", "1"],
+        ["crb", *PSF, "--s", "1", "--p", "2", "--nu", "1000", "--m", "1", "--eps", "1"],
+    ]
+    for method in METHODS:
+        for swept, fixed in PANELS:
+            cmds.append(["sweep", *PSF, "--sweep", swept, "--range", "0.01:5:0.01",
+                         "--fixed", fixed, "--normalized", "--method", method, "--out", CSV])
+    cmds.append(["crossval", *PSF])
+    for grid in ("0:2:1", "0:0.1:0.01", "0.37:4.37:1.0"):
+        cmds.append(["crossval", *PSF, "--range", grid])
+    cmds.append(["crossval", "--k", "1e3", "--zr", "1e3", "--range", "0.1:5:0.25"])
+    for s, p in POINTS:
+        for method in METHODS:
+            cmds.append(["eval", *PSF, "--s", s, "--p", p, "--method", method])
+        for method in METHODS[:3]:
+            cmds.append(["crb", *PSF, "--s", s, "--p", p, "--method", method,
+                         "--nu", "1000", "--m", "1", "--eps", "1"])
+    for method in ("pipeline", "all"):
+        cmds.append(["eval", *PSF, "--s", "1e200", "--p", "0", "--method", method])
+    cmds.append(["eval", *PSF, "--s", "1e200", "--p", "1e200", "--method", "pipeline"])
+    cmds.append(["crossval", *PSF, "--range", "0:1e200:5e199"])
+    return cmds
+
+
+def run(src: Path, argv: list[str]) -> tuple[int, bytes, bytes, bytes | None]:
+    """(exit code, stdout, stderr, CSV or None) of one command under ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    with tempfile.TemporaryDirectory() as work:
+        done = subprocess.run([sys.executable, "-m", "srloc.cli", *argv], cwd=work, env=env,
+                              capture_output=True, timeout=600)
+        csv = Path(work, CSV)
+        return done.returncode, done.stdout, done.stderr, csv.read_bytes() if csv.exists() else None
+
+
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|NaN|-?Infinity|nan|-?inf")
+
+
+def relative_difference(a: bytes, b: bytes) -> float | None:
+    """Largest |x - y| / max(|x|, |y|) over the numbers of ``a`` and ``b`` in
+    order, or None where the texts differ in more than their numbers."""
+    if _NUMBER.sub(b"#", a) != _NUMBER.sub(b"#", b):
+        return None
+    worst = 0.0
+    for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
+        x, y = float(x), float(y)
+        if x != y and not (x != x and y != y):
+            scale = max(abs(x), abs(y))
+            worst = max(worst, abs(x - y) / scale if scale else 0.0)
+    return worst
+
+
+def compare(parent: Path, change: Path, argv: list[str]) -> tuple[bool, str]:
+    code_a, *texts_a = run(parent, argv)
+    code_b, *texts_b = run(change, argv)
+    same = code_a == code_b
+    parts = [f"exit {code_a}->{code_b}"]
+    for name, a, b in zip(("stdout", "stderr", "csv"), texts_a, texts_b):
+        if a == b:
+            parts.append(f"{name} same")
+            continue
+        same = False
+        rel = relative_difference(a or b"", b or b"")
+        parts.append(f"{name} DIFF ({'layout' if rel is None else f'max rel {rel:.2e}'})")
+        if name == "stderr":
+            last = [(text.strip().splitlines() or [b""])[-1].decode() for text in (a, b)]
+            parts.append(f"stderr last line {last[0]!r} -> {last[1]!r}")
+    return same, ", ".join(parts)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path, help="src directory of the reference tree")
+    parser.add_argument("change_src", type=Path, help="src directory of the changed tree")
+    args = parser.parse_args(argv)
+    for src in (args.parent_src, args.change_src):
+        if not (src / "srloc" / "cli.py").is_file():
+            parser.error(f"{src} holds no srloc package")
+    cmds = commands()
+    differ = []
+    for argv_ in cmds:
+        same, line = compare(args.parent_src, args.change_src, argv_)
+        print(f"{'same' if same else 'DIFF'}  {' '.join(argv_)}: {line}", flush=True)
+        if not same:
+            differ.append(" ".join(argv_))
+    print(f"summary: {len(cmds)} commands, {len(cmds) - len(differ)} identical "
+          f"(stdout, CSV, stderr, exit code), {len(differ)} differ"
+          + "".join(f"\n  differs: {cmd}" for cmd in differ))
+    return 0 if not differ else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

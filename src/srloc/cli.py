@@ -147,11 +147,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "s": s,
         "p": p,
         "parameters": list(PARAMETERS),
-        "abs_gamma": float(abs(gaussian_overlap(psf, s, p))),
         "varsigma": closed_forms.varsigma(psf.k, psf.z_r, s, p),
     }
     if args.method == "all":
-        [served], evs = routes.all_routes(psf, [s], [p])
+        evs = routes.all_routes(psf, [s], [p])
         ev = evs["pipeline"]
     else:
         ev = routes.evaluate(psf, [s], [p], args.method)
@@ -163,19 +162,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "use the `limits` command"
         )
     h, g = ev.h[0], ev.gamma_mat[0]
+    # after the route: every route refuses the points where gamma overflows
+    record["abs_gamma"] = ag = float(abs(gaussian_overlap(psf, s, p)))
     if ev.rho_eigenvalues is not None:
         rho_eigs = ev.rho_eigenvalues[0].tolist()
     else:
-        ag = record["abs_gamma"]
         rho_eigs = [0.5 * (1.0 + ag), 0.5 * (1.0 - ag), 0.0, 0.0, 0.0, 0.0]
     if args.method == "all":
-        dev = routes.deviations(served)
+        dev = routes.deviations(evs)
+        max_rel = float(dev.max_rel[0])
         record["cross_check"] = {
-            "routes": sorted(served),
-            "max_abs_deviation": dev.max_abs,
-            "max_rel_deviation": dev.max_rel,
+            "routes": sorted(m for m, served in zip(routes.METHODS, dev.served[0]) if served),
+            "max_abs_deviation": float(dev.max_abs[0]),
+            "max_rel_deviation": max_rel,
             "tol": args.tol,
-            "pass": dev.max_rel <= args.tol,
+            "pass": max_rel <= args.tol,
         }
     record["route"] = route
     record["h"] = h.tolist()
@@ -202,15 +203,13 @@ def run_sweep(spec: SweepSpec, out_path: str, tol: float = 1e-8) -> int:
     """Evaluate a sweep and write the CSV, rows in grid order."""
     s, p = spec.separations(spec.grid())
     if spec.method == "all":
-        per_point, evs = routes.all_routes(spec.psf, s, p)
-        for a, b, served in zip(s.tolist(), p.tolist(), per_point):
-            if len(served) < 2:
-                continue
-            max_rel = routes.deviations(served).max_rel
-            if max_rel > tol:
-                raise SrlocError(
-                    f"cross-method deviation {max_rel:.3e} > {tol:.1e} at (s={a!r}, p={b!r})"
-                )
+        evs = routes.all_routes(spec.psf, s, p)
+        dev = routes.deviations(evs)
+        over = np.flatnonzero(dev.compared & (dev.max_rel > tol))
+        if len(over):
+            i = over[0]
+            raise SrlocError(f"cross-method deviation {float(dev.max_rel[i]):.3e} > {tol:.1e} "
+                             f"at (s={float(s[i])!r}, p={float(p[i])!r})")
         ev = evs["gaussian-closed"]
     else:
         ev = routes.evaluate(spec.psf, s, p, spec.method)
@@ -249,48 +248,47 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return run_sweep(spec, args.out, tol=args.tol)
 
 
+# Entries of H that vanish for two sources of equal brightness (and Gamma[0, 2]).
+_H_ZERO = ([0, 0, 0, 1, 2], [1, 2, 3, 2, 3])
+
+
+def _sparsity_ok(evs: dict[str, routes.Evaluation], dev: routes.Deviations,
+                 counted: np.ndarray) -> bool:
+    """Whether every served route of the ``counted`` points keeps H's and
+    Gamma's zero entries within 1e-10 of ``dev.scale`` and Gamma
+    antisymmetric within 1e-12."""
+    h = np.array([evs[method].h for method in routes.METHODS])
+    g = np.array([evs[method].gamma_mat for method in routes.METHODS])
+    bound = 1e-10 * dev.scale
+    with np.errstate(all="ignore"):  # failed pipeline points hold NaN
+        bad = (
+            (np.abs(h[..., _H_ZERO[0], _H_ZERO[1]]) > bound[:, _H_ZERO[0], _H_ZERO[1]]).any(axis=-1)
+            | (np.abs(g[..., 0, 2]) > bound[:, 0, 2])
+            | (np.abs(g + g.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-12)
+        )
+    return not np.any(bad & dev.served.T & counted)
+
+
 def cmd_crossval(args: argparse.Namespace) -> int:
     psf = GaussianPsf(k=args.k, z_r=args.zr)
     start, stop, step = _parse_range(args.range)
     values = _grid(start, stop, step, dims=2)
 
-    max_abs = 0.0
-    max_rel = 0.0
-    per_entry_h = np.zeros((4, 4))
-    per_entry_g = np.zeros((4, 4))
-    sparsity_ok = True
-    failures: list[dict] = []
-    n_points = 0
-    n_full = 0
-
-    h_zero_pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
-    g_zero_pairs = [(0, 2)]
-
     grid_s = np.repeat(values, len(values))
     grid_p = np.tile(values, len(values))
-    per_point, _ = routes.all_routes(psf, grid_s, grid_p)
-    for s, p, served in zip(grid_s.tolist(), grid_p.tolist(), per_point):
-        if len(served) < 2:
-            continue
-        n_points += 1
-        n_full += len(served) == 3
-        dev = routes.deviations(served)
-        per_entry_h = np.maximum(per_entry_h, dev.rel_h)
-        per_entry_g = np.maximum(per_entry_g, dev.rel_g)
-        max_abs = max(max_abs, dev.max_abs)
-        max_rel = max(max_rel, dev.max_rel)
-        if dev.max_rel > args.tol and len(failures) < 20:
-            failures.append({"s": s, "p": p, "max_rel_deviation": dev.max_rel})
-        scale = dev.scale
-        for h, g in served.values():
-            for i, j in h_zero_pairs:
-                if abs(h[i, j]) > 1e-10 * scale[i, j]:
-                    sparsity_ok = False
-            for i, j in g_zero_pairs:
-                if abs(g[i, j]) > 1e-10 * scale[i, j]:
-                    sparsity_ok = False
-            if float(np.max(np.abs(g + g.T))) > 1e-12:
-                sparsity_ok = False
+    evs = routes.all_routes(psf, grid_s, grid_p)
+    dev = routes.deviations(evs)
+    counted = dev.compared
+    n_points = int(np.count_nonzero(counted))
+    n_full = int(np.count_nonzero(dev.served[counted].all(axis=1)))
+    max_abs = float(dev.max_abs[counted].max(initial=0.0))
+    max_rel = float(dev.max_rel[counted].max(initial=0.0))
+    per_entry_h = dev.rel_h[counted].max(axis=0, initial=0.0)
+    per_entry_g = dev.rel_g[counted].max(axis=0, initial=0.0)
+    over = np.flatnonzero(counted & (dev.max_rel > args.tol))[:20]
+    failures = [{"s": float(grid_s[i]), "p": float(grid_p[i]),
+                 "max_rel_deviation": float(dev.max_rel[i])} for i in over]
+    sparsity_ok = _sparsity_ok(evs, dev, counted)
 
     passed = max_rel <= args.tol and sparsity_ok and n_points > 0
     record = {

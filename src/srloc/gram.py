@@ -104,9 +104,11 @@ def build_gram_stack(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray,
     construction.
 
     Returns the stack and, for each point whose basis is numerically
-    degenerate, the reason keyed by its index: the smallest eigenvalue of
-    its Gram matrix falls below ``DEGENERACY_THRESHOLD`` times the largest
-    (happens as (s, p) -> (0, 0)).  One ``eigvalsh`` covers the stack.
+    degenerate, the reason keyed by its index: its jet or Gram matrix is not
+    finite (the jet overflows at far separations), or the smallest eigenvalue
+    of its Gram matrix falls below ``DEGENERACY_THRESHOLD`` times the largest
+    (happens as (s, p) -> (0, 0)).  One ``eigvalsh`` covers the finite
+    matrices of the stack.
     """
     g, ds, dp, dss, dpp, dsp = np.array(
         [jet.gamma, jet.d_s, jet.d_p, jet.d_ss, jet.d_pp, jet.d_sp], dtype=complex
@@ -136,14 +138,24 @@ def build_gram_stack(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray,
     rows, cols = np.tril_indices(6, k=-1)
     s[:, rows, cols] = s[:, cols, rows].conj()
 
-    eigs = np.linalg.eigvalsh(s)
-    degenerate = {
+    finite = np.isfinite(s.view(float)).all(axis=(1, 2))
+    if np.count_nonzero(finite) == len(s):
+        eigs = np.linalg.eigvalsh(s)
+        degenerate = {}
+    else:  # eigvalsh fails on the whole stack where one matrix is not finite
+        eigs = np.full((len(s), 6), np.nan)
+        eigs[finite] = np.linalg.eigvalsh(s[finite])
+        degenerate = {
+            int(i): "overlap jet is not finite (it overflows at this separation)"
+            for i in np.flatnonzero(~finite)
+        }
+    degenerate.update({
         int(i): "basis is numerically degenerate "
         f"(eigenvalue ratio {eigs[i, 0]:.3e} / {eigs[i, -1]:.3e} below "
         f"threshold {DEGENERACY_THRESHOLD:.1e}); the sources are too close "
         "for the numerical route -- use the coincident-source limit"
         for i in np.flatnonzero(eigs[:, 0] < DEGENERACY_THRESHOLD * eigs[:, -1])
-    }
+    })
     return s, degenerate
 
 

@@ -35,7 +35,7 @@ from .psf import (
 )
 from .sld import gaussian_pipeline_stack
 
-__all__ = ["METHODS", "Evaluation", "Deviation", "evaluate", "all_routes", "deviations"]
+__all__ = ["METHODS", "Evaluation", "Deviations", "evaluate", "all_routes", "deviations"]
 
 # Evaluation methods, in the order ``all_routes`` lists the routes of a point.
 METHODS = ("pipeline", "general", "gaussian-closed")
@@ -53,18 +53,29 @@ class Evaluation:
 
 
 @dataclass(frozen=True)
-class Deviation:
-    """Per-entry maxima over the route pairs of one point of |H_a - H_b| and
-    |Gamma_a - Gamma_b|, divided by ``scale`` = sqrt(|H_ii H_jj|) of the first route."""
+class Deviations:
+    """Cross-route deviations at N points.
 
-    max_abs: float
-    rel_h: np.ndarray
-    rel_g: np.ndarray
-    scale: np.ndarray
+    ``served[i, m]`` says whether ``METHODS[m]`` served point i by its own
+    route; only those routes are compared.  Over the pairs of served routes
+    of a point, ``rel_h`` and ``rel_g`` are the per-entry maxima of
+    |H_a - H_b| and |Gamma_a - Gamma_b| divided by ``scale`` = sqrt(|H_ii H_jj|)
+    of its first served route, ``max_rel`` is their largest entry and
+    ``max_abs`` the largest unscaled one.  A point with fewer than two
+    served routes reads 0.
+    """
+
+    served: np.ndarray   # (N, 3) bool, in METHODS order
+    scale: np.ndarray    # (N, 4, 4)
+    max_abs: np.ndarray  # (N,)
+    rel_h: np.ndarray    # (N, 4, 4)
+    rel_g: np.ndarray    # (N, 4, 4)
+    max_rel: np.ndarray  # (N,)
 
     @property
-    def max_rel(self) -> float:
-        return max(float(self.rel_h.max()), float(self.rel_g.max()))
+    def compared(self) -> np.ndarray:
+        """(N,) bool: the points served by two or more routes."""
+        return np.count_nonzero(self.served, axis=1) >= 2
 
 
 # Points per pass of the closed forms: their temporaries stay in cache.
@@ -196,35 +207,34 @@ def evaluate(psf: GaussianPsf, s: Sequence[float], p: Sequence[float], method: s
     return Evaluation(h, g, route, None, None)
 
 
-def all_routes(
-    psf: GaussianPsf, s: Sequence[float], p: Sequence[float]
-) -> tuple[list[dict[str, tuple[np.ndarray, np.ndarray]]], dict[str, Evaluation]]:
-    """Every method on the N points, one ``evaluate`` each.
-
-    Returns, per point, ``{method: (h, gamma_mat)}`` for the methods that
-    served it by their own route (in ``METHODS`` order; reroutes, limits and
-    refusals are left out), and the evaluation of each method.
-    """
-    evs = {method: evaluate(psf, s, p, method) for method in METHODS}
-    per_point = [
-        {method: (ev.h[i], ev.gamma_mat[i]) for method, ev in evs.items() if ev.route[i] == method}
-        for i in range(len(evs["pipeline"].route))
-    ]
-    return per_point, evs
+def all_routes(psf: GaussianPsf, s: Sequence[float], p: Sequence[float]) -> dict[str, Evaluation]:
+    """Every method on the N points, one ``evaluate`` each, in ``METHODS`` order."""
+    return {method: evaluate(psf, s, p, method) for method in METHODS}
 
 
-def deviations(routes: dict[str, tuple[np.ndarray, np.ndarray]]) -> Deviation:
-    """Deviations of H and Gamma over all route pairs of one point (see ``Deviation``)."""
-    matrices = list(routes.values())
-    diag = np.abs(np.diag(matrices[0][0]))
-    scale = np.sqrt(np.outer(diag, diag))
-    max_abs = 0.0
-    rel_h = rel_g = np.zeros((4, 4))
-    for i, (h_a, g_a) in enumerate(matrices):
-        for h_b, g_b in matrices[i + 1:]:
-            dev_h = np.abs(h_a - h_b)
-            dev_g = np.abs(g_a - g_b)
-            rel_h = np.maximum(rel_h, dev_h / scale)
-            rel_g = np.maximum(rel_g, dev_g / scale)
-            max_abs = max(max_abs, float(dev_h.max()), float(dev_g.max()))
-    return Deviation(max_abs, rel_h, rel_g, scale)
+# The route pairs (a, b) that ``deviations`` compares, by index in METHODS.
+_PAIR_A, _PAIR_B = np.array([0, 0, 1]), np.array([1, 2, 2])
+_METHOD_COLUMN = np.array(METHODS)[:, None]
+
+
+def deviations(evs: dict[str, Evaluation]) -> Deviations:
+    """The cross-route rule on the evaluations of ``all_routes`` (see ``Deviations``)."""
+    served = np.array([evs[method].route for method in METHODS]) == _METHOD_COLUMN
+    # (route, H or Gamma, point, 4, 4); failed pipeline points hold NaN
+    mats = np.array([(evs[method].h, evs[method].gamma_mat) for method in METHODS])
+    first = np.argmax(served, axis=0)  # 0 where no route served: such points read 0
+    n = len(first)
+    diag = np.abs(np.diagonal(mats[first, 0, np.arange(n)], axis1=-2, axis2=-1))
+    scale = np.sqrt(diag[:, :, None] * diag[:, None, :])
+    pair = (served[_PAIR_A] & served[_PAIR_B])[:, None, :, None, None]
+    with np.errstate(all="ignore"):
+        dev = np.where(pair, np.abs(mats[_PAIR_A] - mats[_PAIR_B]), 0.0)
+        rel = np.where(pair, dev / scale, 0.0).max(axis=0)
+    return Deviations(
+        served=served.T,
+        scale=scale,
+        max_abs=dev.max(axis=(0, 1, 3, 4)),
+        rel_h=rel[0],
+        rel_g=rel[1],
+        max_rel=rel.max(axis=(0, 2, 3)),
+    )

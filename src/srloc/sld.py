@@ -414,7 +414,15 @@ def qfim_from_jet(jet: OverlapJet, consts: PsfConstants) -> PipelineResult:
 def _below_threshold(psf: GaussianPsf, s, p):
     """Whether s^2 + p^2 is below the square of the small-separation threshold."""
     threshold = small_separation_threshold(psf.k, psf.z_r)
-    return s * s + p * p < threshold * threshold
+    with np.errstate(over="ignore"):  # inf is not below it
+        return s * s + p * p < threshold * threshold
+
+
+def _jet(psf: GaussianPsf, s, p) -> OverlapJet:
+    """The overlap jet at (s, p); where it overflows it holds inf or NaN,
+    which ``build_gram_stack`` reports as a failed point."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return gaussian_overlap_jet(psf, s, p)
 
 
 def gaussian_pipeline(psf: GaussianPsf, s: float, p: float) -> PipelineResult:
@@ -431,7 +439,7 @@ def gaussian_pipeline(psf: GaussianPsf, s: float, p: float) -> PipelineResult:
             f"separations (s={s!r}, p={p!r}) below the pipeline threshold "
             f"{threshold:.3e}; use small_separation_limit (CLI: the `limits` command)"
         )
-    return _single_point(gaussian_overlap_jet(psf, s, p), gaussian_constants(psf), (s, p))
+    return _single_point(_jet(psf, s, p), gaussian_constants(psf), (s, p))
 
 
 def gaussian_pipeline_stack(
@@ -465,7 +473,7 @@ def gaussian_pipeline_stack(
     todo = np.flatnonzero(~limit)
     for start in range(0, len(todo), BLOCK_POINTS):
         idx = todo[start:start + BLOCK_POINTS]
-        block = _pipeline_block(gaussian_overlap_jet(psf, s[idx], p[idx]), consts)
+        block = _pipeline_block(_jet(psf, s[idx], p[idx]), consts)
         h[idx], gamma_mat[idx], eigs[idx], shaky[idx] = (
             block.h, block.gamma_mat, block.rho_eigenvalues, block.shaky)
         failed[idx[list(block.failures)]] = True

@@ -134,6 +134,20 @@ def test_non_finite_numbers_are_usage_errors(capsys, tmp_path, monkeypatch, argv
     assert out == "" and not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv, where", [
+    (["eval", *PSF, "--method", "pipeline", "--s", "1e200", "--p", "0"], "(s=1e+200, p=0.0)"),
+    (["eval", *PSF, "--method", "pipeline", "--s", "1e200", "--p", "1e200"], "(s=1e+200, p=1e+200)"),
+    (["eval", *PSF, "--method", "all", "--s", "1e200", "--p", "0"], "(s=1e+200, p=0.0)"),
+    # the first point of the grid, in grid order, where a route fails
+    (["crossval", *PSF, "--range", "0:1e200:5e199"], "(s=5e+199, p=0.0)"),
+])
+def test_overflowing_jet_fails_closed(capsys, argv, where):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert f"fails at {where}" in err and "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["crossval", *PSF, "--range", "0:1e300:1e-300"],
     ["crossval", *PSF, "--range", "0:1001:1"],
@@ -334,6 +348,23 @@ def test_sweep_pipeline_linalg_calls_independent_of_length(capsys, tmp_path, mon
     assert short["cholesky"] >= 1 and short["eigh"] >= 1 and short["eigvalsh"] >= 1
 
 
+def test_sweep_all_names_the_first_deviating_point(capsys, monkeypatch, tmp_path):
+    true_fn = srloc.closed_forms.gaussian_qfim
+
+    def corrupted(psf, s, p):  # H_xx off by 1e-3 from s = 1.2 on
+        h = true_fn(psf, s, p).copy()
+        h[..., 1, 1] *= np.where(np.asarray(s) >= 1.2, 1.001, 1.0)
+        return h
+
+    monkeypatch.setattr("srloc.closed_forms.gaussian_qfim", corrupted)
+    code, _, err = run(
+        capsys, "sweep", "--k", "1", "--zr", "2", "--sweep", "s", "--range", "0.5:2:0.25",
+        "--fixed", "1", "--method", "all", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 1
+    assert "cross-method deviation" in err and "at (s=1.25, p=1.0)" in err
+
+
 def test_sweep_unwritable_path(capsys, tmp_path):
     code, _, err = run(
         capsys, "sweep", "--k", "1", "--zr", "2", "--sweep", "s",
@@ -400,15 +431,16 @@ def test_crossval_includes_zero_s_points(capsys):
 def test_crossval_drops_pipeline_route_exactly_where_it_fails():
     psf = GaussianPsf(k=1.0, z_r=2.0)
     grid = [(s, p) for s in (0.0, 0.01, 0.04, 0.5) for p in (0.0, 0.02, 1.0)]
-    per_point, evs = srloc.routes.all_routes(psf, *zip(*grid))
+    evs = srloc.routes.all_routes(psf, *zip(*grid))
+    served = srloc.routes.deviations(evs).served
     accepted = []
-    for (s, p), routes in zip(grid, per_point):
+    for (s, p), routes in zip(grid, served):
         try:
             gaussian_pipeline(psf, s, p)
             accepted.append(True)
         except SrlocError:
             accepted.append(False)
-        assert ("pipeline" in routes) == accepted[-1]
+        assert routes[srloc.routes.METHODS.index("pipeline")] == accepted[-1]
     assert any(accepted) and not all(accepted)
     assert "failed" in evs["pipeline"].route and "limit" in evs["pipeline"].route
 
@@ -428,6 +460,32 @@ def test_crossval_detects_corrupted_formula(capsys, monkeypatch):
     assert record["pass"] is False
     assert record["failures"]
     assert record["per_entry_max_rel_deviation_h"][1][1] > 1e-8
+
+
+def _shift(name, entries, delta):
+    true_fn = getattr(srloc.closed_forms, name)
+
+    def shifted(psf, s, p):
+        m = true_fn(psf, s, p).copy()
+        for (i, j), sign in entries:
+            m[..., i, j] += sign * delta
+        return m
+
+    return shifted
+
+
+@pytest.mark.parametrize("name, entries, delta", [
+    ("gaussian_qfim", [((0, 1), 1), ((1, 0), 1)], 1e-9),          # an H zero pair
+    ("gaussian_gamma_matrix", [((0, 2), 1), ((2, 0), -1)], 1e-9),  # Gamma[0, 2]
+    ("gaussian_gamma_matrix", [((1, 0), 1)], 1e-11),               # Gamma + Gamma^T
+])
+def test_crossval_sparsity_check_flags_each_zero_entry(capsys, monkeypatch, name, entries, delta):
+    monkeypatch.setattr(f"srloc.closed_forms.{name}", _shift(name, entries, delta))
+    code, out, _ = run(capsys, "crossval", "--k", "1", "--zr", "2", "--range", "0:2:0.5",
+                       "--tol", "1")
+    record = json.loads(out)
+    assert code == 1
+    assert record["sparsity_pattern_ok"] is False and record["max_rel_deviation"] <= 1
 
 
 # ------------------------------------------------------------- limits, crb

@@ -10,7 +10,7 @@ from srloc.cli import main
 from srloc.closed_forms import small_separation_limit
 from srloc.errors import DegenerateBasisError, InvalidParameterError, SrlocError
 from srloc.psf import GaussianPsf
-from srloc.routes import METHODS, all_routes, deviations, evaluate
+from srloc.routes import METHODS, Evaluation, all_routes, deviations, evaluate
 
 
 def test_evaluate_labels_each_point_with_its_route(psf):
@@ -73,21 +73,72 @@ def test_evaluate_names_the_failure_where_s_squared_overflows(psf, method):
 
 
 def test_all_routes_keeps_each_method_on_its_own_route(psf):
-    per_point, evs = all_routes(psf, [1.0, 0.0, 0.0], [2.0, 2.0, 0.0])
-    assert [list(served) for served in per_point] == [list(METHODS), ["pipeline", "general"], []]
+    evs = all_routes(psf, [1.0, 0.0, 0.0], [2.0, 2.0, 0.0])
+    assert list(evs) == list(METHODS)
+    served = deviations(evs).served
+    assert [[m for m, ok in zip(METHODS, row) if ok] for row in served] == [
+        list(METHODS), ["pipeline", "general"], []]
     assert evs["gaussian-closed"].route == ("gaussian-closed", "general", "limit")
+
+
+def _evaluation(h, routes):
+    return Evaluation(h=np.array(h), gamma_mat=np.zeros((len(h), 4, 4)), route=routes,
+                      rho_eigenvalues=None, error=None)
 
 
 def test_deviations_scale_by_the_first_route():
     h = np.diag([4.0, 1.0, 1.0, 1.0])
     shifted = h.copy()
     shifted[0, 0] += 0.04
-    zero = np.zeros((4, 4))
-    dev = deviations({"a": (h, zero), "b": (shifted, zero), "c": (h, zero)})
-    assert dev.max_abs == pytest.approx(0.04)
-    assert dev.rel_h[0, 0] == pytest.approx(0.01)   # 0.04 / sqrt(4 * 4), never 4.04
-    assert dev.max_rel == dev.rel_h[0, 0]
-    assert np.array_equal(dev.scale, np.sqrt(np.outer(np.diag(h), np.diag(h))))
+    # point 1 has all three routes; at point 2 the pipeline failed, so general is first
+    dev = deviations({
+        "pipeline": _evaluation([h, np.full((4, 4), np.nan)], ("pipeline", "failed")),
+        "general": _evaluation([shifted, shifted], ("general", "general")),
+        "gaussian-closed": _evaluation([h, h], ("gaussian-closed", "gaussian-closed")),
+    })
+    assert dev.served.tolist() == [[True, True, True], [False, True, True]]
+    assert dev.compared.tolist() == [True, True]
+    assert dev.max_abs == pytest.approx([0.04, 0.04])
+    assert dev.rel_h[0, 0, 0] == pytest.approx(0.01)   # 0.04 / sqrt(4 * 4), never 4.04
+    assert dev.rel_h[1, 0, 0] == pytest.approx(0.04 / 4.04)
+    assert np.array_equal(dev.max_rel, dev.rel_h[:, 0, 0])
+    assert not dev.rel_g.any()
+    assert np.array_equal(dev.scale[0], np.sqrt(np.outer(np.diag(h), np.diag(h))))
+    assert np.array_equal(dev.scale[1], np.sqrt(np.outer(np.diag(shifted), np.diag(shifted))))
+
+
+def _pairwise_reference(evs, i):
+    """The cross-route rule at point i, one route pair at a time."""
+    served = [(ev.h[i], ev.gamma_mat[i]) for method, ev in evs.items() if ev.route[i] == method]
+    if not served:
+        return 0.0, np.zeros((4, 4)), np.zeros((4, 4))
+    diag = np.abs(np.diag(served[0][0]))
+    scale = np.sqrt(np.outer(diag, diag))
+    max_abs, rel_h, rel_g = 0.0, np.zeros((4, 4)), np.zeros((4, 4))
+    for a, (h_a, g_a) in enumerate(served):
+        for h_b, g_b in served[a + 1:]:
+            rel_h = np.maximum(rel_h, np.abs(h_a - h_b) / scale)
+            rel_g = np.maximum(rel_g, np.abs(g_a - g_b) / scale)
+            max_abs = max(max_abs, np.abs(h_a - h_b).max(), np.abs(g_a - g_b).max())
+    return max_abs, rel_h, rel_g
+
+
+def test_deviations_point_bits_independent_of_grid(psf):
+    # three routes, two (s = 0), one ((0, 0.01): the pipeline fails), limits and failures
+    s = np.array([0.1, 0.0, 1.3, 0.0, 0.01, 2.5, 0.0, 1e-7, 3.7, 0.0])
+    p = np.array([0.0, 2.0, 2.2, 0.0, 0.0, 0.0, 0.3, 1e-5, 1.1, 0.01])
+    evs = all_routes(psf, s, p)
+    full = deviations(evs)
+    assert set(np.count_nonzero(full.served, axis=1).tolist()) == {0, 1, 2, 3}
+    assert {"failed", "limit"} <= set(evs["pipeline"].route)
+    for i in range(len(s)):
+        alone = deviations(all_routes(psf, s[i:i + 1], p[i:i + 1]))
+        for name in ("served", "scale", "max_abs", "rel_h", "rel_g", "max_rel"):
+            assert getattr(alone, name).tobytes() == getattr(full, name)[i:i + 1].tobytes(), name
+        max_abs, rel_h, rel_g = _pairwise_reference(evs, i)
+        assert full.max_abs[i] == max_abs
+        assert full.rel_h[i].tobytes() == rel_h.tobytes()
+        assert full.rel_g[i].tobytes() == rel_g.tobytes()
 
 
 separations = st.floats(min_value=0.0, max_value=1e3)

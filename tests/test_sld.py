@@ -340,6 +340,20 @@ def test_stack_point_bits_independent_of_stack(psf, monkeypatch):
     assert blocked.gamma_mat.tobytes() == full.gamma_mat.tobytes()
 
 
+def test_stack_fails_only_the_point_whose_jet_overflows(psf):
+    # no numpy warning escapes (pytest turns RuntimeWarning into an error)
+    stack = gaussian_pipeline_stack(psf, [1.0, 1e200], [0.0, 0.0])
+    assert stack.failed.tolist() == [False, True]
+    assert isinstance(stack.error, DegenerateBasisError)
+    assert "(s=1e+200, p=0.0)" in str(stack.error) and "not finite" in str(stack.error)
+    assert np.all(np.isnan(stack.h[1]))
+    alone = gaussian_pipeline_stack(psf, [1.0], [0.0])
+    for name in ("h", "gamma_mat", "rho_eigenvalues"):
+        assert getattr(alone, name)[0].tobytes() == getattr(stack, name)[0].tobytes()
+    with pytest.raises(DegenerateBasisError, match=r"\(s=1e\+200, p=0\.0\)"):
+        gaussian_pipeline(psf, 1e200, 0.0)
+
+
 def test_stack_reports_failures_per_point(psf):
     s = [1.0, 0.0, 0.01, 2.0, 0.02]
     p = [1.0, 0.0, 0.0, 0.5, 0.0]
