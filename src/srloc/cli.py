@@ -149,11 +149,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "parameters": list(PARAMETERS),
         "varsigma": closed_forms.varsigma(psf.k, psf.z_r, s, p),
     }
-    if args.method == "all":
-        evs = routes.all_routes(psf, [s], [p])
-        ev = evs["pipeline"]
-    else:
-        ev = routes.evaluate(psf, [s], [p], args.method)
+    ev = routes.evaluate(psf, [s], [p], "pipeline" if args.method == "all" else args.method)
     route = ev.route[0]
     if args.method in ("pipeline", "all") and route != "pipeline":
         # eval reports the pipeline's own matrices, never the limit in their place
@@ -161,6 +157,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"separations (s={s!r}, p={p!r}) below the pipeline threshold; "
             "use the `limits` command"
         )
+    if args.method == "all":  # the other routes only once the pipeline has served
+        evs = {method: ev if method == "pipeline" else routes.evaluate(psf, [s], [p], method)
+               for method in routes.METHODS}
     h, g = ev.h[0], ev.gamma_mat[0]
     # after the route: every route refuses the points where gamma overflows
     record["abs_gamma"] = ag = float(abs(gaussian_overlap(psf, s, p)))
@@ -248,27 +247,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return run_sweep(spec, args.out, tol=args.tol)
 
 
-# Entries of H that vanish for two sources of equal brightness (and Gamma[0, 2]).
-_H_ZERO = ([0, 0, 0, 1, 2], [1, 2, 3, 2, 3])
-
-
-def _sparsity_ok(evs: dict[str, routes.Evaluation], dev: routes.Deviations,
-                 counted: np.ndarray) -> bool:
-    """Whether every served route of the ``counted`` points keeps H's and
-    Gamma's zero entries within 1e-10 of ``dev.scale`` and Gamma
-    antisymmetric within 1e-12."""
-    h = np.array([evs[method].h for method in routes.METHODS])
-    g = np.array([evs[method].gamma_mat for method in routes.METHODS])
-    bound = 1e-10 * dev.scale
-    with np.errstate(all="ignore"):  # failed pipeline points hold NaN
-        bad = (
-            (np.abs(h[..., _H_ZERO[0], _H_ZERO[1]]) > bound[:, _H_ZERO[0], _H_ZERO[1]]).any(axis=-1)
-            | (np.abs(g[..., 0, 2]) > bound[:, 0, 2])
-            | (np.abs(g + g.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-12)
-        )
-    return not np.any(bad & dev.served.T & counted)
-
-
 def cmd_crossval(args: argparse.Namespace) -> int:
     psf = GaussianPsf(k=args.k, z_r=args.zr)
     start, stop, step = _parse_range(args.range)
@@ -280,15 +258,16 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     dev = routes.deviations(evs)
     counted = dev.compared
     n_points = int(np.count_nonzero(counted))
-    n_full = int(np.count_nonzero(dev.served[counted].all(axis=1)))
-    max_abs = float(dev.max_abs[counted].max(initial=0.0))
-    max_rel = float(dev.max_rel[counted].max(initial=0.0))
-    per_entry_h = dev.rel_h[counted].max(axis=0, initial=0.0)
-    per_entry_g = dev.rel_g[counted].max(axis=0, initial=0.0)
+    n_full = int(np.count_nonzero(dev.served.all(axis=1)))
+    # points with fewer than two served routes read 0 here
+    max_abs = float(dev.max_abs.max(initial=0.0))
+    max_rel = float(dev.max_rel.max(initial=0.0))
+    per_entry_h = dev.rel_h.max(axis=0, initial=0.0)
+    per_entry_g = dev.rel_g.max(axis=0, initial=0.0)
     over = np.flatnonzero(counted & (dev.max_rel > args.tol))[:20]
     failures = [{"s": float(grid_s[i]), "p": float(grid_p[i]),
                  "max_rel_deviation": float(dev.max_rel[i])} for i in over]
-    sparsity_ok = _sparsity_ok(evs, dev, counted)
+    sparsity_ok = bool(np.all(routes.sparsity_ok(evs, dev), where=counted))
 
     passed = max_rel <= args.tol and sparsity_ok and n_points > 0
     record = {

@@ -107,8 +107,8 @@ def build_gram_stack(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray,
     degenerate, the reason keyed by its index: its jet or Gram matrix is not
     finite (the jet overflows at far separations), or the smallest eigenvalue
     of its Gram matrix falls below ``DEGENERACY_THRESHOLD`` times the largest
-    (happens as (s, p) -> (0, 0)).  One ``eigvalsh`` covers the finite
-    matrices of the stack.
+    (happens as (s, p) -> (0, 0)).  One ``eigvalsh`` covers the stack, with
+    the identity in place of each matrix that is not finite.
     """
     g, ds, dp, dss, dpp, dsp = np.array(
         [jet.gamma, jet.d_s, jet.d_p, jet.d_ss, jet.d_pp, jet.d_sp], dtype=complex
@@ -139,16 +139,12 @@ def build_gram_stack(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray,
     s[:, rows, cols] = s[:, cols, rows].conj()
 
     finite = np.isfinite(s.view(float)).all(axis=(1, 2))
-    if np.count_nonzero(finite) == len(s):
-        eigs = np.linalg.eigvalsh(s)
-        degenerate = {}
-    else:  # eigvalsh fails on the whole stack where one matrix is not finite
-        eigs = np.full((len(s), 6), np.nan)
-        eigs[finite] = np.linalg.eigvalsh(s[finite])
-        degenerate = {
-            int(i): "overlap jet is not finite (it overflows at this separation)"
-            for i in np.flatnonzero(~finite)
-        }
+    # eigvalsh fails on a whole stack that holds one non-finite matrix: test the identity there
+    eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], s, np.eye(6)))
+    degenerate = {
+        int(i): "overlap jet is not finite (it overflows at this separation)"
+        for i in np.flatnonzero(~finite)
+    }
     degenerate.update({
         int(i): "basis is numerically degenerate "
         f"(eigenvalue ratio {eigs[i, 0]:.3e} / {eigs[i, -1]:.3e} below "

@@ -35,7 +35,8 @@ from .psf import (
 )
 from .sld import gaussian_pipeline_stack
 
-__all__ = ["METHODS", "Evaluation", "Deviations", "evaluate", "all_routes", "deviations"]
+__all__ = ["METHODS", "Evaluation", "Deviations", "evaluate", "all_routes", "deviations",
+           "sparsity_ok"]
 
 # Evaluation methods, in the order ``all_routes`` lists the routes of a point.
 METHODS = ("pipeline", "general", "gaussian-closed")
@@ -78,8 +79,15 @@ class Deviations:
         return np.count_nonzero(self.served, axis=1) >= 2
 
 
-# Points per pass of the closed forms: their temporaries stay in cache.
-CLOSED_BLOCK_POINTS = 4096
+# Points per pass of the closed forms and of the cross-route rule: their
+# temporaries stay in cache, and their size does not grow with the grid.
+BLOCK_POINTS = 4096
+
+
+def _blocks(n: int):
+    """Slices of ``BLOCK_POINTS`` points that cover n points, in order."""
+    return (slice(start, start + BLOCK_POINTS) for start in range(0, n, BLOCK_POINTS))
+
 
 # ln of the largest double: exp overflows above it.
 _LOG_MAX = math.log(sys.float_info.max)
@@ -130,17 +138,16 @@ def _closed(psf: GaussianPsf, s: np.ndarray, p: np.ndarray, method: str):
     ``1 - |gamma|^2 <= 1e-8``; ``general`` serves every point by the general
     forms, or by the limit where ``1 - |gamma|^2 < OVERLAP_DEGENERACY_TOL``.
     A form that overflows or divides by zero leaves a non-finite entry, which
-    ``_require_finite`` reports.  Points go in blocks of ``CLOSED_BLOCK_POINTS``.
+    ``_require_finite`` reports.  Points go in blocks of ``BLOCK_POINTS``.
     """
     n = len(s)
     h = np.empty((n, 4, 4))
     g = np.empty((n, 4, 4))
     route = [method] * n
     with np.errstate(all="ignore"):
-        for start in range(0, n, CLOSED_BLOCK_POINTS):
-            block = slice(start, start + CLOSED_BLOCK_POINTS)
+        for block in _blocks(n):
             for i, label in _closed_block(psf, s[block], p[block], method, h[block], g[block]):
-                route[start + i] = label
+                route[block.start + i] = label
     return h, g, tuple(route)
 
 
@@ -214,14 +221,34 @@ def all_routes(psf: GaussianPsf, s: Sequence[float], p: Sequence[float]) -> dict
 
 # The route pairs (a, b) that ``deviations`` compares, by index in METHODS.
 _PAIR_A, _PAIR_B = np.array([0, 0, 1]), np.array([1, 2, 2])
-_METHOD_COLUMN = np.array(METHODS)[:, None]
+# The entries of H and of Gamma that vanish for two sources of equal brightness.
+_ZERO = np.zeros((2, 1, 4, 4), dtype=bool)
+_ZERO[0, 0, [0, 0, 0, 1, 2], [1, 2, 3, 2, 3]] = True
+_ZERO[1, 0, 0, 2] = True
+
+
+def _stacked(evs: dict[str, Evaluation], block: slice) -> np.ndarray:
+    """(route, H or Gamma, point, 4, 4) of the points ``block``, routes in
+    METHODS order; failed pipeline points hold NaN."""
+    return np.array([(evs[method].h[block], evs[method].gamma_mat[block]) for method in METHODS])
 
 
 def deviations(evs: dict[str, Evaluation]) -> Deviations:
-    """The cross-route rule on the evaluations of ``all_routes`` (see ``Deviations``)."""
-    served = np.array([evs[method].route for method in METHODS]) == _METHOD_COLUMN
-    # (route, H or Gamma, point, 4, 4); failed pipeline points hold NaN
-    mats = np.array([(evs[method].h, evs[method].gamma_mat) for method in METHODS])
+    """The cross-route rule on the evaluations of ``all_routes`` (see
+    ``Deviations``), in blocks of ``BLOCK_POINTS`` points."""
+    served = np.array([[r == method for r in evs[method].route] for method in METHODS])
+    n = served.shape[1]
+    scale, rel_h, rel_g = np.empty((n, 4, 4)), np.empty((n, 4, 4)), np.empty((n, 4, 4))
+    max_abs, max_rel = np.empty(n), np.empty(n)
+    for block in _blocks(n):
+        scale[block], max_abs[block], rel_h[block], rel_g[block], max_rel[block] = (
+            _deviations_block(_stacked(evs, block), served[:, block]))
+    return Deviations(served.T, scale, max_abs, rel_h, rel_g, max_rel)
+
+
+def _deviations_block(mats: np.ndarray, served: np.ndarray):
+    """``deviations`` on one block of ``_stacked`` matrices whose served mask
+    is the (3, n) ``served``; returns scale, max_abs, rel_h, rel_g, max_rel."""
     first = np.argmax(served, axis=0)  # 0 where no route served: such points read 0
     n = len(first)
     diag = np.abs(np.diagonal(mats[first, 0, np.arange(n)], axis1=-2, axis2=-1))
@@ -230,11 +257,20 @@ def deviations(evs: dict[str, Evaluation]) -> Deviations:
     with np.errstate(all="ignore"):
         dev = np.where(pair, np.abs(mats[_PAIR_A] - mats[_PAIR_B]), 0.0)
         rel = np.where(pair, dev / scale, 0.0).max(axis=0)
-    return Deviations(
-        served=served.T,
-        scale=scale,
-        max_abs=dev.max(axis=(0, 1, 3, 4)),
-        rel_h=rel[0],
-        rel_g=rel[1],
-        max_rel=rel.max(axis=(0, 2, 3)),
-    )
+    return scale, dev.max(axis=(0, 1, 3, 4)), rel[0], rel[1], rel.max(axis=(0, 2, 3))
+
+
+def sparsity_ok(evs: dict[str, Evaluation], dev: Deviations) -> np.ndarray:
+    """(N,) bool: whether every served route of a point keeps the entries of
+    H and Gamma that vanish for two sources of equal brightness within 1e-10
+    of ``dev.scale``, and Gamma antisymmetric within 1e-12; in blocks of
+    ``BLOCK_POINTS`` points."""
+    ok = np.empty(len(dev.served), dtype=bool)
+    for block in _blocks(len(ok)):
+        mats = _stacked(evs, block)
+        g = mats[:, 1]
+        with np.errstate(all="ignore"):  # failed pipeline points hold NaN
+            bad = ((np.abs(mats) > 1e-10 * dev.scale[block]) & _ZERO).any(axis=(1, 3, 4))
+            bad |= (np.abs(g + g.swapaxes(-1, -2)) > 1e-12).any(axis=(-2, -1))
+        ok[block] = ~(bad & dev.served[block].T).any(axis=0)
+    return ok

@@ -10,7 +10,7 @@ from srloc.cli import main
 from srloc.closed_forms import small_separation_limit
 from srloc.errors import DegenerateBasisError, InvalidParameterError, SrlocError
 from srloc.psf import GaussianPsf
-from srloc.routes import METHODS, Evaluation, all_routes, deviations, evaluate
+from srloc.routes import METHODS, Evaluation, all_routes, deviations, evaluate, sparsity_ok
 
 
 def test_evaluate_labels_each_point_with_its_route(psf):
@@ -123,7 +123,10 @@ def _pairwise_reference(evs, i):
     return max_abs, rel_h, rel_g
 
 
-def test_deviations_point_bits_independent_of_grid(psf):
+DEVIATION_FIELDS = ("served", "scale", "max_abs", "rel_h", "rel_g", "max_rel")
+
+
+def test_deviations_point_bits_independent_of_grid(psf, monkeypatch):
     # three routes, two (s = 0), one ((0, 0.01): the pipeline fails), limits and failures
     s = np.array([0.1, 0.0, 1.3, 0.0, 0.01, 2.5, 0.0, 1e-7, 3.7, 0.0])
     p = np.array([0.0, 2.0, 2.2, 0.0, 0.0, 0.0, 0.3, 1e-5, 1.1, 0.01])
@@ -131,14 +134,35 @@ def test_deviations_point_bits_independent_of_grid(psf):
     full = deviations(evs)
     assert set(np.count_nonzero(full.served, axis=1).tolist()) == {0, 1, 2, 3}
     assert {"failed", "limit"} <= set(evs["pipeline"].route)
+    assert sparsity_ok(evs, full).all()
+    monkeypatch.setattr("srloc.routes.BLOCK_POINTS", 3)  # blocks of 3, 3, 3 and 1 points
+    blocked = deviations(evs)
+    for name in DEVIATION_FIELDS:
+        assert getattr(blocked, name).tobytes() == getattr(full, name).tobytes(), name
     for i in range(len(s)):
         alone = deviations(all_routes(psf, s[i:i + 1], p[i:i + 1]))
-        for name in ("served", "scale", "max_abs", "rel_h", "rel_g", "max_rel"):
+        for name in DEVIATION_FIELDS:
             assert getattr(alone, name).tobytes() == getattr(full, name)[i:i + 1].tobytes(), name
         max_abs, rel_h, rel_g = _pairwise_reference(evs, i)
         assert full.max_abs[i] == max_abs
         assert full.rel_h[i].tobytes() == rel_h.tobytes()
         assert full.rel_g[i].tobytes() == rel_g.tobytes()
+
+
+def test_sparsity_ok_reads_only_served_routes(monkeypatch):
+    h = np.diag([4.0, 1.0, 1.0, 1.0])
+    leaky = h.copy()
+    leaky[0, 1] = 1e-6  # above 1e-10 * sqrt(4 * 1)
+    # point 1: a served route leaks; point 2: only a failed pipeline (NaN) and a
+    # rerouted gaussian-closed point would leak; point 3: every route is clean
+    evs = {
+        "pipeline": _evaluation([h, np.full((4, 4), np.nan), h], ("pipeline", "failed", "pipeline")),
+        "general": _evaluation([leaky, h, h], ("general",) * 3),
+        "gaussian-closed": _evaluation([h, leaky, h], ("gaussian-closed", "general", "gaussian-closed")),
+    }
+    assert sparsity_ok(evs, deviations(evs)).tolist() == [False, True, True]
+    monkeypatch.setattr("srloc.routes.BLOCK_POINTS", 2)
+    assert sparsity_ok(evs, deviations(evs)).tolist() == [False, True, True]
 
 
 separations = st.floats(min_value=0.0, max_value=1e3)
