@@ -117,18 +117,19 @@ def qcrb_subset(h, subset: Iterable[str | int], budget: EstimationBudget) -> flo
     """Bound for a parameter subset with the others known in advance.
 
     Known-nuisance convention: invert the subset-indexed submatrix of H
-    (rather than taking a submatrix of the full inverse).
+    (rather than taking a submatrix of the full inverse).  A parameter is
+    named as in ``PARAMETERS`` or by its index 0..3.
     """
     indices: list[int] = []
     for item in subset:
-        if isinstance(item, str):
-            if item not in PARAMETERS:
-                raise InvalidParameterError(
-                    f"unknown parameter {item!r}; choose from {PARAMETERS}"
-                )
+        if isinstance(item, str) and item in PARAMETERS:
             indices.append(PARAMETERS.index(item))
-        else:
+        elif isinstance(item, (int, np.integer)) and not isinstance(item, bool) and 0 <= item < 4:
             indices.append(int(item))
+        else:
+            raise InvalidParameterError(
+                f"unknown parameter {item!r}; choose from {PARAMETERS} or their indices 0..3"
+            )
     if not indices or len(set(indices)) != len(indices):
         raise InvalidParameterError(f"subset must be non-empty without repeats, got {indices}")
     sub = _as_h_array(h)[np.ix_(indices, indices)]

@@ -4,8 +4,8 @@ The two-source estimation problem never needs the image-plane amplitude
 itself.  A PSF enters only through
 
 * three source-independent scalars: the squared norm of the transverse
-  derivative of the reference image state, and the first and second
-  moments of the axial propagation generator; and
+  derivative of the reference image state, and the mean and variance of
+  the axial propagation generator; and
 * the complex overlap ``gamma(s, p)`` between the two source images,
   together with its first and second partial derivatives in the angular
   separation ``s`` and the axial separation ``p``.
@@ -75,14 +75,15 @@ class PsfConstants:
     """Source-independent scalars of a PSF model.
 
     ``dpsi_norm_sq``: squared norm of the transverse-derivative image state
-    (inverse length squared).  ``mean_g`` and ``mean_g2``: first and second
-    moments of the axial generator in the reference image state (inverse
-    length, inverse length squared).
+    (inverse length squared).  ``mean_g`` and ``g_variance``: mean and
+    variance of the axial generator in the reference image state (inverse
+    length, inverse length squared).  The variance is stored, not rebuilt
+    from the second moment, which would cancel when ``mean_g**2`` dwarfs it.
     """
 
     dpsi_norm_sq: float
     mean_g: float
-    mean_g2: float
+    g_variance: float
 
     def __post_init__(self) -> None:
         if not self.dpsi_norm_sq > 0.0:
@@ -91,13 +92,13 @@ class PsfConstants:
             )
         if self.g_variance < 0.0:
             raise InvalidParameterError(
-                f"generator variance mean_g2 - mean_g**2 = {self.g_variance} is negative"
+                f"generator variance g_variance must not be negative, got {self.g_variance}"
             )
 
     @property
-    def g_variance(self) -> float:
-        """Variance of the axial generator, mean_g2 - mean_g**2."""
-        return self.mean_g2 - self.mean_g ** 2
+    def mean_g2(self) -> float:
+        """Second moment of the axial generator, g_variance + mean_g**2."""
+        return self.g_variance + self.mean_g ** 2
 
 
 @dataclass(frozen=True)
@@ -172,15 +173,14 @@ class GaussianPsf:
 def gaussian_constants(psf: GaussianPsf) -> PsfConstants:
     """Source-independent constants of the Gaussian beam.
 
-    dpsi_norm_sq = k/(2 z_R), mean_g = k - 1/(2 z_R),
-    mean_g2 = k^2 - k/z_R + 1/(2 z_R^2); the generator variance is then
-    exactly 1/(4 z_R^2).
+    dpsi_norm_sq = k/(2 z_R), mean_g = k - 1/(2 z_R) and the generator
+    variance g_variance = 1/(4 z_R^2).
     """
     k, zr = psf.k, psf.z_r
     return PsfConstants(
         dpsi_norm_sq=k / (2.0 * zr),
         mean_g=k - 1.0 / (2.0 * zr),
-        mean_g2=k * k - k / zr + 1.0 / (2.0 * zr * zr),
+        g_variance=1.0 / (4.0 * zr * zr),
     )
 
 

@@ -15,16 +15,14 @@ four physical parameters (s, xbar, p, zbar) together, and
                                   = sum_ij q_i L_mu[i, j] L_nu[j, i].
 
 All results are independent of the centroid coordinates by construction
-(the Gram data only sees the separations).
-
-``orthonormalize``, ``solve_sld``, ``rotate_to_physical`` and
-``compute_qfim`` are the same steps for one operator at a time in the
-action representation of any basis.
+(the Gram data only sees the separations).  ``gaussian_pipeline`` is the
+one-point case of ``gaussian_pipeline_stack``.
 """
 
 from __future__ import annotations
 
 import logging
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,13 +36,7 @@ from .errors import (
     SmallSeparationError,
     SrlocError,
 )
-from .gram import (
-    _DRHO_ROWS,
-    COORDINATES,
-    ActionMatrix,
-    GramMatrix,
-    build_gram_stack,
-)
+from .gram import _DRHO_ROWS, COORDINATES, build_gram_stack
 from .psf import (
     GaussianPsf,
     OverlapJet,
@@ -56,15 +48,9 @@ from .psf import (
 
 __all__ = [
     "PARAMETERS",
-    "SldSet",
-    "QfimResult",
     "PipelineResult",
     "PipelineStack",
     "orthonormalize",
-    "solve_sld",
-    "rotate_to_physical",
-    "compute_qfim",
-    "qfim_from_jet",
     "gaussian_pipeline",
     "gaussian_pipeline_stack",
 ]
@@ -88,8 +74,9 @@ BLOCK_POINTS = 512
 # Basis columns (state, derivative) of each coordinate derivative of rho.
 _STATE_COLS, _DERIV_COLS = (list(cols) for cols in zip(*(_DRHO_ROWS[c] for c in COORDINATES)))
 
-# Coordinate (x1, z1, x2, z2) to physical (s, xbar, p, zbar) derivatives, as
-# in rotate_to_physical: L_s = (L_x2 - L_x1)/2, L_xbar = L_x1 + L_x2, same axially.
+# Coordinate (x1, z1, x2, z2) to physical (s, xbar, p, zbar) derivatives:
+# s = x2 - x1 and xbar = (x1 + x2)/2 give L_s = (L_x2 - L_x1)/2 and
+# L_xbar = L_x1 + L_x2; same axially.
 _TO_PHYSICAL = np.array(
     [[-0.5, 0.0, 0.5, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, -0.5, 0.0, 0.5], [0.0, 1.0, 0.0, 1.0]],
     dtype=complex,
@@ -97,49 +84,13 @@ _TO_PHYSICAL = np.array(
 
 
 @dataclass(frozen=True)
-class SldSet:
-    """The four physical-parameter SLDs with their companion Gram matrix."""
-
-    l_s: ActionMatrix
-    l_xbar: ActionMatrix
-    l_p: ActionMatrix
-    l_zbar: ActionMatrix
-    gram: GramMatrix
-
-    def in_order(self) -> tuple[ActionMatrix, ActionMatrix, ActionMatrix, ActionMatrix]:
-        """SLDs in ``PARAMETERS`` order."""
-        return (self.l_s, self.l_xbar, self.l_p, self.l_zbar)
-
-
-@dataclass(frozen=True)
-class QfimResult:
-    """Quantum Fisher information matrix ``h`` and SLD-commutator matrix
-    ``gamma_mat``, both 4x4 real in ``PARAMETERS`` order."""
+class PipelineResult:
+    """Pipeline output at one point: H and Gamma (4x4, in ``PARAMETERS``
+    order) and all six eigenvalues of the state, descending."""
 
     h: np.ndarray
     gamma_mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("h", "gamma_mat"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != (4, 4):
-                raise SrlocError(f"{name} must be 4x4, got shape {arr.shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
-class PipelineResult:
-    """End-to-end numerical pipeline output."""
-
-    qfim: QfimResult
-    rho_eigenvalues: np.ndarray  # all six, descending
-    slds: SldSet
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.rho_eigenvalues, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "rho_eigenvalues", arr)
+    rho_eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -159,26 +110,20 @@ class PipelineStack:
     error: SrlocError | None
 
 
-def _gram_array(gram) -> np.ndarray:
-    return gram.s_mat if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=complex)
+def orthonormalize(s_mat: np.ndarray) -> np.ndarray:
+    """Upper-triangular Cholesky factor T of a Gram matrix S, T^H T = S.
 
-
-def orthonormalize(gram) -> np.ndarray:
-    """Upper-triangular Cholesky factor T of the Gram matrix, T^H T = S.
-
-    T is the change of basis to an orthonormal frame: an action matrix M
-    becomes A = T M T^{-1}, under which operator Hermiticity is the
-    ordinary A = A^H.  A stack of Gram matrices (..., n, n) gives the
-    stack of their factors.
+    T is the change of basis to an orthonormal frame: a basis vector j has
+    the coordinates T[:, j] there.  A stack of Gram matrices (..., n, n)
+    gives the stack of their factors.
 
     Raises
     ------
     DegenerateBasisError
         If S (any S of a stack) is not numerically positive definite.
     """
-    s = _gram_array(gram)
     try:
-        lower = np.linalg.cholesky(s)
+        lower = np.linalg.cholesky(s_mat)
     except np.linalg.LinAlgError as exc:
         raise DegenerateBasisError(f"Gram matrix is not positive definite: {exc}") from exc
     return lower.conj().swapaxes(-1, -2)
@@ -200,96 +145,23 @@ def _eigenframe_sld(q: np.ndarray, drho_e: np.ndarray):
     return l_e, shaky
 
 
-def _warn_cutoff(count: int, where: str = "") -> None:
+def _warn_cutoff(count: int, where: str) -> None:
+    # attribute the warning to the first caller outside this module
+    level, frame = 1, sys._getframe()
+    while frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
     warnings.warn(
         f"{count} eigenvalue sums within a decade of the support cutoff {SUPPORT_CUTOFF:.1e}"
         f"{where}; SLD entries there are low-confidence",
         CutoffDegeneracyWarning,
-        stacklevel=3,
+        stacklevel=level,
     )
-
-
-def solve_sld(rho: ActionMatrix, drho: ActionMatrix, gram) -> ActionMatrix:
-    """Solve ``L rho + rho L = 2 drho`` for the SLD in action representation.
-
-    The solve runs in the orthonormal frame on the eigenbasis of rho:
-    L[i, j] = 2 drho[i, j] / (q_i + q_j) wherever q_i + q_j exceeds
-    ``SUPPORT_CUTOFF`` and 0 on the kernel block (support-restricted completion;
-    H and Gamma do not depend on how the kernel block is completed).
-
-    Emits :class:`CutoffDegeneracyWarning` when any eigenvalue sum lands
-    within a decade of the cutoff, where the division is ill-conditioned.
-    This is the one-operator form of the solve inside the stacked pipeline,
-    for any basis and any state.
-    """
-    t = orthonormalize(gram)
-    t_inv = np.linalg.inv(t)
-    rho_o = t @ rho.m @ t_inv
-    rho_o = (rho_o + rho_o.conj().T) / 2.0
-    q, u = np.linalg.eigh(rho_o)
-    drho_o = t @ drho.m @ t_inv
-    l_e, shaky = _eigenframe_sld(q, u.conj().T @ drho_o @ u)
-    if shaky:
-        _warn_cutoff(int(shaky))
-    l_o = u @ l_e @ u.conj().T
-    return ActionMatrix(m=t_inv @ l_o @ t)
-
-
-def rotate_to_physical(
-    l_x1: ActionMatrix,
-    l_x2: ActionMatrix,
-    l_z1: ActionMatrix,
-    l_z2: ActionMatrix,
-    gram: GramMatrix,
-) -> SldSet:
-    """Rotate coordinate SLDs to the physical parameters (s, xbar, p, zbar).
-
-    s = x2 - x1 and xbar = (x2 + x1)/2 give L_s = (L_x2 - L_x1)/2 and
-    L_xbar = L_x1 + L_x2; same pattern axially.
-    """
-    return SldSet(
-        l_s=ActionMatrix(m=0.5 * (l_x2.m - l_x1.m)),
-        l_xbar=ActionMatrix(m=l_x1.m + l_x2.m),
-        l_p=ActionMatrix(m=0.5 * (l_z2.m - l_z1.m)),
-        l_zbar=ActionMatrix(m=l_z1.m + l_z2.m),
-        gram=gram,
-    )
-
-
-def compute_qfim(rho: ActionMatrix, slds: SldSet, gram: GramMatrix) -> QfimResult:
-    """H and Gamma from traces of action-matrix products.
-
-    Traces are representation-independent, so Tr(rho L_mu L_nu) is taken
-    directly on the action matrices.  H is the real part symmetrized,
-    Gamma the imaginary part antisymmetrized; the pre-symmetrization
-    asymmetry is pure roundoff and is required to stay below 1e-10.
-    """
-    ls = [a.m for a in slds.in_order()]
-    c = np.empty((4, 4), dtype=complex)
-    for a in range(4):
-        rho_l = rho.m @ ls[a]
-        for b in range(4):
-            c[a, b] = np.trace(rho_l @ ls[b])
-    h_raw, g_raw = c.real, c.imag
-    h_asym = float(np.max(np.abs(h_raw - h_raw.T)))
-    g_asym = float(np.max(np.abs(g_raw + g_raw.T)))
-    logger.debug("qfim pre-symmetrization residuals: H %.3e, Gamma %.3e", h_asym, g_asym)
-    if max(h_asym, g_asym) >= _ASYMMETRY_LIMIT:
-        raise SrlocError(
-            f"information-matrix asymmetry {max(h_asym, g_asym):.3e} exceeds "
-            f"{_ASYMMETRY_LIMIT:.1e}; inputs are inconsistent or ill-conditioned"
-        )
-    return QfimResult(h=(h_raw + h_raw.T) / 2.0, gamma_mat=(g_raw - g_raw.T) / 2.0)
 
 
 @dataclass(frozen=True)
 class _Block:
     """The stacked pipeline on one block of points (see ``_pipeline_block``)."""
 
-    s_mat: np.ndarray            # (n, 6, 6) Gram matrices
-    t: np.ndarray                # (n, 6, 6) Cholesky factors, S = T^H T
-    u: np.ndarray                # (n, 6, 6) eigenvectors of rho in the orthonormal frame
-    l_e: np.ndarray              # (n, 4, 6, 6) physical SLDs in the eigenframe of rho
     h: np.ndarray                # (n, 4, 4)
     gamma_mat: np.ndarray        # (n, 4, 4)
     rho_eigenvalues: np.ndarray  # (n, 6), descending
@@ -363,52 +235,12 @@ def _pipeline_block(jet: OverlapJet, consts: PsfConstants) -> _Block:
         bad = list(failures)
         h[bad] = gamma_mat[bad] = eigs[bad] = np.nan
         shaky[bad] = 0
-    return _Block(s_mat=s_mat, t=t, u=u, l_e=l_e, h=h, gamma_mat=gamma_mat,
-                  rho_eigenvalues=eigs, shaky=shaky, failures=dict(sorted(failures.items())))
+    return _Block(h=h, gamma_mat=gamma_mat, rho_eigenvalues=eigs, shaky=shaky,
+                  failures=dict(sorted(failures.items())))
 
 
 def _located(error: type, reason: str, s: float, p: float) -> SrlocError:
     return error(f"pipeline fails at (s={float(s)!r}, p={float(p)!r}): {reason}")
-
-
-def _single_point(
-    jet: OverlapJet, consts: PsfConstants, where: tuple[float, float] | None
-) -> PipelineResult:
-    """The stacked pipeline on one point, with its SLDs back in the action
-    representation: L = T^{-1} (U L_e U^H) T, all four in one solve."""
-    block = _pipeline_block(jet, consts)
-    if block.failures:
-        error, reason = block.failures[0]
-        raise error(reason) if where is None else _located(error, reason, *where)
-    if block.shaky[0]:
-        _warn_cutoff(int(block.shaky[0]))
-    t, u = block.t[0], block.u[0]
-    rhs = (u @ block.l_e[0] @ u.conj().T @ t).transpose(1, 0, 2).reshape(6, 24)
-    l_action = np.linalg.solve(t, rhs).reshape(6, 4, 6).transpose(1, 0, 2)
-    slds = SldSet(*(ActionMatrix(m=m) for m in l_action), gram=GramMatrix(s_mat=block.s_mat[0]))
-    return PipelineResult(
-        qfim=QfimResult(h=block.h[0], gamma_mat=block.gamma_mat[0]),
-        rho_eigenvalues=block.rho_eigenvalues[0],
-        slds=slds,
-    )
-
-
-def qfim_from_jet(jet: OverlapJet, consts: PsfConstants) -> PipelineResult:
-    """Run the full numerical pipeline from overlap data.
-
-    Returns the information matrices together with all six eigenvalues of
-    the state in the orthonormal frame (descending; exactly two are
-    nonzero up to roundoff) and the four SLDs in action representation.
-
-    Raises
-    ------
-    DegenerateBasisError
-        If the basis is numerically degenerate or its Gram matrix is not
-        positive definite.
-    SrlocError
-        If Tr(rho L L) is asymmetric beyond roundoff.
-    """
-    return _single_point(jet, consts, None)
 
 
 def _below_threshold(psf: GaussianPsf, s, p):
@@ -426,20 +258,32 @@ def _jet(psf: GaussianPsf, s, p) -> OverlapJet:
 
 
 def gaussian_pipeline(psf: GaussianPsf, s: float, p: float) -> PipelineResult:
-    """Numerical pipeline for the Gaussian PSF at separations (s, p).
+    """Numerical pipeline for the Gaussian PSF at one point (s, p): the
+    one-point case of :func:`gaussian_pipeline_stack`.
 
-    Refuses separations with s^2 + p^2 below the square of
-    ``small_separation_threshold(k, z_R)``: that regime is served
-    analytically by the coincident-source limit, not numerically.  Other
-    failures are those of :func:`qfim_from_jet`, naming (s, p).
+    Raises
+    ------
+    SmallSeparationError
+        Where the stack marks the point ``limit``: that regime is served
+        analytically by the coincident-source limit, not numerically.
+    SrlocError
+        The stack's ``error`` where it marks the point ``failed``, naming
+        (s, p): ``DegenerateBasisError`` for a numerically degenerate basis
+        or an overflowing overlap jet, ``SrlocError`` for Tr(rho L L)
+        asymmetric beyond roundoff.
+    InvalidParameterError
+        If s or p is not finite.
     """
-    if _below_threshold(psf, s, p):
+    stack = gaussian_pipeline_stack(psf, [s], [p])
+    if stack.limit[0]:
         threshold = small_separation_threshold(psf.k, psf.z_r)
         raise SmallSeparationError(
             f"separations (s={s!r}, p={p!r}) below the pipeline threshold "
             f"{threshold:.3e}; use small_separation_limit (CLI: the `limits` command)"
         )
-    return _single_point(_jet(psf, s, p), gaussian_constants(psf), (s, p))
+    if stack.error is not None:
+        raise stack.error
+    return PipelineResult(stack.h[0], stack.gamma_mat[0], stack.rho_eigenvalues[0])
 
 
 def gaussian_pipeline_stack(
@@ -447,20 +291,21 @@ def gaussian_pipeline_stack(
 ) -> PipelineStack:
     """Numerical pipeline for the Gaussian PSF at N points (s[i], p[i]).
 
-    Points below the small-separation threshold are marked ``limit`` and not
-    evaluated (see :func:`gaussian_pipeline`).  A point that fails does not
-    fail the stack: it is marked ``failed``, and the exception of the first
-    one, naming its (s, p), is kept in ``error``.  Points are evaluated in
-    blocks of ``BLOCK_POINTS``.  Emits one :class:`CutoffDegeneracyWarning`
-    for the stack when any evaluated point has an eigenvalue sum within a
-    decade of the cutoff.
+    Points with s^2 + p^2 below the square of
+    ``small_separation_threshold(k, z_R)`` are marked ``limit`` and not
+    evaluated.  A point that fails does not fail the stack: it is marked
+    ``failed``, and the exception of the first one, naming its (s, p), is
+    kept in ``error``.  Points are evaluated in blocks of ``BLOCK_POINTS``.
+    Emits one :class:`CutoffDegeneracyWarning` for the stack when any
+    evaluated point has an eigenvalue sum within a decade of the cutoff.
+    Raises ``InvalidParameterError`` for s and p that are not finite 1-D
+    sequences of equal length.
     """
     s = np.asarray(s, dtype=float)
     p = np.asarray(p, dtype=float)
-    if s.shape != p.shape or s.ndim != 1:
-        raise InvalidParameterError(
-            f"s and p must be 1-D and of equal length, got shapes {s.shape} and {p.shape}"
-        )
+    if s.shape != p.shape or s.ndim != 1 or not (np.isfinite(s).all() and np.isfinite(p).all()):
+        raise InvalidParameterError(f"s and p must be finite, 1-D and of equal length, "
+                                    f"got shapes {s.shape} and {p.shape}")
     n = len(s)
     limit = _below_threshold(psf, s, p)
     h = np.full((n, 4, 4), np.nan)

@@ -54,7 +54,7 @@ def grid_matrices():
                 {
                     "s": s,
                     "p": p,
-                    "pipeline": (result.qfim.h, result.qfim.gamma_mat),
+                    "pipeline": (result.h, result.gamma_mat),
                     "general": (general_qfim(jet, CONSTS), general_gamma_matrix(jet, CONSTS)),
                     "closed": (gaussian_qfim(PSF, s, p), gaussian_gamma_matrix(PSF, s, p)),
                     "rho_eigenvalues": result.rho_eigenvalues,
@@ -195,8 +195,8 @@ def test_criterion_10_centroid_invariance():
     r1 = gaussian_pipeline(PSF, base.s, base.p)
     r2 = gaussian_pipeline(PSF, shifted.s, shifted.p)
     ok = (base.xbar, base.zbar) != (shifted.xbar, shifted.zbar)
-    ok &= r1.qfim.h.tobytes() == r2.qfim.h.tobytes()
-    ok &= r1.qfim.gamma_mat.tobytes() == r2.qfim.gamma_mat.tobytes()
+    ok &= r1.h.tobytes() == r2.h.tobytes()
+    ok &= r1.gamma_mat.tobytes() == r2.gamma_mat.tobytes()
     ok &= r1.rho_eigenvalues.tobytes() == r2.rho_eigenvalues.tobytes()
     check(10, "centroid-shifted geometries give bit-identical pipeline results", ok)
 

@@ -70,7 +70,7 @@ def test_qcrb_accepts_qfim_result(psf):
     from srloc.sld import gaussian_pipeline
 
     result = gaussian_pipeline(psf, 1.0, 2.0)
-    assert qcrb_total(result.qfim, UNIT_BUDGET) == qcrb_total(result.qfim.h, UNIT_BUDGET)
+    assert qcrb_total(result, UNIT_BUDGET) == qcrb_total(result.h, UNIT_BUDGET)
 
 
 def test_qcrb_subset_separations_is_constant(psf):
@@ -107,6 +107,9 @@ def test_qcrb_subset_validates_input():
         qcrb_subset(h, (), UNIT_BUDGET)
     with pytest.raises(InvalidParameterError):
         qcrb_subset(h, ("s", "s"), UNIT_BUDGET)
+    for bad in ([4], [-1], [-1, 3], [True], ["s", 0]):
+        with pytest.raises(InvalidParameterError):
+            qcrb_subset(h, bad, UNIT_BUDGET)
 
 
 # ----------------------------------------------------------- compatibility

@@ -60,17 +60,13 @@ def test_eval_all_methods_cross_check(capsys):
 
 def test_eval_all_runs_the_pipeline_once(capsys, monkeypatch):
     calls = []
-    stack = srloc.routes.gaussian_pipeline_stack
+    block = srloc.sld._pipeline_block
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return stack(*args, **kwargs)
+        return block(*args, **kwargs)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("eval --method all evaluated the pipeline a second time")
-
-    monkeypatch.setattr(srloc.routes, "gaussian_pipeline_stack", counted)
-    monkeypatch.setattr(srloc.sld, "_single_point", refuse)
+    monkeypatch.setattr(srloc.sld, "_pipeline_block", counted)
     record = run_json(
         capsys, "eval", "--k", "1", "--zr", "2", "--s", "1", "--p", "0", "--method", "all",
     )
@@ -110,6 +106,13 @@ def test_eval_all_reports_the_pipeline_refusal(capsys):
     )
     assert code == 1
     assert "(s=1.0, p=1000.0)" in err and "degenerate" in err
+
+
+def test_crossval_passes_at_physical_scale(capsys):
+    # H_pp on the general route is the stored generator variance, which no
+    # longer cancels against mean_g^2 when k z_R >> 1
+    record = run_json(capsys, "crossval", "--k", "1e3", "--zr", "1e3", "--range", "0.1:5:0.25")
+    assert record["pass"] is True
 
 
 PSF = ["--k", "1", "--zr", "2"]
@@ -310,7 +313,7 @@ def test_sweep_pipeline_matches_per_point_pipeline(capsys, tmp_path):
             h, g = h_lim, g_lim
         else:
             result = gaussian_pipeline(psf, s, p)
-            h, g = result.qfim.h, result.qfim.gamma_mat
+            h, g = result.h, result.gamma_mat
         want = [h[0, 0], h[1, 1], h[2, 2], h[3, 3], h[1, 3], g[0, 1], g[2, 3], g[0, 3], g[1, 2]]
         scale = [h[0, 0], h[1, 1], h[2, 2], h[3, 3], math.sqrt(h[1, 1] * h[3, 3]),
                  math.sqrt(h[0, 0] * h[1, 1]), math.sqrt(h[2, 2] * h[3, 3]),

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +13,9 @@ from srloc.closed_forms import (
     varsigma,
 )
 from srloc.errors import DegenerateOverlapError, InvalidParameterError, SmallSeparationError
-from srloc.psf import GaussianPsf, PsfConstants, gaussian_overlap_jet
+from srloc.psf import GaussianPsf, PsfConstants, gaussian_constants, gaussian_overlap_jet
+
+from oracle import oracle, row_scaled_error
 
 
 def scale_of(h):
@@ -42,10 +43,10 @@ def test_varsigma_validates_parameters():
 
 def test_general_h_separation_entries_are_passthrough(psf):
     jet = gaussian_overlap_jet(psf, 1.0, 1.0)
-    consts = PsfConstants(dpsi_norm_sq=0.7, mean_g=1.0, mean_g2=2.0)
+    consts = PsfConstants(dpsi_norm_sq=0.7, mean_g=1.0, g_variance=1.0)
     h = general_qfim(jet, consts)
     assert h[0, 0] == 0.7
-    assert h[2, 2] == 1.0  # variance 2 - 1
+    assert h[2, 2] == 1.0
 
 
 def test_general_h_axial_centroid_reference(psf, consts):
@@ -196,41 +197,6 @@ def test_forms_broadcast_and_keep_scalar_shapes(psf, consts):
             assert single.tobytes() == stack[i].tobytes()
 
 
-def oracle(psf, s, p):
-    """H and Gamma at 50 digits: the general forms on the analytic jet of
-    gamma = (2i z_R / d) exp(-i k p - i k s^2 / (2 d)), d = p + 2i z_R."""
-    with mpmath.workdps(50):
-        k, zr, s, p = (mpmath.mpf(v) for v in (psf.k, psf.z_r, s, p))
-        d = p + 2j * zr
-        g = (2j * zr / d) * mpmath.exp(-1j * k * p - 1j * k * s * s / (2 * d))
-        ls = -1j * k * s / d                                   # d log(gamma) / ds
-        lp = -1 / d - 1j * k + 1j * k * s * s / (2 * d * d)    # d log(gamma) / dp
-        ag = abs(g)
-        om = 1 - ag * ag
-        dsa, dpa, dsph, dpph = ag * ls.real, ag * lp.real, ls.imag, lp.imag
-        n, mg, var = k / (2 * zr), k - 1 / (2 * zr), 1 / (4 * zr * zr)
-        mg2 = var + mg * mg
-        h = [[0] * 4 for _ in range(4)]
-        gm = [[0] * 4 for _ in range(4)]
-        h[0][0], h[2][2] = n, var
-        h[1][1] = 4 * n - 4 * dsa ** 2 - 4 * ag ** 2 * dsph ** 2 / om
-        h[3][3] = (4 / om) * (var - dpa ** 2 - ag ** 2 * (mg2 - dpa ** 2 + 2 * mg * dpph + dpph ** 2))
-        h[1][3] = h[3][1] = -4 * ag ** 2 * dsph * (mg + dpph) / om - 4 * dsa * dpa
-        gm[0][1] = -2 * ag ** 3 * dsa * dsph / om
-        gm[2][3] = -2 * ag ** 3 * dpa * (mg + dpph) / om
-        gm[0][3] = 2 * ag * (dpa * dsph - dsa * (dpph + mg) / om)
-        gm[1][2] = 2 * ag * (-dsa * (mg + dpph) + dpa * dsph / om)
-        for i, j in ((0, 1), (2, 3), (0, 3), (1, 2)):
-            gm[j][i] = -gm[i][j]
-        return np.array(h, dtype=float), np.array(gm, dtype=float)
-
-
-def row_scaled_error(h, g, h_ref, g_ref):
-    """Largest |error| of H and Gamma entries over the largest |H| of their row."""
-    scale = np.abs(h_ref).max(axis=-1, keepdims=True)
-    return max(float(np.max(np.abs(h - h_ref) / scale)), float(np.max(np.abs(g - g_ref) / scale)))
-
-
 def test_array_forms_match_the_mpmath_oracle_on_the_certified_box(psf, consts):
     s, p = (a.ravel() for a in np.meshgrid(np.linspace(0.1, 5.0, 9), np.linspace(0.0, 5.0, 9)))
     jet = gaussian_overlap_jet(psf, s, p)
@@ -249,6 +215,13 @@ def test_explicit_forms_match_the_mpmath_oracle_at_physical_scale():
     h_ref, g_ref = oracle(psf, 1.0, 1e3)
     h, g = gaussian_qfim(psf, 1.0, 1e3), gaussian_gamma_matrix(psf, 1.0, 1e3)
     assert row_scaled_error(h, g, h_ref, g_ref) <= 1e-12
+
+
+def test_general_h_pp_is_the_exact_generator_variance_at_physical_scale():
+    # mean_g^2 is 4e12 times the variance here; no moment difference may enter H_pp
+    psf = GaussianPsf(k=1e3, z_r=1e3)
+    h = general_qfim(gaussian_overlap_jet(psf, 1.0, 1e3), gaussian_constants(psf))
+    assert h[2, 2] == 1.0 / (4.0 * psf.z_r ** 2)
 
 
 # ------------------------------------------------------------------ limits

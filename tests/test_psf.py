@@ -75,7 +75,7 @@ def test_gaussian_constants_mean_g_cancellation():
 @given(k=ks, zr=zrs)
 def test_gaussian_constants_variance_closed_form(k, zr):
     consts = gaussian_constants(GaussianPsf(k=k, z_r=zr))
-    assert consts.g_variance == pytest.approx(1.0 / (4.0 * zr * zr), rel=1e-12)
+    assert consts.g_variance == 1.0 / (4.0 * zr * zr)
 
 
 @pytest.mark.parametrize("k,zr", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
@@ -88,9 +88,9 @@ def test_constants_validated():
     from srloc.psf import PsfConstants
 
     with pytest.raises(InvalidParameterError):
-        PsfConstants(dpsi_norm_sq=0.0, mean_g=1.0, mean_g2=2.0)
+        PsfConstants(dpsi_norm_sq=0.0, mean_g=1.0, g_variance=1.0)
     with pytest.raises(InvalidParameterError):
-        PsfConstants(dpsi_norm_sq=1.0, mean_g=2.0, mean_g2=1.0)  # negative variance
+        PsfConstants(dpsi_norm_sq=1.0, mean_g=2.0, g_variance=-1.0)
 
 
 # ---------------------------------------------------------------- overlap

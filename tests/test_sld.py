@@ -13,58 +13,54 @@ from srloc.errors import (
     SmallSeparationError,
     SrlocError,
 )
-from srloc.gram import (
-    COORDINATES,
-    ActionMatrix,
-    GramMatrix,
-    build_drho_action,
-    build_gram,
-    build_rho_action,
-    hermiticity_residual,
-)
-from srloc.psf import SourceGeometry, gaussian_constants, gaussian_overlap_jet
+from srloc.gram import COORDINATES, build_gram_stack
+from srloc.psf import SourceGeometry, gaussian_overlap_jet
 from srloc.sld import (
+    _TO_PHYSICAL,
     PARAMETERS,
-    compute_qfim,
+    _eigenframe_sld,
     gaussian_pipeline,
     gaussian_pipeline_stack,
     orthonormalize,
-    qfim_from_jet,
-    rotate_to_physical,
-    solve_sld,
 )
 
+from oracle import oracle, row_scaled_error
 
-def identity_gram(n):
-    return GramMatrix(s_mat=np.eye(n, dtype=complex))
+
+def gram_stack(psf, consts, s, p):
+    return build_gram_stack(gaussian_overlap_jet(psf, s, p), consts)[0]
 
 
 # --------------------------------------------------------- orthonormalize
 
 
 def test_orthonormalize_identity():
-    assert np.array_equal(orthonormalize(identity_gram(4)), np.eye(4))
+    assert np.array_equal(orthonormalize(np.eye(4)), np.eye(4))
 
 
 def test_orthonormalize_two_by_two():
-    gram = GramMatrix(s_mat=np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex))
-    t = orthonormalize(gram)
+    s_mat = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
+    t = orthonormalize(s_mat)
     assert t == pytest.approx(np.array([[1.0, 0.5], [0.0, math.sqrt(0.75)]]))
-    assert t.conj().T @ t == pytest.approx(gram.s_mat)
+    assert t.conj().T @ t == pytest.approx(s_mat)
 
 
 def test_orthonormalize_factor_property(psf, consts):
-    gram = build_gram(gaussian_overlap_jet(psf, 0.6, 1.7), consts)
-    t = orthonormalize(gram)
-    assert np.allclose(t.conj().T @ t, gram.s_mat, atol=1e-14)
+    s_mat = gram_stack(psf, consts, 0.6, 1.7)[0]
+    t = orthonormalize(s_mat)
+    assert np.allclose(t.conj().T @ t, s_mat, atol=1e-14)
     assert np.allclose(t, np.triu(t))
 
 
 def test_orthonormalize_restores_plain_hermiticity(psf, consts):
-    gram = build_gram(gaussian_overlap_jet(psf, 1.0, 0.0), consts)
-    t = orthonormalize(gram)
-    a = t @ build_rho_action(gram).m @ np.linalg.inv(t)
-    assert np.max(np.abs(a - a.conj().T)) <= 1e-12
+    # in the frame the Gram matrix is the identity, so the adjoint of an
+    # operator is its plain conjugate transpose; a stack gives each factor
+    s_mat = gram_stack(psf, consts, [1.0, 0.4, 2.5], [0.0, 3.0, 1.0])
+    t = orthonormalize(s_mat)
+    assert t.shape == s_mat.shape
+    for s_i, t_i in zip(s_mat, t):
+        t_inv = np.linalg.inv(t_i)
+        assert np.allclose(t_inv.conj().T @ s_i @ t_inv, np.eye(6), rtol=0, atol=1e-12)
 
 
 def test_orthonormalize_rejects_indefinite():
@@ -72,108 +68,112 @@ def test_orthonormalize_rejects_indefinite():
         orthonormalize(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
 
 
-# -------------------------------------------------------------- solve_sld
+# -------------------------------------------------------------- SLD solve
+# The solve runs in the eigenbasis of rho: _eigenframe_sld takes the
+# eigenvalues q and drho in that basis.
 
 
 def test_solve_sld_orthonormal_diagonal_case():
-    gram = identity_gram(2)
-    rho = ActionMatrix(m=np.diag([0.5, 0.5]).astype(complex))
-    drho = ActionMatrix(m=np.diag([1.0, -1.0]).astype(complex))
-    sld = solve_sld(rho, drho, gram)
-    assert sld.m == pytest.approx(np.diag([2.0, -2.0]), abs=1e-14)
+    l_e, shaky = _eigenframe_sld(np.array([0.5, 0.5]), np.diag([1.0, -1.0]).astype(complex))
+    assert l_e == pytest.approx(np.diag([2.0, -2.0]), abs=1e-14)
+    assert shaky == 0
 
 
 def test_solve_sld_pure_state_case():
     # rank-one rho; drho from a normalized pure-state family, for which the
     # support-restricted solution coincides with 2*drho
-    gram = identity_gram(3)
     psi = np.array([1.0, 0.0, 0.0], dtype=complex)
     dpsi = np.array([0.3j, 0.5, -0.2j], dtype=complex)  # <psi|dpsi> imaginary
-    rho = ActionMatrix(m=np.outer(psi, psi.conj()))
-    drho_m = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
-    sld = solve_sld(rho, ActionMatrix(m=drho_m), gram)
-    assert sld.m == pytest.approx(2.0 * drho_m, abs=1e-12)
+    drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
+    l_e, _ = _eigenframe_sld(np.array([1.0, 0.0, 0.0]), drho)
+    assert l_e == pytest.approx(2.0 * drho, abs=1e-12)
 
 
-def test_solve_sld_equation_residual_on_support(psf, consts):
-    gram = build_gram(gaussian_overlap_jet(psf, 1.0, 2.0), consts)
-    rho = build_rho_action(gram)
-    t = orthonormalize(gram)
-    t_inv = np.linalg.inv(t)
-    rho_o = t @ rho.m @ t_inv
-    q, u = np.linalg.eigh((rho_o + rho_o.conj().T) / 2.0)
-    support = u[:, q > 1e-12]
-    proj = support @ support.conj().T
-    for coord in ("x1", "z1", "x2", "z2"):
-        drho = build_drho_action(gram, coord)
-        sld = solve_sld(rho, drho, gram)
-        l_o = t @ sld.m @ t_inv
-        drho_o = t @ drho.m @ t_inv
-        residual = proj @ (l_o @ rho_o + rho_o @ l_o - 2.0 * drho_o) @ proj
-        assert np.max(np.abs(residual)) <= 1e-10
+def random_state_and_derivative(rank, dim, seed):
+    """A rank-deficient state and a Hermitian derivative, in a generic basis."""
+    rng = np.random.default_rng(seed)
+    v = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    q = np.zeros(dim)
+    q[:rank] = rng.dirichlet(np.ones(rank))
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return v @ np.diag(q) @ v.conj().T, (a + a.conj().T) / 2.0
 
 
-def test_solve_sld_represents_hermitian_operator(psf, consts):
-    from srloc.gram import hermiticity_residual
-
-    gram = build_gram(gaussian_overlap_jet(psf, 0.4, 3.0), consts)
-    rho = build_rho_action(gram)
-    for coord in ("x1", "z1", "x2", "z2"):
-        sld = solve_sld(rho, build_drho_action(gram, coord), gram)
-        assert hermiticity_residual(gram, sld) <= 1e-10
-
-
-def test_solve_sld_warns_near_cutoff():
-    gram = identity_gram(2)
-    rho = ActionMatrix(m=np.diag([1.0 - 3e-12, 3e-12]).astype(complex))
-    drho = ActionMatrix(m=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    with pytest.warns(CutoffDegeneracyWarning):
-        solve_sld(rho, drho, gram)
+def test_solve_sld_equation_residual_on_support():
+    rho, drho = random_state_and_derivative(2, 6, seed=7)
+    q, u = np.linalg.eigh(rho)
+    l_e, _ = _eigenframe_sld(q, u.conj().T @ drho @ u)
+    sld = u @ l_e @ u.conj().T
+    residual = u.conj().T @ (sld @ rho + rho @ sld - 2.0 * drho) @ u
+    support = q > 1e-12
+    residual[np.ix_(~support, ~support)] = 0.0  # no SLD reaches the kernel block
+    assert np.max(np.abs(residual)) <= 1e-12
 
 
-# ----------------------------------------------------- rotate_to_physical
+def test_solve_sld_represents_hermitian_operator():
+    rho, drho = random_state_and_derivative(2, 6, seed=11)
+    q, u = np.linalg.eigh(rho)
+    l_e, _ = _eigenframe_sld(q, u.conj().T @ drho @ u)
+    assert np.max(np.abs(l_e - l_e.conj().T)) <= 1e-12
 
 
-def make_action(arr):
-    return ActionMatrix(m=np.asarray(arr, dtype=complex))
+def test_solve_sld_warns_near_cutoff(psf, monkeypatch):
+    # the eigenvalue sum 6e-12 lies within a decade of the 1e-12 cutoff
+    q = np.array([1.0 - 3e-12, 3e-12])
+    _, shaky = _eigenframe_sld(q, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    assert shaky == 1
+    # at s = 0.1, p = 0 the small eigenvalue of rho is 6e-4, within a decade of 1e-4
+    monkeypatch.setattr(srloc.sld, "SUPPORT_CUTOFF", 1e-4)
+    with pytest.warns(CutoffDegeneracyWarning, match=r"first \(s=0\.1, p=0\.0\)") as caught:
+        gaussian_pipeline(psf, 0.1, 0.0)
+    assert caught[0].filename == __file__  # attributed to the caller, not to srloc
+
+
+# ----------------------------------------------------- coordinate to physical
+
+
+def rotate(l_x1, l_x2, l_z1, l_z2):
+    """Physical SLDs (s, xbar, p, zbar) from coordinate SLDs, as the pipeline
+    maps them."""
+    coord = {"x1": l_x1, "x2": l_x2, "z1": l_z1, "z2": l_z2}
+    stack = np.array([coord[c] for c in COORDINATES], dtype=complex)
+    return np.einsum("pc,cij->pij", _TO_PHYSICAL, stack)
 
 
 def test_rotate_symmetric_input():
-    a = make_action([[1.0, 2.0], [2.0, 3.0]])
-    zero = make_action(np.zeros((2, 2)))
-    slds = rotate_to_physical(a, a, zero, zero, identity_gram(2))
-    assert np.all(slds.l_s.m == 0.0)
-    assert np.array_equal(slds.l_xbar.m, 2.0 * a.m)
+    a = np.array([[1.0, 2.0], [2.0, 3.0]])
+    zero = np.zeros((2, 2))
+    l_s, l_xbar, _, _ = rotate(a, a, zero, zero)
+    assert np.all(l_s == 0.0)
+    assert np.array_equal(l_xbar, 2.0 * a)
 
 
 def test_rotate_antisymmetric_input():
-    a = make_action([[1.0, 0.5], [0.5, -1.0]])
-    minus = make_action(-a.m)
-    zero = make_action(np.zeros((2, 2)))
-    slds = rotate_to_physical(minus, a, zero, zero, identity_gram(2))
-    assert np.array_equal(slds.l_s.m, a.m)
-    assert np.all(slds.l_xbar.m == 0.0)
+    a = np.array([[1.0, 0.5], [0.5, -1.0]])
+    zero = np.zeros((2, 2))
+    l_s, l_xbar, _, _ = rotate(-a, a, zero, zero)
+    assert np.array_equal(l_s, a)
+    assert np.all(l_xbar == 0.0)
 
 
 def test_rotate_axial_block_and_linearity():
-    a = make_action([[0.0, 1.0], [1.0, 0.0]])
-    b = make_action([[2.0, 0.0], [0.0, -2.0]])
-    zero = make_action(np.zeros((2, 2)))
-    slds = rotate_to_physical(zero, zero, a, b, identity_gram(2))
-    assert np.array_equal(slds.l_p.m, 0.5 * (b.m - a.m))
-    assert np.array_equal(slds.l_zbar.m, a.m + b.m)
-    scaled = rotate_to_physical(zero, zero, make_action(3.0 * a.m), make_action(3.0 * b.m),
-                                identity_gram(2))
-    assert np.array_equal(scaled.l_p.m, 3.0 * slds.l_p.m)
-    assert np.array_equal(scaled.l_zbar.m, 3.0 * slds.l_zbar.m)
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    b = np.array([[2.0, 0.0], [0.0, -2.0]])
+    zero = np.zeros((2, 2))
+    _, _, l_p, l_zbar = rotate(zero, zero, a, b)
+    assert np.array_equal(l_p, 0.5 * (b - a))
+    assert np.array_equal(l_zbar, a + b)
+    scaled = rotate(zero, zero, 3.0 * a, 3.0 * b)
+    assert np.array_equal(scaled[2], 3.0 * l_p)
+    assert np.array_equal(scaled[3], 3.0 * l_zbar)
 
 
-# ------------------------------------------------------------ compute_qfim
+# ------------------------------------------------------------ H and Gamma
 
 
 def pipeline_matrices(psf, s, p):
     result = gaussian_pipeline(psf, s, p)
-    return result.qfim.h, result.qfim.gamma_mat, result
+    return result.h, result.gamma_mat, result
 
 
 def test_gamma_diagonal_vanishes(psf):
@@ -225,9 +225,8 @@ def test_rho_eigenvalues_reference(psf):
 
 
 def test_rho_eigenvalue_pattern_generic(psf):
-    jet = gaussian_overlap_jet(psf, 0.8, 2.6)
-    result = qfim_from_jet(jet, gaussian_constants(psf))
-    ag = jet.abs_gamma
+    result = gaussian_pipeline(psf, 0.8, 2.6)
+    ag = gaussian_overlap_jet(psf, 0.8, 2.6).abs_gamma
     assert result.rho_eigenvalues[0] == pytest.approx(0.5 * (1.0 + ag), abs=1e-10)
     assert result.rho_eigenvalues[1] == pytest.approx(0.5 * (1.0 - ag), abs=1e-10)
 
@@ -246,8 +245,8 @@ def test_centroid_invariance_bit_identical(psf):
     g2 = SourceGeometry.from_coordinates(1.0 + 7.3, 4.1 - 2.1, 2.0 + 7.3, 6.1 - 2.1)
     r1 = gaussian_pipeline(psf, g1.s, g1.p)
     r2 = gaussian_pipeline(psf, g2.s, g2.p)
-    assert r1.qfim.h.tobytes() == r2.qfim.h.tobytes()
-    assert r1.qfim.gamma_mat.tobytes() == r2.qfim.gamma_mat.tobytes()
+    assert r1.h.tobytes() == r2.h.tobytes()
+    assert r1.gamma_mat.tobytes() == r2.gamma_mat.tobytes()
 
 
 def test_pipeline_refuses_tiny_separations(psf):
@@ -259,67 +258,22 @@ def test_compute_qfim_parameter_order():
     assert PARAMETERS == ("s", "xbar", "p", "zbar")
 
 
-def test_compute_qfim_trivial_commuting_family():
-    # rho = I/2 with commuting diagonal SLDs: H from plain second moments,
-    # Gamma identically zero
-    gram = identity_gram(2)
-    rho = ActionMatrix(m=np.diag([0.5, 0.5]).astype(complex))
-    slds = rotate_to_physical(
-        make_action(np.diag([-1.0, 1.0])),
-        make_action(np.diag([1.0, -1.0])),
-        make_action(np.diag([-2.0, 2.0])),
-        make_action(np.diag([2.0, -2.0])),
-        gram,
-    )
-    result = compute_qfim(rho, slds, gram)
-    assert result.gamma_mat == pytest.approx(np.zeros((4, 4)), abs=0)
-    # L_s = diag(1, -1), L_p = diag(2, -2), L_xbar = L_zbar = 0
-    assert result.h[0, 0] == pytest.approx(1.0)
-    assert result.h[2, 2] == pytest.approx(4.0)
-    assert result.h[0, 2] == pytest.approx(2.0)
-    assert result.h[1, 1] == 0.0 and result.h[3, 3] == 0.0
-
-
 # --------------------------------------------------------- stacked pipeline
-
-
-def scaled_deviation(a, b, h):
-    diag = np.abs(np.diag(h))
-    return float(np.max(np.abs(a - b) / np.sqrt(np.outer(diag, diag))))
-
-
-def per_operator_qfim(psf, s, p):
-    """Reference: the pipeline one operator at a time in action representation."""
-    gram = build_gram(gaussian_overlap_jet(psf, s, p), gaussian_constants(psf))
-    rho = build_rho_action(gram)
-    l_coord = {c: solve_sld(rho, build_drho_action(gram, c), gram) for c in COORDINATES}
-    slds = rotate_to_physical(l_coord["x1"], l_coord["x2"], l_coord["z1"], l_coord["z2"], gram)
-    return compute_qfim(rho, slds, gram)
 
 
 STACK_S = [0.1, 0.5, 1.0, 2.5, 4.9, 3.0, 0.3]
 STACK_P = [0.1, 2.0, 0.0, 1.5, 4.9, 0.2, 4.0]
 
 
-def test_stack_matches_per_operator_route(psf):
-    stack = gaussian_pipeline_stack(psf, STACK_S, STACK_P)
-    assert not stack.failed.any() and not stack.limit.any() and stack.error is None
-    for i, (s, p) in enumerate(zip(STACK_S, STACK_P)):
-        ref = per_operator_qfim(psf, s, p)
-        assert scaled_deviation(stack.h[i], ref.h, ref.h) <= 1e-12
-        assert scaled_deviation(stack.gamma_mat[i], ref.gamma_mat, ref.h) <= 1e-12
-
-
-def test_single_point_slds_in_action_representation(psf, consts):
-    # the back-transformed SLDs reproduce H and Gamma through the action traces
-    for s, p in [(1.0, 2.0), (0.4, 3.0), (2.5, 0.0)]:
-        result = gaussian_pipeline(psf, s, p)
-        gram = result.slds.gram
-        for sld in result.slds.in_order():
-            assert hermiticity_residual(gram, sld) <= 1e-10
-        traced = compute_qfim(build_rho_action(gram), result.slds, gram)
-        assert scaled_deviation(traced.h, result.qfim.h, result.qfim.h) <= 1e-12
-        assert scaled_deviation(traced.gamma_mat, result.qfim.gamma_mat, result.qfim.h) <= 1e-12
+def test_stack_matches_the_mpmath_oracle(psf):
+    box_s, box_p = (a.ravel() for a in np.meshgrid(np.linspace(0.1, 5.0, 9),
+                                                   np.linspace(0.0, 5.0, 9)))
+    for s, p in ((STACK_S, STACK_P), (box_s, box_p)):
+        stack = gaussian_pipeline_stack(psf, s, p)
+        assert not stack.failed.any() and not stack.limit.any() and stack.error is None
+        worst = max(row_scaled_error(stack.h[i], stack.gamma_mat[i], *oracle(psf, a, b))
+                    for i, (a, b) in enumerate(zip(s, p)))
+        assert worst <= 1e-12
 
 
 def test_stack_point_bits_independent_of_stack(psf, monkeypatch):
@@ -331,8 +285,8 @@ def test_stack_point_bits_independent_of_stack(psf, monkeypatch):
         single = gaussian_pipeline(psf, float(s[i]), float(p[i]))
         for name in ("h", "gamma_mat", "rho_eigenvalues"):
             assert getattr(alone, name)[0].tobytes() == getattr(full, name)[i].tobytes()
-        assert single.qfim.h.tobytes() == full.h[i].tobytes()
-        assert single.qfim.gamma_mat.tobytes() == full.gamma_mat[i].tobytes()
+        assert single.h.tobytes() == full.h[i].tobytes()
+        assert single.gamma_mat.tobytes() == full.gamma_mat[i].tobytes()
         assert single.rho_eigenvalues.tobytes() == full.rho_eigenvalues[i].tobytes()
     monkeypatch.setattr(srloc.sld, "BLOCK_POINTS", 4)
     blocked = gaussian_pipeline_stack(psf, s, p)
@@ -363,7 +317,7 @@ def test_stack_reports_failures_per_point(psf):
     assert isinstance(stack.error, DegenerateBasisError)
     assert "(s=0.01, p=0.0)" in str(stack.error)
     assert np.all(np.isnan(stack.h[[1, 2, 4]]))
-    assert stack.h[3].tobytes() == gaussian_pipeline(psf, 2.0, 0.5).qfim.h.tobytes()
+    assert stack.h[3].tobytes() == gaussian_pipeline(psf, 2.0, 0.5).h.tobytes()
     with pytest.raises(DegenerateBasisError, match=r"\(s=0\.01, p=0\.0\)"):
         gaussian_pipeline(psf, 0.01, 0.0)
 
@@ -383,7 +337,7 @@ def test_stack_isolates_cholesky_failure(psf, monkeypatch):
     assert isinstance(stack.error, DegenerateBasisError)
     assert "(s=2.0, p=1.0)" in str(stack.error)
     monkeypatch.undo()
-    assert stack.h[2].tobytes() == gaussian_pipeline(psf, 3.0, 1.0).qfim.h.tobytes()
+    assert stack.h[2].tobytes() == gaussian_pipeline(psf, 3.0, 1.0).h.tobytes()
 
 
 def test_stack_asymmetry_limit_names_first_point(psf, monkeypatch):
@@ -409,3 +363,12 @@ def test_stack_warns_on_cutoff_marginal_point(psf, monkeypatch):
 def test_stack_rejects_mismatched_coordinates(psf):
     with pytest.raises(InvalidParameterError):
         gaussian_pipeline_stack(psf, [1.0, 2.0], [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pipeline_rejects_non_finite_separations(psf, bad):
+    for s, p in ((bad, 0.0), (1.0, bad)):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            gaussian_pipeline(psf, s, p)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            gaussian_pipeline_stack(psf, [1.0, s], [1.0, p])
