@@ -16,8 +16,12 @@ The commands: the README's, the four figure panels of
 ``scripts/localization_curves.py`` for every ``--method``, ``crossval`` on
 the default grid, ``0:2:1``, ``0:0.1:0.01``, ``0.37:4.37:1.0`` and at
 ``k = z_R = 1e3``, ``eval`` and ``crb`` for every method at (1, 0), (1, 2),
-(0, 1) and (0, 0), and the far-separation commands where the overlap jet
-overflows.
+(0, 1) and (0, 0), the far-separation commands where the overlap jet
+overflows, and sweeps whose CSV cells take the forms the figure panels never
+do: ``5e+17``-type exponents (``k = 1e12, z_R = 1e-6``, both closed
+methods), ``e-07`` exponents (``k = 1e-3, z_R = 1e3``), exact zeros and a
+limit row (``0:0.1:0.001`` at ``p = 0``), and 10,001 rows across several
+CSV write blocks.
 """
 
 from __future__ import annotations
@@ -66,6 +70,16 @@ def commands() -> list[list[str]]:
         cmds.append(["eval", *PSF, "--s", "1e200", "--p", "0", "--method", method])
     cmds.append(["eval", *PSF, "--s", "1e200", "--p", "1e200", "--method", "pipeline"])
     cmds.append(["crossval", *PSF, "--range", "0:1e200:5e199"])
+    for method in ("gaussian-closed", "general"):
+        cmds.append(["sweep", "--k", "1e12", "--zr", "1e-6", "--sweep", "s",
+                     "--range", "1e-10:5e-9:1e-10", "--fixed", "0", "--method", method,
+                     "--out", CSV])
+    cmds.append(["sweep", "--k", "1e-3", "--zr", "1e3", "--sweep", "p", "--range", "0.1:5:0.1",
+                 "--fixed", "1", "--out", CSV])
+    cmds.append(["sweep", *PSF, "--sweep", "s", "--range", "0:0.1:0.001", "--fixed", "0",
+                 "--method", "gaussian-closed", "--out", CSV])
+    cmds.append(["sweep", *PSF, "--sweep", "s", "--range", "0:5:0.0005", "--fixed", "1",
+                 "--method", "general", "--out", CSV])
     return cmds
 
 

@@ -99,6 +99,8 @@ def _as_h_array(h) -> np.ndarray:
 
 
 def _checked_inverse(h: np.ndarray) -> np.ndarray:
+    if not np.isfinite(h).all():
+        raise InvalidParameterError(f"information matrix has non-finite entries: {h.tolist()}")
     eigs = np.linalg.eigvalsh(h)
     if eigs[0] <= _SINGULARITY_RATIO * eigs[-1] or eigs[-1] <= 0.0:
         raise SingularMatrixError(

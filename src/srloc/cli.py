@@ -42,8 +42,14 @@ CSV_COLUMNS = (
 # (row, column) of the H and Gamma entries in the CSV value columns.
 _H_ENTRIES = ([0, 1, 2, 3, 1], [0, 1, 2, 3, 3])
 _G_ENTRIES = ([0, 2, 0, 1], [1, 3, 3, 2])
-# Rows formatted per write: bounds the Python floats held for a long sweep.
-_CSV_BLOCK_ROWS = 4096
+# Rows formatted per write.  It bounds the temporaries of a long sweep, and
+# keeps each below 128 kB: the allocator reuses such blocks, where larger
+# ones are mapped afresh and page-faulted in on every block.
+_CSV_BLOCK_ROWS = 256
+# Blocks of fewer rows are formatted per row by Python, which is faster there
+# than the kernel's fixed cost of about 100 numpy calls (crossover measured
+# at 25 rows).
+_CSV_KERNEL_ROWS = 26
 
 # Most points a sweep, or a crossval grid (the square of its --range), may
 # have: each point holds about 1 kB of arrays while it is evaluated.
@@ -190,12 +196,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _csv_rows(swept: str, normalized: bool, table: np.ndarray) -> Iterator[str]:
     """CSV rows of an (N, 11) table of s, p and the nine value columns, in
-    blocks: fixed 17-significant-digit, locale-independent floats, no "-0"."""
-    table = table + 0.0  # -0.0 + 0.0 is 0.0
-    row = ",".join([swept, *["%.17g"] * 11, "1" if normalized else "0"]) + "\n"
+    blocks of ``_CSV_BLOCK_ROWS``.
+
+    Every float is written as C's ``"%.17g"`` writes it: the exact binary
+    value rounded half-even to 17 significant digits, locale-independent,
+    with ``-0`` written ``0``.  Blocks of at least ``_CSV_KERNEL_ROWS`` rows
+    go through the numpy kernel of ``_g17``, the others through Python's
+    ``%``, which gives the same bytes.
+    """
+    flag = "1" if normalized else "0"
+    row = ",".join([swept, *["%.17g"] * 11, flag]) + "\n"
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start:start + _CSV_BLOCK_ROWS].tolist()
-        yield "".join([row % tuple(values) for values in block])
+        block = table[start:start + _CSV_BLOCK_ROWS]
+        if len(block) < _CSV_KERNEL_ROWS:
+            yield "".join([row % tuple(values) for values in (block + 0.0).tolist()])
+        else:
+            from . import _g17  # imported by the sweeps that use it, not by every command
+
+            yield _g17.format_rows(block, f"{swept},", f"{flag}\n")
 
 
 def run_sweep(spec: SweepSpec, out_path: str, tol: float = 1e-8) -> int:

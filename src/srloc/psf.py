@@ -86,6 +86,9 @@ class PsfConstants:
     g_variance: float
 
     def __post_init__(self) -> None:
+        for name in ("dpsi_norm_sq", "mean_g", "g_variance"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.dpsi_norm_sq > 0.0:
             raise InvalidParameterError(
                 f"dpsi_norm_sq must be positive, got {self.dpsi_norm_sq}"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,19 @@ def test_qcrb_limit_matrix():
 def test_qcrb_singular_matrix():
     with pytest.raises(SingularMatrixError):
         qcrb_total(np.diag([1.0, 1.0, 1.0, 0.0]), UNIT_BUDGET)
+
+
+def test_qcrb_rejects_non_finite_h():
+    for bad in (math.nan, math.inf, -math.inf):
+        h = np.eye(4)
+        h[1, 2] = h[2, 1] = bad
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            qcrb_total(h, UNIT_BUDGET)
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            qcrb_subset(h, ("xbar", "p"), UNIT_BUDGET)
+        assert qcrb_subset(h, ("s", "zbar"), UNIT_BUDGET) == 2.0  # the bad entries unused
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        qcrb_total(np.full((4, 4), math.nan), UNIT_BUDGET)
 
 
 def test_qcrb_budget_scaling_is_exact():

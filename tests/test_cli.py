@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import srloc.closed_forms
 import srloc.routes
 import srloc.sld
-from srloc.cli import SweepSpec, _csv_rows, main, run_sweep
+from srloc.cli import _CSV_BLOCK_ROWS, _CSV_KERNEL_ROWS, SweepSpec, _csv_rows, main, run_sweep
 from srloc.closed_forms import small_separation_limit
 from srloc.errors import InvalidParameterError, SrlocError
 from srloc.psf import GaussianPsf
@@ -239,6 +239,11 @@ def reference_fmt(value):
     return format(value, ".17g")
 
 
+def reference_rows(swept, normalized, table):
+    flag = "1" if normalized else "0"
+    return "".join(",".join([swept, *map(reference_fmt, row), flag]) + "\n" for row in table)
+
+
 cells = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308]),
@@ -246,13 +251,47 @@ cells = st.one_of(
 
 
 @given(rows=st.lists(st.lists(cells, min_size=11, max_size=11), min_size=1, max_size=8),
-       swept=st.sampled_from("sp"), normalized=st.booleans())
-def test_csv_rows_match_per_cell_formatting(rows, swept, normalized):
-    text = "".join(_csv_rows(swept, normalized, np.array(rows)))
-    flag = "1" if normalized else "0"
-    want = "".join(",".join([swept, *map(reference_fmt, row), flag]) + "\n" for row in rows)
-    assert text == want
+       count=st.integers(1, 2 * _CSV_KERNEL_ROWS), swept=st.sampled_from("sp"),
+       normalized=st.booleans())
+def test_csv_rows_match_per_cell_formatting(rows, count, swept, normalized):
+    # the drawn rows, repeated to ``count`` rows: both sides of the switch to the kernel
+    table = np.resize(np.array(rows), (count, 11))
+    text = "".join(_csv_rows(swept, normalized, table))
+    assert text == reference_rows(swept, normalized, table)
     assert "-0" not in [field for line in text.splitlines() for field in line.split(",")]
+
+
+def test_csv_kernel_matches_g17_on_hard_cases():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [powers]
+    for direction in (0.0, np.inf):  # +-4 ulp, across the %g switches 1e-5/1e-4 and 1e16/1e17
+        x = powers
+        for _ in range(4):
+            x = np.nextafter(x, direction)
+            near.append(x)
+    values = np.concatenate([
+        *near,
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        [5e-324, np.finfo(float).max, 0.0, -0.0, 1e-06, 1e+20],
+        1e15 + np.arange(40) + 0.25,  # ties at the 17th digit, rounded half-even
+        1e15 + np.arange(40) + 0.75,
+    ])
+    values = np.concatenate([values, -values])
+    rows = max(-(-len(values) // 11), _CSV_KERNEL_ROWS)
+    table = np.zeros(rows * 11)
+    table[:len(values)] = values
+    table = table.reshape(rows, 11)
+    assert "".join(_csv_rows("s", False, table)) == reference_rows("s", False, table)
+
+
+def test_csv_rows_across_blocks_and_writers():
+    rng = np.random.default_rng(7)
+    rows = 2 * _CSV_BLOCK_ROWS + 10  # two kernel blocks, then one formatted per row
+    assert rows % _CSV_BLOCK_ROWS < _CSV_KERNEL_ROWS
+    table = rng.standard_normal((rows, 11)) * 10.0 ** rng.integers(-30, 30, (rows, 11))
+    table[::7, 3] = 0.0
+    table[::5, 4] = -0.0
+    assert "".join(_csv_rows("p", True, table)) == reference_rows("p", True, table)
 
 
 def test_sweep_deterministic_byte_identical(capsys, tmp_path):

@@ -91,6 +91,11 @@ def test_constants_validated():
         PsfConstants(dpsi_norm_sq=0.0, mean_g=1.0, g_variance=1.0)
     with pytest.raises(InvalidParameterError):
         PsfConstants(dpsi_norm_sq=1.0, mean_g=2.0, g_variance=-1.0)
+    for field in ("dpsi_norm_sq", "mean_g", "g_variance"):
+        for bad in (math.inf, -math.inf, math.nan):
+            fields = {"dpsi_norm_sq": 1.0, "mean_g": 2.0, "g_variance": 1.0, field: bad}
+            with pytest.raises(InvalidParameterError, match=field):
+                PsfConstants(**fields)
 
 
 # ---------------------------------------------------------------- overlap
