@@ -46,10 +46,11 @@ _G_ENTRIES = ([0, 2, 0, 1], [1, 3, 3, 2])
 # keeps each below 128 kB: the allocator reuses such blocks, where larger
 # ones are mapped afresh and page-faulted in on every block.
 _CSV_BLOCK_ROWS = 256
-# Blocks of fewer rows are formatted per row by Python, which is faster there
-# than the kernel's fixed cost of about 100 numpy calls (crossover measured
-# at 25 rows).
-_CSV_KERNEL_ROWS = 26
+# Blocks of fewer rows are formatted per row by Python (about 5 us a row).
+# The kernel's fixed cost, about 100 numpy calls, is paid mostly with a cold
+# cache after a sweep's evaluation: both writers took 159 us at 32 rows,
+# each timed after a pipeline evaluation of as many points.
+_CSV_KERNEL_ROWS = 32
 
 # Most points a sweep, or a crossval grid (the square of its --range), may
 # have: each point holds about 1 kB of arrays while it is evaluated.
