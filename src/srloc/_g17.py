@@ -37,37 +37,39 @@ _LOW_AT = np.array([[16], [8]])
 _DOT_AT = np.array([[0], [17]])
 
 
-def _word(text: bytes) -> int:
-    return int.from_bytes(text.ljust(8, b"\0"), "little")
+def _words8(texts: list[bytes]) -> np.ndarray:
+    """Each text, NUL-padded to 8 bytes, as one little-endian uint64."""
+    return np.frombuffer(b"".join([text.ljust(8, b"\0") for text in texts]), _U64)
 
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """The kernel's tables, built on its first use (about 1 ms).
+    """The kernel's tables, built on its first use (about 2 ms).
 
     ``pow10`` holds 10**k, k in [_POW_MIN, _POW_MAX], as double-doubles
     (hi, lo) from exact integer arithmetic (int -> float and int / int round
     correctly), and hi split in halves for Dekker's product.
     """
     ks = range(_POW_MIN, _POW_MAX + 1)
-    hi = np.array([float(f"1e{k}") for k in ks])
-    lo = np.empty_like(hi)
-    for i, k in enumerate(ks):
+    hi = [float(f"1e{k}") for k in ks]
+    lo = []
+    for k, h in zip(ks, hi):
         if k >= 0:
-            lo[i] = float(10**k - int(hi[i]))
+            lo.append(float(10**k - int(h)))
         else:
-            num, den = float(hi[i]).as_integer_ratio()
-            lo[i] = (den - num * 10**-k) / (den * 10**-k)
+            num, den = h.as_integer_ratio()
+            lo.append((den - num * 10**-k) / (den * 10**-k))
+    hi = np.array(hi)
     c = hi * _SPLIT
     hi_hi = c - (c - hi)
-    pow10 = np.stack([hi, lo, hi_hi, hi - hi_hi])
+    pow10 = np.stack([hi, np.array(lo), hi_hi, hi - hi_hi])
     v = np.arange(10**4, dtype=_U64)
     digits4 = v // 1000 | (v // 100 % 10) << 8 | (v // 10 % 10) << 16 | (v % 10) << 24
     # by the exponent X, and the sign for ``head``; -4 <= X <= 16 is fixed notation
     exps = range(_EXP_MIN, -_EXP_MIN + 1)
     prefix = [(b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"").ljust(5, b"\0") for x in exps]
-    head = np.array([_word(sign + text) for sign in (b"\0", b"-") for text in prefix], _U64)
-    tail = np.array([_word(b"\0," if -4 <= x <= 16 else b"\0e%+03d," % x) for x in exps], _U64)
+    head = _words8([sign + text for sign in (b"\0", b"-") for text in prefix])
+    tail = _words8([b"\0," if -4 <= x <= 16 else b"\0e%+03d," % x for x in exps])
     low = np.array([(1 << 8 * min(max(m, 0), 8)) - 1 for m in range(-16, 17)], _U64)  # m + 16
     dots = np.array([0x2E << 8 * (q - 8 * w) if 8 * w <= q < 8 * w + 8 and q < 16 else 0
                      for w in (0, 1) for q in range(17)], _U64)
@@ -162,7 +164,7 @@ def format_rows(block: np.ndarray, first: str, last: str) -> str:
     x = block.ravel()
     words, fallback = _words(x)
     buf = np.empty((n_rows, 4 * n_cols + 2), _U64)
-    buf[:, 0], buf[:, -1] = _word(first.encode()), _word(last.encode())
+    buf[:, 0], buf[:, -1] = _words8([first.encode(), last.encode()])
     buf[:, 1:-1].reshape(n_rows, n_cols, 4)[...] = words.T.reshape(n_rows, n_cols, 4)
     cells = buf[:, 1:-1].view(np.uint8).reshape(n_rows, n_cols, 32)
     for i in fallback:
