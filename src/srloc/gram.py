@@ -29,6 +29,9 @@ DEGENERACY_THRESHOLD = 1e-12
 # (state row, derivative-vector row) populated by each coordinate derivative.
 _DRHO_ROWS = {"x1": (0, 2), "z1": (0, 3), "x2": (1, 4), "z2": (1, 5)}
 
+# Strict lower triangle of a 6x6 Gram matrix, filled from the upper one.
+_LOWER = np.tril_indices(6, k=-1)
+
 
 def build_gram_stack(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray, dict[int, str]]:
     """Assemble the Gram matrices of a jet of N points as one (N, 6, 6) stack
@@ -73,12 +76,12 @@ def build_gram_stack(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray,
     s[:, 2, 5] = -dsp
     s[:, 3, 4] = -dsp
     s[:, 3, 5] = -dpp
-    rows, cols = np.tril_indices(6, k=-1)
+    rows, cols = _LOWER
     s[:, rows, cols] = s[:, cols, rows].conj()
 
     finite = np.isfinite(s.view(float)).all(axis=(1, 2))
     # eigvalsh fails on a whole stack that holds one non-finite matrix: test the identity there
-    eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], s, np.eye(6)))
+    eigs = np.linalg.eigvalsh(s if finite.all() else np.where(finite[:, None, None], s, np.eye(6)))
     degenerate = {
         int(i): "overlap jet is not finite (it overflows at this separation)"
         for i in np.flatnonzero(~finite)

@@ -161,16 +161,26 @@ class OverlapJet:
 @dataclass(frozen=True)
 class GaussianPsf:
     """Gaussian-beam PSF, parametrized by wavenumber ``k`` and the
-    Rayleigh-type length ``z_r`` (both positive, consistent units)."""
+    Rayleigh-type length ``z_r`` (both positive, consistent units).  The
+    limit information k/(2 z_R), 2k/z_R, 1/(4 z_R^2) and 1/z_R^2 must be
+    finite and nonzero in floating point."""
 
     k: float
     z_r: float
 
     def __post_init__(self) -> None:
-        if not self.k > 0.0:
-            raise InvalidParameterError(f"wavenumber k must be positive, got {self.k}")
-        if not self.z_r > 0.0:
-            raise InvalidParameterError(f"length z_r must be positive, got {self.z_r}")
+        k, zr = self.k, self.z_r
+        if not k > 0.0:
+            raise InvalidParameterError(f"wavenumber k must be positive, got {k}")
+        if not zr > 0.0:
+            raise InvalidParameterError(f"length z_r must be positive, got {zr}")
+        zr2 = zr * zr
+        if not (zr2 > 0.0 and all(0.0 < scale < math.inf for scale in (
+                k / (2.0 * zr), 2.0 * k / zr, 1.0 / (4.0 * zr2), 1.0 / zr2))):
+            raise InvalidParameterError(
+                f"k={k!r}, z_r={zr!r} are out of floating-point range: k/(2 z_r), 2k/z_r, "
+                "1/(4 z_r^2) and 1/z_r^2 must be finite and nonzero"
+            )
 
 
 def gaussian_constants(psf: GaussianPsf) -> PsfConstants:

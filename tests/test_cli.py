@@ -128,6 +128,10 @@ PSF = ["--k", "1", "--zr", "2"]
     ["eval", *PSF, "--s", "1", "--p", "-inf"],
     ["eval", *PSF, "--s", "1", "--p", "1", "--tol", "nan"],
     ["eval", "--k", "nan", "--zr", "2", "--s", "1", "--p", "1"],
+    # z_R^2 underflows to 0, so the limit information 1/z_R^2 is not finite
+    ["eval", "--k", "1", "--zr", "1e-200", "--s", "1", "--p", "1"],
+    ["limits", "--k", "1", "--zr", "1e-200"],
+    ["crb", "--k", "1", "--zr", "1e-200", "--from-limits", "--nu", "1", "--m", "1", "--eps", "1"],
 ])
 def test_non_finite_numbers_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -395,7 +399,8 @@ def test_sweep_pipeline_linalg_calls_independent_of_length(capsys, tmp_path, mon
     assert (rows_short, rows_long) == (25, 250)
     assert short == long
     assert short.get("inv", 0) == 0
-    assert short["cholesky"] >= 1 and short["eigh"] >= 1 and short["eigvalsh"] >= 1
+    assert short["cholesky"] >= 1 and short["eigvalsh"] >= 1
+    assert short.get("eigh", 0) == 0  # rho's 2x2 support block is diagonalized in closed form
 
 
 def test_sweep_all_names_the_first_deviating_point(capsys, monkeypatch, tmp_path):
@@ -421,7 +426,21 @@ def test_sweep_unwritable_path(capsys, tmp_path):
         "--range", "0.1:0.2:0.1", "--out", str(tmp_path / "no_dir" / "x.csv"),
     )
     assert code == 1
-    assert err
+    assert "error:" in err and "Traceback" not in err
+    code, _, err = run(capsys, "eval", *PSF, "--s", "1", "--p", "1",
+                       "--out", str(tmp_path / "no_dir" / "x.json"))
+    assert code == 1
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_failing_sweep_leaves_an_existing_file_alone(capsys, tmp_path):
+    # a failing sweep creates no file: test_sweep_pipeline_names_first_failing_point
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"previous sweep\n")
+    assert main(["sweep", *PSF, "--sweep", "p", "--range", "0:0.1:0.01", "--fixed", "0",
+                 "--method", "pipeline", "--out", str(old)]) == 1
+    assert old.read_bytes() == b"previous sweep\n"
+    capsys.readouterr()
 
 
 def test_sweep_rejects_bad_range(capsys, tmp_path):

@@ -18,7 +18,8 @@ from srloc.psf import SourceGeometry, gaussian_overlap_jet
 from srloc.sld import (
     _TO_PHYSICAL,
     PARAMETERS,
-    _eigenframe_sld,
+    _support_frame,
+    _support_weights,
     gaussian_pipeline,
     gaussian_pipeline_stack,
     orthonormalize,
@@ -69,13 +70,29 @@ def test_orthonormalize_rejects_indefinite():
 
 
 # -------------------------------------------------------------- SLD solve
-# The solve runs in the eigenbasis of rho: _eigenframe_sld takes the
-# eigenvalues q and drho in that basis.
+# The solve runs in the eigenbasis of rho, on its two support rows: from the
+# eigenvalues q (support first, 0 on the kernel), _support_weights gives the
+# weights that turn the support rows of drho into those of the SLD.
+
+
+def support_sld(q, drho_rows):
+    weights, shaky = _support_weights(q)
+    return weights * drho_rows, shaky
+
+
+def full_sld(l_rows):
+    """The SLD with the given support rows, its kernel rows by Hermiticity
+    and 0 on the kernel block."""
+    dim = l_rows.shape[-1]
+    sld = np.zeros((dim, dim), dtype=complex)
+    sld[:2] = l_rows
+    sld[2:, :2] = l_rows[:, 2:].conj().T
+    return sld
 
 
 def test_solve_sld_orthonormal_diagonal_case():
-    l_e, shaky = _eigenframe_sld(np.array([0.5, 0.5]), np.diag([1.0, -1.0]).astype(complex))
-    assert l_e == pytest.approx(np.diag([2.0, -2.0]), abs=1e-14)
+    l_rows, shaky = support_sld(np.array([0.5, 0.5]), np.diag([1.0, -1.0]).astype(complex))
+    assert l_rows == pytest.approx(np.diag([2.0, -2.0]), abs=1e-14)
     assert shaky == 0
 
 
@@ -85,8 +102,8 @@ def test_solve_sld_pure_state_case():
     psi = np.array([1.0, 0.0, 0.0], dtype=complex)
     dpsi = np.array([0.3j, 0.5, -0.2j], dtype=complex)  # <psi|dpsi> imaginary
     drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
-    l_e, _ = _eigenframe_sld(np.array([1.0, 0.0, 0.0]), drho)
-    assert l_e == pytest.approx(2.0 * drho, abs=1e-12)
+    l_rows, _ = support_sld(np.array([1.0, 0.0, 0.0]), drho[:2])
+    assert l_rows == pytest.approx(2.0 * drho[:2], abs=1e-12)
 
 
 def random_state_and_derivative(rank, dim, seed):
@@ -99,29 +116,48 @@ def random_state_and_derivative(rank, dim, seed):
     return v @ np.diag(q) @ v.conj().T, (a + a.conj().T) / 2.0
 
 
-def test_solve_sld_equation_residual_on_support():
-    rho, drho = random_state_and_derivative(2, 6, seed=7)
+def eigenframe(rho, drho):
+    """Eigenvalues of a rank-2 rho, descending with an exact kernel, and
+    drho in its eigenbasis."""
     q, u = np.linalg.eigh(rho)
-    l_e, _ = _eigenframe_sld(q, u.conj().T @ drho @ u)
-    sld = u @ l_e @ u.conj().T
-    residual = u.conj().T @ (sld @ rho + rho @ sld - 2.0 * drho) @ u
-    support = q > 1e-12
-    residual[np.ix_(~support, ~support)] = 0.0  # no SLD reaches the kernel block
+    q, u = q[::-1].copy(), u[:, ::-1]
+    q[2:] = 0.0
+    return q, u.conj().T @ drho @ u
+
+
+def test_solve_sld_equation_residual_on_support():
+    q, drho_e = eigenframe(*random_state_and_derivative(2, 6, seed=7))
+    l_rows, _ = support_sld(q, drho_e[:2])
+    sld = full_sld(l_rows)
+    residual = sld * q + q[:, None] * sld - 2.0 * drho_e
+    residual[2:, 2:] = 0.0  # no SLD reaches the kernel block
     assert np.max(np.abs(residual)) <= 1e-12
 
 
 def test_solve_sld_represents_hermitian_operator():
-    rho, drho = random_state_and_derivative(2, 6, seed=11)
-    q, u = np.linalg.eigh(rho)
-    l_e, _ = _eigenframe_sld(q, u.conj().T @ drho @ u)
-    assert np.max(np.abs(l_e - l_e.conj().T)) <= 1e-12
+    q, drho_e = eigenframe(*random_state_and_derivative(2, 6, seed=11))
+    l_rows, _ = support_sld(q, drho_e[:2])
+    assert np.max(np.abs(l_rows[:, :2] - l_rows[:, :2].conj().T)) <= 1e-12
+
+
+def test_solve_sld_masks_sums_at_the_cutoff():
+    # q_1 + q_j = 5e-13 on the support-kernel pairs and 1e-12 on (1, 1): both
+    # at or below the 1e-12 cutoff, so those entries are 0
+    drho_rows = np.ones((2, 4), dtype=complex)
+    l_rows, _ = support_sld(np.array([1.0 - 5e-13, 5e-13, 0.0, 0.0]), drho_rows)
+    assert np.array_equal(l_rows[1, 1:], np.zeros(3))
+    assert l_rows[0] == pytest.approx([1.0, 2.0, 2.0, 2.0])
+    assert l_rows[1, 0] == pytest.approx(2.0)
 
 
 def test_solve_sld_warns_near_cutoff(psf, monkeypatch):
     # the eigenvalue sum 6e-12 lies within a decade of the 1e-12 cutoff
     q = np.array([1.0 - 3e-12, 3e-12])
-    _, shaky = _eigenframe_sld(q, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    _, shaky = support_sld(q, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     assert shaky == 1
+    # a support-kernel pair counts twice, as (1, 2) and as (2, 1) of the frame
+    _, shaky = support_sld(np.array([1.0 - 3e-12, 3e-12, 0.0]), np.ones((2, 3), dtype=complex))
+    assert shaky == 3
     # at s = 0.1, p = 0 the small eigenvalue of rho is 6e-4, within a decade of 1e-4
     monkeypatch.setattr(srloc.sld, "SUPPORT_CUTOFF", 1e-4)
     with pytest.warns(CutoffDegeneracyWarning, match=r"first \(s=0\.1, p=0\.0\)") as caught:
@@ -229,6 +265,38 @@ def test_rho_eigenvalue_pattern_generic(psf):
     ag = gaussian_overlap_jet(psf, 0.8, 2.6).abs_gamma
     assert result.rho_eigenvalues[0] == pytest.approx(0.5 * (1.0 + ag), abs=1e-10)
     assert result.rho_eigenvalues[1] == pytest.approx(0.5 * (1.0 - ag), abs=1e-10)
+
+
+def test_rho_eigenvalues_in_closed_form(psf):
+    # the support eigenvalues are (1 +- |gamma|)/2 and the kernel is exact
+    s = [0.05, 0.5, 1.0, 3.0, 4.9, 0.3]
+    p = [0.1, 2.0, 0.0, 1.0, 4.9, 4.0]
+    stack = gaussian_pipeline_stack(psf, s, p)
+    ag = np.abs(gaussian_overlap_jet(psf, np.array(s), np.array(p)).gamma)
+    assert np.max(np.abs(stack.rho_eigenvalues[:, 0] - (1.0 + ag) / 2.0)) <= 1e-15
+    assert np.max(np.abs(stack.rho_eigenvalues[:, 1] - (1.0 - ag) / 2.0)) <= 1e-15
+    assert np.all(stack.rho_eigenvalues[:, 2:] == 0.0)
+
+
+def test_support_frame_diagonalizes_the_support_block():
+    rng = np.random.default_rng(5)
+    m = np.triu(rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2)))
+    m[:, 1, 1] = np.abs(m[:, 1, 1])
+    m[:, 0, 0] = m[:, 1, 1] + np.abs(m[:, 0, 0])  # m[0, 0] >= m[1, 1]
+    q, u = _support_frame(m)
+    rho = m @ m.conj().swapaxes(-1, -2) / 2.0
+    assert np.all(q[:, 0] >= q[:, 1])
+    assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2))) <= 1e-15
+    assert np.max(np.abs(u * q[:, None, :] @ u.conj().swapaxes(-1, -2) - rho)) <= 1e-14
+
+
+def test_equal_eigenvalues_far_apart(psf):
+    # at s = 80, p = 0 |gamma| underflows to 0: rho's support block is I/2
+    # and its eigenframe the identity
+    result = gaussian_pipeline(psf, 80.0, 0.0)
+    assert np.array_equal(result.h, np.diag([0.25, 1.0, 0.0625, 0.25]))
+    assert np.array_equal(result.gamma_mat, np.zeros((4, 4)))
+    assert result.rho_eigenvalues.tolist() == [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_reflection_symmetry_in_s(psf):
