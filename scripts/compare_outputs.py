@@ -7,9 +7,10 @@ Each tree is a ``src`` directory holding the ``srloc`` package.  Every
 command runs as ``python -m srloc.cli ...`` in a fresh directory with that
 tree first on PYTHONPATH.  Per command the report gives whether stdout, the
 CSV a sweep writes and stderr are byte-identical, both exit codes, and,
-where bytes differ, the largest relative difference between the numbers of
-the two texts, taken in order (``layout`` where their words or number
-counts differ).  The last line is a summary; the exit code is 0 when every
+where bytes differ, the largest difference between the numbers of the two
+texts, taken in order, relative to the largest magnitude in the number's
+innermost JSON list or, outside lists, its line (``layout`` where their
+words or number counts differ).  The last line is a summary; the exit code is 0 when every
 command is identical in all four respects, else 1.
 
 The commands: the README's, the four figure panels of
@@ -94,19 +95,39 @@ def run(src: Path, argv: list[str]) -> tuple[int, bytes, bytes, bytes | None]:
 
 
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|NaN|-?Infinity|nan|-?inf")
+_INNERMOST_LIST = re.compile(rb"\[[^\[\]]*\]")
+
+
+def _groups(text: bytes) -> list[list[float]]:
+    """The numbers of ``text``, one group per innermost JSON list, then one
+    per line of what is left (a CSV row, a JSON scalar, a stderr line)."""
+    groups = []
+
+    def take(match: re.Match) -> bytes:
+        groups.append(match.group())
+        return b"[]"
+
+    rest = _INNERMOST_LIST.sub(take, text)
+    return [[float(x) for x in _NUMBER.findall(group)] for group in groups + rest.splitlines()]
 
 
 def relative_difference(a: bytes, b: bytes) -> float | None:
-    """Largest |x - y| / max(|x|, |y|) over the numbers of ``a`` and ``b`` in
-    order, or None where the texts differ in more than their numbers."""
+    """Largest |x - y| over the numbers of ``a`` and ``b`` in order, each
+    divided by the largest magnitude of its group (see ``_groups``) in either
+    text, or None where the texts differ in more than their numbers.
+
+    A group's scale, not each number's own, so that entries that are zero up
+    to roundoff (the sparsity zeros of H and Gamma, about 1e-17) do not
+    decide the figure.
+    """
     if _NUMBER.sub(b"#", a) != _NUMBER.sub(b"#", b):
         return None
     worst = 0.0
-    for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
-        x, y = float(x), float(y)
-        if x != y and not (x != x and y != y):
-            scale = max(abs(x), abs(y))
-            worst = max(worst, abs(x - y) / scale if scale else 0.0)
+    for xs, ys in zip(_groups(a), _groups(b)):
+        scale = max((abs(v) for v in xs + ys if v == v), default=0.0)
+        for x, y in zip(xs, ys):
+            if x != y and not (x != x and y != y):
+                worst = max(worst, abs(x - y) / scale if scale else 0.0)
     return worst
 
 

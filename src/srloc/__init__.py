@@ -12,7 +12,7 @@ submodules (``psf``, ``gram``, ``sld``, ``closed_forms``, ``routes``,
 """
 
 from .analysis import EstimationBudget, compatibility_report, qcrb_subset, qcrb_total
-from .closed_forms import evaluate_gaussian_closed, general_qfim, small_separation_limit
+from .closed_forms import gaussian_matrices, general_matrices, small_separation_limit
 from .errors import (
     CutoffDegeneracyWarning,
     DegenerateBasisError,
@@ -46,11 +46,11 @@ __all__ = [
     "SrlocError",
     "compatibility_report",
     "evaluate",
-    "evaluate_gaussian_closed",
     "fd_overlap_jet",
+    "gaussian_matrices",
     "gaussian_pipeline",
     "gaussian_pipeline_stack",
-    "general_qfim",
+    "general_matrices",
     "qcrb_subset",
     "qcrb_total",
     "small_separation_limit",

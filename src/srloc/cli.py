@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -96,43 +95,6 @@ def _grid(start: float, stop: float, step: float, dims: int = 1) -> np.ndarray:
             f"more than {MAX_GRID_POINTS}"
         )
     return start + np.arange(count) * step
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Validated configuration of a 1-D separation sweep."""
-
-    psf: GaussianPsf
-    swept: str                # "s" or "p"
-    start: float
-    stop: float
-    step: float
-    fixed: float              # value of the non-swept separation
-    method: str
-    normalized: bool          # divide H columns by N = k/(2 z_R)
-
-    def __post_init__(self) -> None:
-        if self.swept not in ("s", "p"):
-            raise InvalidParameterError(f"swept variable must be 's' or 'p', got {self.swept!r}")
-        if self.method not in METHODS:
-            raise InvalidParameterError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not (0.0 <= self.start < self.stop < math.inf and 0.0 < self.step < math.inf):
-            raise InvalidParameterError(
-                f"need finite start >= 0, step > 0, stop > start; got "
-                f"{self.start}:{self.stop}:{self.step}"
-            )
-
-    @property
-    def norm(self) -> float:
-        return self.psf.k / (2.0 * self.psf.z_r) if self.normalized else 1.0
-
-    def grid(self) -> np.ndarray:
-        return _grid(self.start, self.stop, self.step)
-
-    def separations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(s, p) at the swept ``values``."""
-        fixed = np.full_like(values, self.fixed)
-        return (values, fixed) if self.swept == "s" else (fixed, values)
 
 
 def _emit(record: dict, out: str | None) -> None:
@@ -217,20 +179,24 @@ def _csv_rows(swept: str, normalized: bool, table: np.ndarray) -> Iterator[str]:
             yield _g17.format_rows(block, f"{swept},", f"{flag}\n")
 
 
-def run_sweep(spec: SweepSpec, out_path: str, tol: float = 1e-8) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     """Evaluate a sweep and write the CSV, rows in grid order."""
-    s, p = spec.separations(spec.grid())
-    if spec.method == "all":
-        evs = routes.all_routes(spec.psf, s, p)
+    start, stop, step = _parse_range(args.range)
+    psf = GaussianPsf(k=args.k, z_r=args.zr)
+    values = _grid(start, stop, step)
+    fixed = np.full_like(values, args.fixed)
+    s, p = (values, fixed) if args.sweep == "s" else (fixed, values)
+    if args.method == "all":
+        evs = routes.all_routes(psf, s, p)
         dev = routes.deviations(evs)
-        over = np.flatnonzero(dev.compared & (dev.max_rel > tol))
+        over = np.flatnonzero(dev.compared & (dev.max_rel > args.tol))
         if len(over):
             i = over[0]
-            raise SrlocError(f"cross-method deviation {float(dev.max_rel[i]):.3e} > {tol:.1e} "
-                             f"at (s={float(s[i])!r}, p={float(p[i])!r})")
+            raise SrlocError(f"cross-method deviation {float(dev.max_rel[i]):.3e} > "
+                             f"{args.tol:.1e} at (s={float(s[i])!r}, p={float(p[i])!r})")
         ev = evs["gaussian-closed"]
     else:
-        ev = routes.evaluate(spec.psf, s, p, spec.method)
+        ev = routes.evaluate(psf, s, p, args.method)
         if ev.error is not None:
             raise ev.error
 
@@ -240,30 +206,16 @@ def run_sweep(spec: SweepSpec, out_path: str, tol: float = 1e-8) -> int:
             "were served by the coincident-source limit",
             file=sys.stderr,
         )
+    norm = psf.k / (2.0 * psf.z_r) if args.normalized else 1.0
     table = np.empty((len(s), 11))
     table[:, 0] = s
     table[:, 1] = p
-    table[:, 2:7] = ev.h[:, _H_ENTRIES[0], _H_ENTRIES[1]] / spec.norm
+    table[:, 2:7] = ev.h[:, _H_ENTRIES[0], _H_ENTRIES[1]] / norm
     table[:, 7:] = ev.gamma_mat[:, _G_ENTRIES[0], _G_ENTRIES[1]]
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(_csv_rows(spec.swept, spec.normalized, table))
+        fh.writelines(_csv_rows(args.sweep, args.normalized, table))
     return EXIT_OK
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    start, stop, step = _parse_range(args.range)
-    spec = SweepSpec(
-        psf=GaussianPsf(k=args.k, z_r=args.zr),
-        swept=args.sweep,
-        start=start,
-        stop=stop,
-        step=step,
-        fixed=args.fixed,
-        method=args.method,
-        normalized=args.normalized,
-    )
-    return run_sweep(spec, args.out, tol=args.tol)
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:

@@ -1,15 +1,15 @@
 """Closed-form information matrices.
 
-Three layers:
+Three layers, each giving the pair (H, Gamma) from one call:
 
-* ``general_qfim`` / ``general_gamma_matrix``: exact expressions for any
-  PSF in terms of the overlap magnitude/phase derivatives and the PSF
-  constants.  Valid wherever |gamma| < 1.
-* ``gaussian_qfim`` / ``gaussian_gamma_matrix``: fully explicit
-  Gaussian-beam expressions in the dimensionless combination
-  varsigma = 2 k s^2 z_R / (p^2 + 4 z_R^2).  They carry powers of s in
-  denominators, so they need |s| above a small threshold; the s -> 0
-  regime is covered by the general layer (regular there for p != 0).
+* ``general_matrices``: exact expressions for any PSF in terms of the
+  overlap magnitude/phase derivatives and the PSF constants.  Valid
+  wherever |gamma| < 1.
+* ``gaussian_matrices``: fully explicit Gaussian-beam expressions in the
+  dimensionless combination varsigma = 2 k s^2 z_R / (p^2 + 4 z_R^2).  They
+  carry powers of s in denominators, so they need |s| above a small
+  threshold; the s -> 0 regime is covered by the general layer (regular
+  there for p != 0).
 * ``small_separation_limit``: the (s, p) -> (0, 0) limit, where H is
   diagonal and Gamma vanishes.
 
@@ -33,15 +33,7 @@ from .psf import (
     small_separation_threshold,
 )
 
-__all__ = [
-    "varsigma",
-    "general_qfim",
-    "general_gamma_matrix",
-    "gaussian_qfim",
-    "gaussian_gamma_matrix",
-    "small_separation_limit",
-    "evaluate_gaussian_closed",
-]
+__all__ = ["varsigma", "general_matrices", "gaussian_matrices", "small_separation_limit"]
 
 # 1 - |gamma|^2 below this is too degenerate for the 1/(1-|gamma|^2) terms.
 OVERLAP_DEGENERACY_TOL = 1e-10
@@ -81,13 +73,17 @@ def _matrices(shape) -> np.ndarray:
     return np.zeros(shape + (4, 4))
 
 
-def general_qfim(jet: OverlapJet, consts: PsfConstants) -> np.ndarray:
-    """Quantum Fisher information matrix for an arbitrary PSF.
+def general_matrices(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray, np.ndarray]:
+    """Quantum Fisher information matrix H and SLD-commutator matrix Gamma
+    for an arbitrary PSF.
 
-    The separation blocks are constant: H_ss equals the transverse
+    The separation blocks of H are constant: H_ss equals the transverse
     constant and H_pp the generator variance, independent of (s, p).  The
     centroid blocks involve the overlap magnitude/phase derivatives and
-    1/(1 - |gamma|^2).  A jet of N points gives an (N, 4, 4) stack.
+    1/(1 - |gamma|^2).  Only the (s,xbar), (p,zbar), (s,zbar) and (xbar,p)
+    pairs of Gamma are nonzero, with negated antisymmetric counterparts; its
+    (s, p) entry is identically zero: that parameter pair is always jointly
+    measurable.  A jet of N points gives two (N, 4, 4) stacks.
     """
     shape, ag2, one_minus, ls_re, dsph, lp_re, dpph = _overlap_factors(jet)
     var = consts.g_variance
@@ -102,29 +98,16 @@ def general_qfim(jet: OverlapJet, consts: PsfConstants) -> np.ndarray:
     h[..., 1, 1] = 4.0 * (consts.dpsi_norm_sq - ag2 * ls_re * ls_re - r_dsph * dsph)
     h[..., 3, 3] = 4.0 * (var - ag2 * lp_re * lp_re - r * carrier * carrier)
     h[..., 1, 3] = h[..., 3, 1] = -4.0 * (r_dsph * carrier + ag2 * ls_re * lp_re)
-    return h
 
-
-def general_gamma_matrix(jet: OverlapJet, consts: PsfConstants) -> np.ndarray:
-    """SLD-commutator matrix for an arbitrary PSF.
-
-    Only the (s,xbar), (p,zbar), (s,zbar) and (xbar,p) pairs are nonzero;
-    the antisymmetric counterparts are filled with negated values.  The
-    (s, p) entry is identically zero: that parameter pair is always
-    jointly measurable.  A jet of N points gives an (N, 4, 4) stack.
-    """
-    shape, ag2, one_minus, ls_re, dsph, lp_re, dpph = _overlap_factors(jet)
-    carrier = consts.mean_g + dpph
     # 2 |gamma| dsa and 2 |gamma| dpa
     gs = 2.0 * ag2 * ls_re
     gp = 2.0 * ag2 * lp_re
-
     g = _matrices(shape)
     g[..., 0, 1] = -gs * dsph * ag2 / one_minus
     g[..., 2, 3] = -gp * carrier * ag2 / one_minus
     g[..., 0, 3] = gp * dsph - gs * carrier / one_minus
     g[..., 1, 2] = gp * dsph / one_minus - gs * carrier
-    return g - g.swapaxes(-1, -2)
+    return h, g - g.swapaxes(-1, -2)
 
 
 def _require_s_in_range(psf: GaussianPsf, s) -> None:
@@ -132,14 +115,13 @@ def _require_s_in_range(psf: GaussianPsf, s) -> None:
     if np.count_nonzero(np.abs(s) < threshold):
         raise SmallSeparationError(
             f"|s| = {np.abs(s).min():.3e} below {threshold:.3e}: the explicit Gaussian "
-            "expressions have removable singularities at s = 0; use general_qfim / "
-            "general_gamma_matrix with the analytic jet (p != 0) or "
-            "small_separation_limit (both separations small)"
+            "expressions have removable singularities at s = 0; use general_matrices with "
+            "the analytic jet (p != 0) or small_separation_limit (both separations small)"
         )
 
 
 def _explicit_terms(psf: GaussianPsf, s, p):
-    """Subexpressions shared by the explicit Gaussian forms, elementwise."""
+    """Subexpressions shared by the explicit Gaussian H and Gamma, elementwise."""
     shape, (s, p) = _points(s, p)
     _require_s_in_range(psf, s)
     k, zr = psf.k, psf.z_r
@@ -152,10 +134,10 @@ def _explicit_terms(psf: GaussianPsf, s, p):
     return shape, s, p, s2, q, vs, evs, np.exp(-vs), ks2, den
 
 
-def gaussian_qfim(psf: GaussianPsf, s, p) -> np.ndarray:
-    """Explicit Gaussian-beam Fisher information matrix at separations (s, p).
+def gaussian_matrices(psf: GaussianPsf, s, p) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit Gaussian-beam H and Gamma at separations (s, p).
 
-    Broadcasts over array ``s`` and ``p``: N points give an (N, 4, 4) stack.
+    Broadcasts over array ``s`` and ``p``: N points give two (N, 4, 4) stacks.
     """
     shape, s, p, s2, q, vs, evs, emvs, ks2, den = _explicit_terms(psf, s, p)
     k, zr = psf.k, psf.z_r
@@ -178,27 +160,16 @@ def gaussian_qfim(psf: GaussianPsf, s, p) -> np.ndarray:
         p * emvs * vs2 * (kk * evs * (vs - 2.0) - 8.0 * zr2 * (vs - 1.0) * vs2)
         / (zr * kk * s * den)
     )
-    return h
 
-
-def gaussian_gamma_matrix(psf: GaussianPsf, s, p) -> np.ndarray:
-    """Explicit Gaussian-beam SLD-commutator matrix at separations (s, p).
-
-    Broadcasts over array ``s`` and ``p``: N points give an (N, 4, 4) stack.
-    """
-    shape, s, p, s2, q, vs, evs, emvs, ks2, den = _explicit_terms(psf, s, p)
-    zr = psf.z_r
     vs3 = vs * vs * vs
-    kk = ks2 * ks2  # k^2 s^4
     em_den = emvs / den
     bq = q * (vs - 2.0) - 4.0 * zr * zr * vs
-
     g = _matrices(shape)
     g[..., 0, 1] = -4.0 * zr * p * em_den * vs3 * vs / (ks2 * s2)
     g[..., 2, 3] = -p * em_den * (vs - 1.0) * vs3 * vs * bq / (2.0 * zr * kk * ks2)
     g[..., 0, 3] = em_den * vs3 * (2.0 * q * (vs - 1.0) * vs - kk * evs) / (kk * s)
     g[..., 1, 2] = -em_den * vs3 * (kk * evs + vs * bq) / (kk * s)
-    return g - g.swapaxes(-1, -2)
+    return h, g - g.swapaxes(-1, -2)
 
 
 def small_separation_limit(psf: GaussianPsf) -> tuple[np.ndarray, np.ndarray]:
@@ -212,20 +183,3 @@ def small_separation_limit(psf: GaussianPsf) -> tuple[np.ndarray, np.ndarray]:
     h = np.diag([k / (2.0 * zr), 2.0 * k / zr, 1.0 / (4.0 * zr ** 2), 1.0 / zr ** 2])
     return h, np.zeros((4, 4))
 
-
-def evaluate_gaussian_closed(
-    psf: GaussianPsf, s: float, p: float
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """Closed-form (H, Gamma) for a Gaussian PSF with automatic routing.
-
-    Returns ``(h, gamma_mat, route)`` where route is "gaussian-closed" for
-    the explicit expressions, "general" for the s ~ 0 reroute through the
-    analytic jet, or "limit" when both separations are effectively zero
-    (1 - |gamma|^2 <= 1e-8, where the limit is accurate to O(1e-8)).  This is
-    the one-point case of ``routes.evaluate(psf, [s], [p], "gaussian-closed")``,
-    where the routing is decided; its ``SrlocError`` names (s, p).
-    """
-    from .routes import evaluate  # routes builds on this module
-
-    ev = evaluate(psf, [s], [p], "gaussian-closed")
-    return ev.h[0], ev.gamma_mat[0], ev.route[0]

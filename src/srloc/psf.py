@@ -111,9 +111,7 @@ class OverlapJet:
 
     ``d_s`` and ``d_p`` are the first partials in the angular and axial
     separation, ``d_ss``/``d_pp``/``d_sp`` the pure and mixed second
-    partials.  Derived magnitude/phase data are exposed as properties and
-    are computed branch-free from the complex derivatives, so they stay
-    valid when the phase of gamma crosses +/-pi.
+    partials.
     """
 
     gamma: complex
@@ -127,35 +125,6 @@ class OverlapJet:
         """The jet at the points ``index`` of an array-valued jet."""
         return OverlapJet(self.gamma[index], self.d_s[index], self.d_p[index],
                           self.d_ss[index], self.d_pp[index], self.d_sp[index])
-
-    @property
-    def abs_gamma(self) -> float:
-        return abs(self.gamma)
-
-    @property
-    def phase(self) -> float:
-        """Argument of gamma (principal value)."""
-        return np.angle(self.gamma)
-
-    @property
-    def d_s_abs(self) -> float:
-        """d|gamma|/ds, as Re(d_s * conj(gamma)) / |gamma|.  Needs gamma != 0."""
-        return (self.d_s * self.gamma.conjugate()).real / abs(self.gamma)
-
-    @property
-    def d_p_abs(self) -> float:
-        """d|gamma|/dp, as Re(d_p * conj(gamma)) / |gamma|.  Needs gamma != 0."""
-        return (self.d_p * self.gamma.conjugate()).real / abs(self.gamma)
-
-    @property
-    def d_s_phase(self) -> float:
-        """d(arg gamma)/ds, as Im(d_s / gamma).  Needs gamma != 0."""
-        return (self.d_s / self.gamma).imag
-
-    @property
-    def d_p_phase(self) -> float:
-        """d(arg gamma)/dp, as Im(d_p / gamma).  Needs gamma != 0."""
-        return (self.d_p / self.gamma).imag
 
 
 @dataclass(frozen=True)

@@ -159,9 +159,7 @@ def _closed_block(psf, s, p, method, h, g) -> list[tuple[int, str]]:
         rest = np.abs(s) < small_separation_threshold(psf.k, psf.z_r)
         if not _all(rest):
             at = _where(~rest)
-            s_at, p_at = s[at], p[at]
-            h[at] = closed_forms.gaussian_qfim(psf, s_at, p_at)
-            g[at] = closed_forms.gaussian_gamma_matrix(psf, s_at, p_at)
+            h[at], g[at] = closed_forms.gaussian_matrices(psf, s[at], p[at])
         relabel = [(i, "general") for i in np.flatnonzero(rest).tolist()]
     else:
         rest = np.ones(len(s), dtype=bool)
@@ -180,9 +178,7 @@ def _closed_block(psf, s, p, method, h, g) -> list[tuple[int, str]]:
             relabel += [(i, "limit") for i in at[limit].tolist()]
             at, jet = at[~limit], jet[~limit]
         if len(jet.gamma):
-            consts = gaussian_constants(psf)
-            h[at] = closed_forms.general_qfim(jet, consts)
-            g[at] = closed_forms.general_gamma_matrix(jet, consts)
+            h[at], g[at] = closed_forms.general_matrices(jet, gaussian_constants(psf))
     return relabel
 
 

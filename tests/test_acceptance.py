@@ -9,13 +9,7 @@ import pytest
 
 from srloc.analysis import EstimationBudget, qcrb_total
 from srloc.cli import main
-from srloc.closed_forms import (
-    gaussian_gamma_matrix,
-    gaussian_qfim,
-    general_gamma_matrix,
-    general_qfim,
-    small_separation_limit,
-)
+from srloc.closed_forms import gaussian_matrices, general_matrices, small_separation_limit
 from srloc.psf import (
     GaussianPsf,
     SourceGeometry,
@@ -55,10 +49,10 @@ def grid_matrices():
                     "s": s,
                     "p": p,
                     "pipeline": (result.h, result.gamma_mat),
-                    "general": (general_qfim(jet, CONSTS), general_gamma_matrix(jet, CONSTS)),
-                    "closed": (gaussian_qfim(PSF, s, p), gaussian_gamma_matrix(PSF, s, p)),
+                    "general": general_matrices(jet, CONSTS),
+                    "closed": gaussian_matrices(PSF, s, p),
                     "rho_eigenvalues": result.rho_eigenvalues,
-                    "abs_gamma": jet.abs_gamma,
+                    "abs_gamma": abs(jet.gamma),
                 }
             )
     return points, time.perf_counter() - t0
@@ -121,8 +115,7 @@ def test_criterion_4_sparsity_pattern(grid_matrices):
 
 def test_criterion_5_small_separation_limit():
     h_lim, _ = small_separation_limit(PSF)
-    h = gaussian_qfim(PSF, 1e-3, 1e-3)
-    g = gaussian_gamma_matrix(PSF, 1e-3, 1e-3)
+    h, g = gaussian_matrices(PSF, 1e-3, 1e-3)
     diag_ok = np.max(np.abs(np.diag(h) - np.diag(h_lim)) / np.diag(h_lim)) <= 1e-3
     scale = scale_of(h_lim)
     off_ok = abs(h[1, 3]) <= 1e-3 * scale[1, 3] and np.max(np.abs(g) / scale) <= 1e-3

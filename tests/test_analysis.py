@@ -9,12 +9,7 @@ from srloc.analysis import (
     qcrb_subset,
     qcrb_total,
 )
-from srloc.closed_forms import (
-    evaluate_gaussian_closed,
-    gaussian_gamma_matrix,
-    gaussian_qfim,
-    small_separation_limit,
-)
+from srloc.closed_forms import gaussian_matrices, small_separation_limit
 from srloc.errors import InvalidParameterError, ModelValidityWarning, SingularMatrixError
 
 UNIT_BUDGET = EstimationBudget(nu=1.0, m=1.0, eps=1.0)
@@ -94,15 +89,15 @@ def test_qcrb_subset_separations_is_constant(psf):
     expected = 2.0 * psf.z_r / psf.k + 4.0 * psf.z_r ** 2
     assert expected == 20.0
     for s, p in [(0.2, 0.0), (1.0, 2.0), (4.0, 4.5)]:
-        h, _, _ = evaluate_gaussian_closed(psf, s, p)
+        h, _ = gaussian_matrices(psf, s, p)
         assert qcrb_subset(h, ("s", "p"), UNIT_BUDGET) == pytest.approx(20.0, rel=1e-12)
     budget = EstimationBudget(nu=10.0, m=5.0, eps=0.04)
-    h, _, _ = evaluate_gaussian_closed(psf, 1.0, 1.0)
+    h, _ = gaussian_matrices(psf, 1.0, 1.0)
     assert qcrb_subset(h, ("s", "p"), budget) == pytest.approx(10.0, rel=1e-12)
 
 
 def test_qcrb_subset_full_set_equals_total(psf):
-    h = gaussian_qfim(psf, 1.0, 2.0)
+    h, _ = gaussian_matrices(psf, 1.0, 2.0)
     assert qcrb_subset(h, ("s", "xbar", "p", "zbar"), UNIT_BUDGET) == pytest.approx(
         qcrb_total(h, UNIT_BUDGET), rel=1e-14
     )
@@ -144,9 +139,7 @@ def test_limit_matrices_are_fully_compatible(psf):
 
 
 def test_reference_point_pair_flags(psf):
-    report = compatibility_report(
-        gaussian_qfim(psf, 1.0, 2.0), gaussian_gamma_matrix(psf, 1.0, 2.0)
-    )
+    report = compatibility_report(*gaussian_matrices(psf, 1.0, 2.0))
     assert report.sp_pair_compatible
     assert report.pairs[("s", "p")].measurement_compatible
     assert report.pairs[("s", "p")].statistically_independent

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import srloc.closed_forms
 import srloc.routes
 import srloc.sld
-from srloc.cli import _CSV_BLOCK_ROWS, _CSV_KERNEL_ROWS, SweepSpec, _csv_rows, main, run_sweep
+from srloc.cli import _CSV_BLOCK_ROWS, _CSV_KERNEL_ROWS, _csv_rows, main
 from srloc.closed_forms import small_separation_limit
-from srloc.errors import InvalidParameterError, SrlocError
+from srloc.errors import SrlocError
 from srloc.psf import GaussianPsf
 from srloc.sld import gaussian_pipeline
 
@@ -404,14 +404,14 @@ def test_sweep_pipeline_linalg_calls_independent_of_length(capsys, tmp_path, mon
 
 
 def test_sweep_all_names_the_first_deviating_point(capsys, monkeypatch, tmp_path):
-    true_fn = srloc.closed_forms.gaussian_qfim
+    true_fn = srloc.closed_forms.gaussian_matrices
 
     def corrupted(psf, s, p):  # H_xx off by 1e-3 from s = 1.2 on
-        h = true_fn(psf, s, p).copy()
+        h, g = true_fn(psf, s, p)
         h[..., 1, 1] *= np.where(np.asarray(s) >= 1.2, 1.001, 1.0)
-        return h
+        return h, g
 
-    monkeypatch.setattr("srloc.closed_forms.gaussian_qfim", corrupted)
+    monkeypatch.setattr("srloc.closed_forms.gaussian_matrices", corrupted)
     code, _, err = run(
         capsys, "sweep", "--k", "1", "--zr", "2", "--sweep", "s", "--range", "0.5:2:0.25",
         "--fixed", "1", "--method", "all", "--out", str(tmp_path / "x.csv"),
@@ -444,32 +444,22 @@ def test_failing_sweep_leaves_an_existing_file_alone(capsys, tmp_path):
 
 
 def test_sweep_rejects_bad_range(capsys, tmp_path):
-    code, _, _ = run(
-        capsys, "sweep", "--k", "1", "--zr", "2", "--sweep", "s",
-        "--range", "1:0:0.1", "--out", str(tmp_path / "x.csv"),
-    )
-    assert code == 2
-
-
-def test_sweep_spec_validation():
-    psf = GaussianPsf(k=1.0, z_r=2.0)
-    good = dict(psf=psf, swept="s", start=0.0, stop=1.0, step=0.1,
-                fixed=0.0, method="pipeline", normalized=False)
-    SweepSpec(**good)
-    for field, value in (("swept", "q"), ("method", "magic"), ("step", -0.1),
-                         ("start", -1.0), ("stop", -2.0)):
-        with pytest.raises(InvalidParameterError):
-            SweepSpec(**{**good, field: value})
+    out = str(tmp_path / "x.csv")
+    for bad in (["--range", "1:0:0.1"], ["--range", "0:-2:0.1"], ["--range", "0:1:-0.1"],
+                ["--range=-1:1:0.1"], ["--sweep", "q"], ["--method", "magic"]):
+        code, _, err = run(capsys, "sweep", *PSF, "--sweep", "s", *bad, "--out", out)
+        assert code == 2, bad
+        assert "error:" in err and "Traceback" not in err, bad
+        assert bad[0].startswith("--range") or err.startswith("usage:"), bad
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_methods_agree(tmp_path, capsys):
-    psf = GaussianPsf(k=1.0, z_r=2.0)
     paths = {}
     for method in ("pipeline", "general", "gaussian-closed", "all"):
-        spec = SweepSpec(psf=psf, swept="s", start=0.5, stop=2.0, step=0.5,
-                         fixed=1.0, method=method, normalized=False)
         paths[method] = tmp_path / f"{method}.csv"
-        assert run_sweep(spec, str(paths[method])) == 0
+        assert main(["sweep", *PSF, "--sweep", "s", "--range", "0.5:2:0.5", "--fixed", "1",
+                     "--method", method, "--out", str(paths[method])]) == 0
     capsys.readouterr()
     reference = [row.split(",") for row in paths["gaussian-closed"].read_text().splitlines()[1:]]
     for method in ("pipeline", "general", "all"):
@@ -515,14 +505,14 @@ def test_crossval_drops_pipeline_route_exactly_where_it_fails():
 
 
 def test_crossval_detects_corrupted_formula(capsys, monkeypatch):
-    true_fn = srloc.closed_forms.gaussian_qfim
+    true_fn = srloc.closed_forms.gaussian_matrices
 
     def corrupted(psf, s, p):
-        h = true_fn(psf, s, p).copy()
+        h, g = true_fn(psf, s, p)
         h[..., 1, 1] *= 1.001
-        return h
+        return h, g
 
-    monkeypatch.setattr("srloc.closed_forms.gaussian_qfim", corrupted)
+    monkeypatch.setattr("srloc.closed_forms.gaussian_matrices", corrupted)
     code, out, _ = run(capsys, "crossval", "--k", "1", "--zr", "2", "--range", "0.5:1.5:0.5")
     assert code == 1
     record = json.loads(out)
@@ -531,25 +521,30 @@ def test_crossval_detects_corrupted_formula(capsys, monkeypatch):
     assert record["per_entry_max_rel_deviation_h"][1][1] > 1e-8
 
 
-def _shift(name, entries, delta):
-    true_fn = getattr(srloc.closed_forms, name)
+# The matrix of gaussian_matrices' (H, Gamma) that a case shifts.
+_MATRIX = {"gaussian_qfim": 0, "gaussian_gamma_matrix": 1}
+
+
+def _shift(matrix, entries, delta):
+    true_fn = srloc.closed_forms.gaussian_matrices
 
     def shifted(psf, s, p):
-        m = true_fn(psf, s, p).copy()
+        mats = true_fn(psf, s, p)
         for (i, j), sign in entries:
-            m[..., i, j] += sign * delta
-        return m
+            mats[_MATRIX[matrix]][..., i, j] += sign * delta
+        return mats
 
     return shifted
 
 
-@pytest.mark.parametrize("name, entries, delta", [
+@pytest.mark.parametrize("matrix, entries, delta", [
     ("gaussian_qfim", [((0, 1), 1), ((1, 0), 1)], 1e-9),          # an H zero pair
     ("gaussian_gamma_matrix", [((0, 2), 1), ((2, 0), -1)], 1e-9),  # Gamma[0, 2]
     ("gaussian_gamma_matrix", [((1, 0), 1)], 1e-11),               # Gamma + Gamma^T
 ])
-def test_crossval_sparsity_check_flags_each_zero_entry(capsys, monkeypatch, name, entries, delta):
-    monkeypatch.setattr(f"srloc.closed_forms.{name}", _shift(name, entries, delta))
+def test_crossval_sparsity_check_flags_each_zero_entry(capsys, monkeypatch, matrix, entries,
+                                                       delta):
+    monkeypatch.setattr("srloc.closed_forms.gaussian_matrices", _shift(matrix, entries, delta))
     code, out, _ = run(capsys, "crossval", "--k", "1", "--zr", "2", "--range", "0:2:0.5",
                        "--tol", "1")
     record = json.loads(out)

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -171,38 +170,6 @@ def test_jet_matches_finite_differences_default_step(psf):
     analytic = jet_array(gaussian_overlap_jet(psf, 1.0, 2.0))
     fd = jet_array(fd_overlap_jet(lambda a, b: gaussian_overlap(psf, a, b), 1.0, 2.0))
     assert np.max(np.abs(fd - analytic)) / np.max(np.abs(analytic)) <= 2e-5
-
-
-# ------------------------------------------------------- derived quantities
-
-
-def test_derived_axial_values_reference(psf):
-    jet = gaussian_overlap_jet(psf, 0.0, 2.0)
-    assert jet.abs_gamma == pytest.approx(4.0 / math.sqrt(20.0), rel=1e-14)
-    assert jet.d_p_abs == pytest.approx(-0.08944271909999159, rel=1e-12)
-    assert jet.d_p_phase == pytest.approx(-0.8, rel=1e-12)
-
-
-@pytest.mark.parametrize("s,p", [(1.0, 1.995), (1.0, 2.01), (0.7, 3.3), (2.0, 0.4)])
-def test_derived_quantities_match_finite_differences(psf, s, p):
-    # the (1.0, ~2.0) points straddle the arg branch cut at -pi; the ratio
-    # trick below gives a branch-safe phase difference to compare against
-    jet = gaussian_overlap_jet(psf, s, p)
-    h = 1e-6
-    gp = gaussian_overlap(psf, s + h, p)
-    gm = gaussian_overlap(psf, s - h, p)
-    assert jet.d_s_abs == pytest.approx((abs(gp) - abs(gm)) / (2 * h), abs=1e-8)
-    assert jet.d_s_phase == pytest.approx(cmath.phase(gp / gm) / (2 * h), abs=1e-8)
-    gp = gaussian_overlap(psf, s, p + h)
-    gm = gaussian_overlap(psf, s, p - h)
-    assert jet.d_p_abs == pytest.approx((abs(gp) - abs(gm)) / (2 * h), abs=1e-8)
-    assert jet.d_p_phase == pytest.approx(cmath.phase(gp / gm) / (2 * h), abs=1e-8)
-
-
-def test_phase_is_continuous_across_branch_cut(psf):
-    # principal arg jumps by ~2 pi between these points; d_p_phase must not
-    phases = [gaussian_overlap_jet(psf, 1.0, p).d_p_phase for p in (1.99, 1.995, 2.0, 2.005)]
-    assert max(phases) - min(phases) < 0.1
 
 
 # ------------------------------------------------------------ fd adapter
