@@ -446,11 +446,23 @@ def test_failing_sweep_leaves_an_existing_file_alone(capsys, tmp_path):
 def test_sweep_rejects_bad_range(capsys, tmp_path):
     out = str(tmp_path / "x.csv")
     for bad in (["--range", "1:0:0.1"], ["--range", "0:-2:0.1"], ["--range", "0:1:-0.1"],
-                ["--range=-1:1:0.1"], ["--sweep", "q"], ["--method", "magic"]):
+                ["--range=-1:1:0.1"]):
         code, _, err = run(capsys, "sweep", *PSF, "--sweep", "s", *bad, "--out", out)
         assert code == 2, bad
         assert "error:" in err and "Traceback" not in err, bad
-        assert bad[0].startswith("--range") or err.startswith("usage:"), bad
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_spec_validation(capsys, tmp_path):
+    out = str(tmp_path / "x.csv")
+    good = ["--sweep", "s", "--range", "0:1:0.1", "--fixed", "0", "--method", "pipeline"]
+    assert main(["sweep", *PSF, *good, "--out", out]) == 0
+    capsys.readouterr()
+    (tmp_path / "x.csv").unlink()
+    for bad in (["--sweep", "q"], ["--method", "magic"]):
+        code, _, err = run(capsys, "sweep", *PSF, *good, *bad, "--out", out)
+        assert code == 2, bad
+        assert err.startswith("usage:") and "error:" in err and "Traceback" not in err, bad
     assert not (tmp_path / "x.csv").exists()
 
 
