@@ -28,6 +28,7 @@ CSV write blocks.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import subprocess
@@ -113,8 +114,10 @@ def _groups(text: bytes) -> list[list[float]]:
 
 def relative_difference(a: bytes, b: bytes) -> float | None:
     """Largest |x - y| over the numbers of ``a`` and ``b`` in order, each
-    divided by the largest magnitude of its group (see ``_groups``) in either
-    text, or None where the texts differ in more than their numbers.
+    divided by the largest finite magnitude of its group (see ``_groups``)
+    in either text, or None where the texts differ in more than their
+    numbers.  A number that is NaN or infinite on one side only, or infinite
+    with opposite signs, reads ``inf``.
 
     A group's scale, not each number's own, so that entries that are zero up
     to roundoff (the sparsity zeros of H and Gamma, about 1e-17) do not
@@ -124,10 +127,13 @@ def relative_difference(a: bytes, b: bytes) -> float | None:
         return None
     worst = 0.0
     for xs, ys in zip(_groups(a), _groups(b)):
-        scale = max((abs(v) for v in xs + ys if v == v), default=0.0)
+        scale = max((abs(v) for v in xs + ys if math.isfinite(v)), default=0.0)
         for x, y in zip(xs, ys):
-            if x != y and not (x != x and y != y):
-                worst = max(worst, abs(x - y) / scale if scale else 0.0)
+            if x == y or (x != x and y != y):
+                continue
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return math.inf
+            worst = max(worst, abs(x - y) / scale if scale else 0.0)
     return worst
 
 

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .psf import GaussianPsf, PsfConstants, SourceGeometry, fd_overlap_jet
 from .routes import evaluate
-from .sld import gaussian_pipeline, gaussian_pipeline_stack
 
 __version__ = "0.1.0"
 
@@ -48,8 +47,6 @@ __all__ = [
     "evaluate",
     "fd_overlap_jet",
     "gaussian_matrices",
-    "gaussian_pipeline",
-    "gaussian_pipeline_stack",
     "general_matrices",
     "qcrb_subset",
     "qcrb_total",

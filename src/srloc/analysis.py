@@ -91,10 +91,14 @@ class CompatibilityReport:
         return all(pair.compatible for pair in self.pairs.values())
 
 
-def _as_h_array(h) -> np.ndarray:
-    arr = np.asarray(getattr(h, "h", h), dtype=float)
+def _as_4x4(value, field: str, name: str) -> np.ndarray:
+    """A 4x4 matrix, given as an array or as ``field`` of a one-point
+    ``routes.Evaluation``."""
+    arr = np.asarray(getattr(value, field, value), dtype=float)
+    if arr.shape == (1, 4, 4):
+        arr = arr[0]
     if arr.shape != (4, 4):
-        raise InvalidParameterError(f"H must be 4x4, got shape {arr.shape}")
+        raise InvalidParameterError(f"{name} must be 4x4, got shape {arr.shape}")
     return arr
 
 
@@ -112,7 +116,7 @@ def _checked_inverse(h: np.ndarray) -> np.ndarray:
 def qcrb_total(h, budget: EstimationBudget) -> float:
     """Lower bound on the summed variances of all four parameters,
     Tr(H^-1) / (nu * M * eps)."""
-    return float(np.trace(_checked_inverse(_as_h_array(h)))) / budget.total_photons
+    return float(np.trace(_checked_inverse(_as_4x4(h, "h", "H")))) / budget.total_photons
 
 
 def qcrb_subset(h, subset: Iterable[str | int], budget: EstimationBudget) -> float:
@@ -134,7 +138,7 @@ def qcrb_subset(h, subset: Iterable[str | int], budget: EstimationBudget) -> flo
             )
     if not indices or len(set(indices)) != len(indices):
         raise InvalidParameterError(f"subset must be non-empty without repeats, got {indices}")
-    sub = _as_h_array(h)[np.ix_(indices, indices)]
+    sub = _as_4x4(h, "h", "H")[np.ix_(indices, indices)]
     return float(np.trace(_checked_inverse(sub))) / budget.total_photons
 
 
@@ -144,10 +148,8 @@ def compatibility_report(h, gamma_mat, tol: float = 1e-8) -> CompatibilityReport
     The zero test for pair (mu, nu) is scaled by sqrt(H_mumu * H_nunu),
     since entries span orders of magnitude across PSF parameters.
     """
-    h_arr = _as_h_array(h)
-    g_arr = np.asarray(getattr(gamma_mat, "gamma_mat", gamma_mat), dtype=float)
-    if g_arr.shape != (4, 4):
-        raise InvalidParameterError(f"Gamma must be 4x4, got shape {g_arr.shape}")
+    h_arr = _as_4x4(h, "h", "H")
+    g_arr = _as_4x4(gamma_mat, "gamma_mat", "Gamma")
 
     pairs: dict[tuple[str, str], PairCompatibility] = {}
     for i in range(4):

@@ -105,6 +105,19 @@ def _emit(record: dict, out: str | None) -> None:
             fh.write(text + "\n")
 
 
+def _evaluate_point(psf: GaussianPsf, s: float, p: float, method: str) -> routes.Evaluation:
+    """``routes.evaluate`` at one point.  The pipeline method must serve the
+    point itself: ``eval`` and ``crb`` report its own matrices, never the
+    limit in their place, and raise its refusal instead."""
+    ev = routes.evaluate(psf, [s], [p], method)
+    if method == "pipeline" and ev.route[0] != "pipeline":
+        raise ev.error or SmallSeparationError(
+            f"separations (s={s!r}, p={p!r}) below the pipeline threshold; "
+            "use the `limits` command"
+        )
+    return ev
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     psf = GaussianPsf(k=args.k, z_r=args.zr)
     s, p = args.s, args.p
@@ -118,14 +131,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "parameters": list(PARAMETERS),
         "varsigma": closed_forms.varsigma(psf.k, psf.z_r, s, p),
     }
-    ev = routes.evaluate(psf, [s], [p], "pipeline" if args.method == "all" else args.method)
+    ev = _evaluate_point(psf, s, p, "pipeline" if args.method == "all" else args.method)
     route = ev.route[0]
-    if args.method in ("pipeline", "all") and route != "pipeline":
-        # eval reports the pipeline's own matrices, never the limit in their place
-        raise ev.error or SmallSeparationError(
-            f"separations (s={s!r}, p={p!r}) below the pipeline threshold; "
-            "use the `limits` command"
-        )
     if args.method == "all":  # the other routes only once the pipeline has served
         evs = {method: ev if method == "pipeline" else routes.evaluate(psf, [s], [p], method)
                for method in routes.METHODS}
@@ -285,9 +292,7 @@ def cmd_crb(args: argparse.Namespace) -> int:
     else:
         if args.s is None or args.p is None:
             raise InvalidParameterError("crb needs either --from-limits or both --s and --p")
-        ev = routes.evaluate(psf, [args.s], [args.p], args.method)
-        if ev.error is not None:
-            raise ev.error
+        ev = _evaluate_point(psf, args.s, args.p, args.method)
         h, source = ev.h[0], ev.route[0]
     bound = analysis.qcrb_total(h, budget)
     h_inv = np.linalg.inv(h)

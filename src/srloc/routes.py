@@ -7,12 +7,14 @@ Per method, the route each point gets:
   ``1 - |gamma|^2 <= 1e-8``.
 * ``general``: the general closed forms; ``"limit"`` where
   ``1 - |gamma|^2 < 1e-10``.
-* ``pipeline``: the stacked numerical pipeline; ``"limit"`` where
-  ``s^2 + p^2`` is below the squared small-separation threshold, and
-  ``"failed"`` (NaN matrices) where the pipeline refuses the point.
+* ``pipeline``: the stacked numerical pipeline (``sld.pipeline``);
+  ``"limit"`` where ``s^2 + p^2`` is below the squared small-separation
+  threshold, and ``"failed"`` (NaN matrices) where the pipeline refuses the
+  point.
 
 Each method serves the whole grid at once: the closed forms and the overlap
-jet are elementwise array code, and each route is chosen by a mask.
+jet are elementwise array code, and each route is chosen by a mask.  This is
+the only place that checks the inputs and decides the routes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import closed_forms
+from . import closed_forms, sld
 from .errors import InvalidParameterError, SrlocError
 from .psf import (
     GaussianPsf,
@@ -33,7 +35,6 @@ from .psf import (
     gaussian_overlap_jet,
     small_separation_threshold,
 )
-from .sld import gaussian_pipeline_stack
 
 __all__ = ["METHODS", "Evaluation", "Deviations", "evaluate", "all_routes", "deviations",
            "sparsity_ok"]
@@ -182,6 +183,29 @@ def _closed_block(psf, s, p, method, h, g) -> list[tuple[int, str]]:
     return relabel
 
 
+def _pipeline(psf: GaussianPsf, s: np.ndarray, p: np.ndarray):
+    """H, Gamma, route labels, rho's eigenvalues and the first error of the
+    pipeline method: the limit where s^2 + p^2 < t^2, ``sld.pipeline``
+    elsewhere, ``failed`` where it refuses a point (NaN matrices); the error
+    names the first failed point's (s, p), or is None."""
+    t = small_separation_threshold(psf.k, psf.z_r)
+    with np.errstate(over="ignore"):  # inf is not below it
+        limit = s * s + p * p < t * t
+    h, g, eigs, failures = sld.pipeline(psf, s, p, limit)
+    route = ["pipeline"] * len(s)
+    if np.count_nonzero(limit):
+        h[limit], g[limit] = closed_forms.small_separation_limit(psf)
+        for i in np.flatnonzero(limit).tolist():
+            route[i] = "limit"
+    for i in failures:
+        route[i] = "failed"
+    error = None
+    if failures:
+        i, (kind, reason) = next(iter(failures.items()))
+        error = kind(f"pipeline fails at (s={float(s[i])!r}, p={float(p[i])!r}): {reason}")
+    return h, g, tuple(route), eigs, error
+
+
 def evaluate(psf: GaussianPsf, s: Sequence[float], p: Sequence[float], method: str) -> Evaluation:
     """H and Gamma at the N points (s[i], p[i]) by one method (see the module doc).
 
@@ -198,16 +222,12 @@ def evaluate(psf: GaussianPsf, s: Sequence[float], p: Sequence[float], method: s
     if method not in METHODS:
         raise InvalidParameterError(f"method must be one of {METHODS}, got {method!r}")
     if method == "pipeline":
-        stack = gaussian_pipeline_stack(psf, s, p)
-        h, g = stack.h, stack.gamma_mat
-        h[stack.limit], g[stack.limit] = closed_forms.small_separation_limit(psf)
-        route = tuple("failed" if failed else "limit" if limit else "pipeline"
-                      for failed, limit in zip(stack.failed.tolist(), stack.limit.tolist()))
-        _require_finite(psf, method, h, g, route, s, p)
-        return Evaluation(h, g, route, stack.rho_eigenvalues, stack.error)
-    h, g, route = _closed(psf, s, p, method)
+        h, g, route, eigs, error = _pipeline(psf, s, p)
+    else:
+        h, g, route = _closed(psf, s, p, method)
+        eigs = error = None
     _require_finite(psf, method, h, g, route, s, p)
-    return Evaluation(h, g, route, None, None)
+    return Evaluation(h, g, route, eigs, error)
 
 
 def all_routes(psf: GaussianPsf, s: Sequence[float], p: Sequence[float]) -> dict[str, Evaluation]:

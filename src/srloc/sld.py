@@ -18,8 +18,9 @@ together, and
                                   = sum_{i < 2, j} q_i L_mu[i, j] conj(L_nu[i, j]).
 
 All results are independent of the centroid coordinates by construction
-(the Gram data only sees the separations).  ``gaussian_pipeline`` is the
-one-point case of ``gaussian_pipeline_stack``.
+(the Gram data only sees the separations).  ``pipeline`` runs the blocks;
+``routes.evaluate(..., "pipeline")`` checks the inputs, sends the points
+above the coincident-source threshold to it and labels every point.
 """
 
 from __future__ import annotations
@@ -27,36 +28,14 @@ from __future__ import annotations
 import logging
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    CutoffDegeneracyWarning,
-    DegenerateBasisError,
-    InvalidParameterError,
-    SmallSeparationError,
-    SrlocError,
-)
+from .errors import CutoffDegeneracyWarning, DegenerateBasisError, SrlocError
 from .gram import _DRHO_ROWS, COORDINATES, build_gram_stack
-from .psf import (
-    GaussianPsf,
-    OverlapJet,
-    PsfConstants,
-    gaussian_constants,
-    gaussian_overlap_jet,
-    small_separation_threshold,
-)
+from .psf import GaussianPsf, OverlapJet, PsfConstants, gaussian_constants, gaussian_overlap_jet
 
-__all__ = [
-    "PARAMETERS",
-    "PipelineResult",
-    "PipelineStack",
-    "orthonormalize",
-    "gaussian_pipeline",
-    "gaussian_pipeline_stack",
-]
+__all__ = ["PARAMETERS", "orthonormalize", "pipeline"]
 
 logger = logging.getLogger(__name__)
 
@@ -86,33 +65,6 @@ _TO_PHYSICAL = np.array(
     [[-0.5, 0.0, 0.5, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, -0.5, 0.0, 0.5], [0.0, 1.0, 0.0, 1.0]],
     dtype=complex,
 )
-
-
-@dataclass(frozen=True)
-class PipelineResult:
-    """Pipeline output at one point: H and Gamma (4x4, in ``PARAMETERS``
-    order) and all six eigenvalues of the state, descending."""
-
-    h: np.ndarray
-    gamma_mat: np.ndarray
-    rho_eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True)
-class PipelineStack:
-    """Pipeline output for N points, in input order.
-
-    Points below the small-separation threshold (``limit``) and points the
-    pipeline refuses (``failed``) hold NaN.  ``error`` is the exception of
-    the first failed point, naming its (s, p), or None.
-    """
-
-    h: np.ndarray                # (N, 4, 4)
-    gamma_mat: np.ndarray        # (N, 4, 4)
-    rho_eigenvalues: np.ndarray  # (N, 6), descending
-    limit: np.ndarray            # (N,) bool
-    failed: np.ndarray           # (N,) bool
-    error: SrlocError | None
 
 
 def orthonormalize(s_mat: np.ndarray) -> np.ndarray:
@@ -192,9 +144,9 @@ def _support_weights(q: np.ndarray):
 
 
 def _warn_cutoff(count: int, where: str) -> None:
-    # attribute the warning to the first caller outside this module
+    # attribute the warning to the first caller outside the srloc package
     level, frame = 1, sys._getframe()
-    while frame.f_globals.get("__name__") == __name__:
+    while frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
         level, frame = level + 1, frame.f_back
     warnings.warn(
         f"{count} eigenvalue sums within a decade of the support cutoff {SUPPORT_CUTOFF:.1e}"
@@ -202,17 +154,6 @@ def _warn_cutoff(count: int, where: str) -> None:
         CutoffDegeneracyWarning,
         stacklevel=level,
     )
-
-
-@dataclass(frozen=True)
-class _Block:
-    """The stacked pipeline on one block of points (see ``_pipeline_block``)."""
-
-    h: np.ndarray                # (n, 4, 4)
-    gamma_mat: np.ndarray        # (n, 4, 4)
-    rho_eigenvalues: np.ndarray  # (n, 6), descending
-    shaky: np.ndarray            # (n,) eigenvalue sums within a decade of the cutoff
-    failures: dict[int, tuple[type, str]]  # index -> (error type, reason), in index order
 
 
 def _factors(jet: OverlapJet, consts: PsfConstants):
@@ -272,8 +213,11 @@ def _support_drho(t: np.ndarray):
     return eigs, x
 
 
-def _pipeline_block(jet: OverlapJet, consts: PsfConstants) -> _Block:
-    """Run the pipeline on the n points of an overlap jet at once.
+def _pipeline_block(jet: OverlapJet, consts: PsfConstants):
+    """Run the pipeline on the n points of an overlap jet at once: H and
+    Gamma (n, 4, 4), rho's eigenvalues (n, 6), descending, the count of
+    eigenvalue sums within a decade of the cutoff (n,), and the failures,
+    index -> (error type, reason), in index order.
 
     Per point: one ``eigvalsh`` (the Gram degeneracy test) and one
     Cholesky factor; every other step, the eigenframe of rho's support
@@ -312,19 +256,7 @@ def _pipeline_block(jet: OverlapJet, consts: PsfConstants) -> _Block:
         bad = list(failures)
         h[bad] = gamma_mat[bad] = eigs[bad] = np.nan
         shaky[bad] = 0
-    return _Block(h=h, gamma_mat=gamma_mat, rho_eigenvalues=eigs, shaky=shaky,
-                  failures=dict(sorted(failures.items())))
-
-
-def _located(error: type, reason: str, s: float, p: float) -> SrlocError:
-    return error(f"pipeline fails at (s={float(s)!r}, p={float(p)!r}): {reason}")
-
-
-def _below_threshold(psf: GaussianPsf, s, p):
-    """Whether s^2 + p^2 is below the square of the small-separation threshold."""
-    threshold = small_separation_threshold(psf.k, psf.z_r)
-    with np.errstate(over="ignore"):  # inf is not below it
-        return s * s + p * p < threshold * threshold
+    return h, gamma_mat, eigs, shaky, dict(sorted(failures.items()))
 
 
 def _jet(psf: GaussianPsf, s, p) -> OverlapJet:
@@ -334,78 +266,32 @@ def _jet(psf: GaussianPsf, s, p) -> OverlapJet:
         return gaussian_overlap_jet(psf, s, p)
 
 
-def gaussian_pipeline(psf: GaussianPsf, s: float, p: float) -> PipelineResult:
-    """Numerical pipeline for the Gaussian PSF at one point (s, p): the
-    one-point case of :func:`gaussian_pipeline_stack`.
+def pipeline(psf: GaussianPsf, s: np.ndarray, p: np.ndarray, skip: np.ndarray):
+    """The stacked pipeline at the points (s[i], p[i]) outside the mask
+    ``skip``, in blocks of ``BLOCK_POINTS``.
 
-    Raises
-    ------
-    SmallSeparationError
-        Where the stack marks the point ``limit``: that regime is served
-        analytically by the coincident-source limit, not numerically.
-    SrlocError
-        The stack's ``error`` where it marks the point ``failed``, naming
-        (s, p): ``DegenerateBasisError`` for a numerically degenerate basis
-        or an overflowing overlap jet, ``SrlocError`` for Tr(rho L L)
-        asymmetric beyond roundoff.
-    InvalidParameterError
-        If s or p is not finite.
+    Returns H and Gamma (N, 4, 4), rho's eigenvalues (N, 6), descending,
+    and the failures, index -> (error type, reason), in index order; skipped
+    and failed points hold NaN.  Emits one :class:`CutoffDegeneracyWarning`
+    when any evaluated point has an eigenvalue sum within a decade of the
+    cutoff.
     """
-    stack = gaussian_pipeline_stack(psf, [s], [p])
-    if stack.limit[0]:
-        threshold = small_separation_threshold(psf.k, psf.z_r)
-        raise SmallSeparationError(
-            f"separations (s={s!r}, p={p!r}) below the pipeline threshold "
-            f"{threshold:.3e}; use small_separation_limit (CLI: the `limits` command)"
-        )
-    if stack.error is not None:
-        raise stack.error
-    return PipelineResult(stack.h[0], stack.gamma_mat[0], stack.rho_eigenvalues[0])
-
-
-def gaussian_pipeline_stack(
-    psf: GaussianPsf, s: Sequence[float], p: Sequence[float]
-) -> PipelineStack:
-    """Numerical pipeline for the Gaussian PSF at N points (s[i], p[i]).
-
-    Points with s^2 + p^2 below the square of
-    ``small_separation_threshold(k, z_R)`` are marked ``limit`` and not
-    evaluated.  A point that fails does not fail the stack: it is marked
-    ``failed``, and the exception of the first one, naming its (s, p), is
-    kept in ``error``.  Points are evaluated in blocks of ``BLOCK_POINTS``.
-    Emits one :class:`CutoffDegeneracyWarning` for the stack when any
-    evaluated point has an eigenvalue sum within a decade of the cutoff.
-    Raises ``InvalidParameterError`` for s and p that are not finite 1-D
-    sequences of equal length.
-    """
-    s = np.asarray(s, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if s.shape != p.shape or s.ndim != 1 or not (np.isfinite(s).all() and np.isfinite(p).all()):
-        raise InvalidParameterError(f"s and p must be finite, 1-D and of equal length, "
-                                    f"got shapes {s.shape} and {p.shape}")
     n = len(s)
-    limit = _below_threshold(psf, s, p)
     h = np.full((n, 4, 4), np.nan)
     gamma_mat = np.full((n, 4, 4), np.nan)
     eigs = np.full((n, 6), np.nan)
-    failed = np.zeros(n, dtype=bool)
     shaky = np.zeros(n, dtype=int)
-    error = None
+    failures = {}
     consts = gaussian_constants(psf)
-    todo = np.flatnonzero(~limit)
+    todo = np.flatnonzero(~skip)
     for start in range(0, len(todo), BLOCK_POINTS):
         idx = todo[start:start + BLOCK_POINTS]
-        block = _pipeline_block(_jet(psf, s[idx], p[idx]), consts)
-        h[idx], gamma_mat[idx], eigs[idx], shaky[idx] = (
-            block.h, block.gamma_mat, block.rho_eigenvalues, block.shaky)
-        failed[idx[list(block.failures)]] = True
-        if block.failures and error is None:
-            i, (kind, reason) = next(iter(block.failures.items()))
-            error = _located(kind, reason, s[idx[i]], p[idx[i]])
+        h[idx], gamma_mat[idx], eigs[idx], shaky[idx], block_failures = _pipeline_block(
+            _jet(psf, s[idx], p[idx]), consts)
+        failures.update((int(idx[i]), failure) for i, failure in block_failures.items())
     if shaky.any():
         first = int(np.flatnonzero(shaky)[0])
         _warn_cutoff(int(shaky.sum()),
                      f" at {np.count_nonzero(shaky)} point(s), first (s={float(s[first])!r}, "
                      f"p={float(p[first])!r})")
-    return PipelineStack(h=h, gamma_mat=gamma_mat, rho_eigenvalues=eigs,
-                         limit=limit, failed=failed, error=error)
+    return h, gamma_mat, eigs, failures

@@ -18,7 +18,8 @@ from srloc.psf import (
     gaussian_overlap,
     gaussian_overlap_jet,
 )
-from srloc.sld import gaussian_pipeline
+
+from one_point import pipeline_point
 
 PSF = GaussianPsf(k=1.0, z_r=2.0)
 CONSTS = gaussian_constants(PSF)
@@ -42,7 +43,7 @@ def grid_matrices():
     points = []
     for s in GRID:
         for p in GRID:
-            result = gaussian_pipeline(PSF, s, p)
+            result = pipeline_point(PSF, s, p)
             jet = gaussian_overlap_jet(PSF, s, p)
             points.append(
                 {
@@ -161,7 +162,7 @@ def test_criterion_8_state_spectrum(grid_matrices):
         ok &= abs(eigs[0] - 0.5 * (1.0 + ag)) <= 1e-8
         ok &= abs(eigs[1] - 0.5 * (1.0 - ag)) <= 1e-8
         ok &= np.max(np.abs(eigs[2:])) <= 1e-8
-    ref = gaussian_pipeline(PSF, 1.0, 0.0).rho_eigenvalues
+    ref = pipeline_point(PSF, 1.0, 0.0).rho_eigenvalues
     ok &= abs(ref[0] - 0.941249) <= 1e-6 and abs(ref[1] - 0.058751) <= 1e-6
     check(8, "state eigenvalues equal (1 +/- |gamma|)/2 plus four zeros", ok)
 
@@ -185,8 +186,8 @@ def test_criterion_9_derivative_engine():
 def test_criterion_10_centroid_invariance():
     base = SourceGeometry.from_coordinates(1.0, 4.1, 2.0, 6.1)
     shifted = SourceGeometry.from_coordinates(1.0 + 7.3, 4.1 - 2.1, 2.0 + 7.3, 6.1 - 2.1)
-    r1 = gaussian_pipeline(PSF, base.s, base.p)
-    r2 = gaussian_pipeline(PSF, shifted.s, shifted.p)
+    r1 = pipeline_point(PSF, base.s, base.p)
+    r2 = pipeline_point(PSF, shifted.s, shifted.p)
     ok = (base.xbar, base.zbar) != (shifted.xbar, shifted.zbar)
     ok &= r1.h.tobytes() == r2.h.tobytes()
     ok &= r1.gamma_mat.tobytes() == r2.gamma_mat.tobytes()

@@ -77,9 +77,9 @@ def test_qcrb_budget_scaling_is_exact():
 
 
 def test_qcrb_accepts_qfim_result(psf):
-    from srloc.sld import gaussian_pipeline
+    from srloc import evaluate
 
-    result = gaussian_pipeline(psf, 1.0, 2.0)
+    result = evaluate(psf, [1.0], [2.0], "pipeline")
     assert qcrb_total(result, UNIT_BUDGET) == qcrb_total(result.h, UNIT_BUDGET)
 
 

@@ -12,9 +12,8 @@ import srloc.routes
 import srloc.sld
 from srloc.cli import _CSV_BLOCK_ROWS, _CSV_KERNEL_ROWS, _csv_rows, main
 from srloc.closed_forms import small_separation_limit
-from srloc.errors import SrlocError
 from srloc.psf import GaussianPsf
-from srloc.sld import gaussian_pipeline
+from srloc.routes import evaluate
 
 
 def run(capsys, *argv):
@@ -355,8 +354,8 @@ def test_sweep_pipeline_matches_per_point_pipeline(capsys, tmp_path):
         if s == 0.0:  # below the threshold: the coincident-source limit
             h, g = h_lim, g_lim
         else:
-            result = gaussian_pipeline(psf, s, p)
-            h, g = result.h, result.gamma_mat
+            result = evaluate(psf, [s], [p], "pipeline")
+            h, g = result.h[0], result.gamma_mat[0]
         want = [h[0, 0], h[1, 1], h[2, 2], h[3, 3], h[1, 3], g[0, 1], g[2, 3], g[0, 3], g[1, 2]]
         scale = [h[0, 0], h[1, 1], h[2, 2], h[3, 3], math.sqrt(h[1, 1] * h[3, 3]),
                  math.sqrt(h[0, 0] * h[1, 1]), math.sqrt(h[2, 2] * h[3, 3]),
@@ -506,11 +505,7 @@ def test_crossval_drops_pipeline_route_exactly_where_it_fails():
     served = srloc.routes.deviations(evs).served
     accepted = []
     for (s, p), routes in zip(grid, served):
-        try:
-            gaussian_pipeline(psf, s, p)
-            accepted.append(True)
-        except SrlocError:
-            accepted.append(False)
+        accepted.append(evaluate(psf, [s], [p], "pipeline").route == ("pipeline",))
         assert routes[srloc.routes.METHODS.index("pipeline")] == accepted[-1]
     assert any(accepted) and not all(accepted)
     assert "failed" in evs["pipeline"].route and "limit" in evs["pipeline"].route
@@ -613,3 +608,13 @@ def test_crb_requires_point_or_limits(capsys):
         capsys, "crb", "--k", "1", "--zr", "2", "--nu", "1", "--m", "1", "--eps", "1",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("s, p", [("0", "0"), ("0.01", "0")])
+def test_crb_pipeline_refuses_where_eval_does(capsys, s, p):
+    # (0, 0) is a limit point, (0.01, 0) one the pipeline refuses
+    point = ["--k", "1", "--zr", "2", "--s", s, "--p", p, "--method", "pipeline"]
+    eval_code, _, eval_err = run(capsys, "eval", *point)
+    code, out, err = run(capsys, "crb", *point, "--nu", "1", "--m", "1", "--eps", "1")
+    assert code == eval_code == 1 and out == ""
+    assert err == eval_err and err.startswith("error: ") and err.count("\n") == 1

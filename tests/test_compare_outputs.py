@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,15 @@ def test_texts_whose_words_differ_read_none(compare_outputs):
     assert compare_outputs.relative_difference(b"pass: true\n", b"pass: false\n") is None
     assert compare_outputs.relative_difference(b"1,2\n", b"1,2,3\n") is None
     assert compare_outputs.relative_difference(b"same 0.5\n", b"same 0.5\n") == 0.0
+
+
+def test_a_number_that_turns_nan_or_infinite_reads_inf(compare_outputs):
+    for turned in (b"NaN", b"Infinity", b"-Infinity"):
+        b = b"[0.25, %s]" % turned
+        assert compare_outputs.relative_difference(b"[0.25, 1.0]", b) == math.inf
+        assert compare_outputs.relative_difference(b, b"[0.25, 1.0]") == math.inf
+    assert compare_outputs.relative_difference(b"[0.25, Infinity]", b"[0.25, -Infinity]") == math.inf
+    assert compare_outputs.relative_difference(b"[0.25, NaN]", b"[0.25, NaN]") == 0.0
+    # an infinite entry that did not change does not hide a finite change beside it
+    assert compare_outputs.relative_difference(b"[Infinity, 1.0, 2.0]",
+                                               b"[Infinity, 1.0, 4.0]") == 0.5

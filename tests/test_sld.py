@@ -5,26 +5,19 @@ import numpy as np
 import pytest
 
 import srloc.sld
-from srloc.closed_forms import gaussian_matrices
+from srloc import evaluate
+from srloc.closed_forms import gaussian_matrices, small_separation_limit
 from srloc.errors import (
     CutoffDegeneracyWarning,
     DegenerateBasisError,
     InvalidParameterError,
-    SmallSeparationError,
     SrlocError,
 )
 from srloc.gram import COORDINATES, build_gram_stack
 from srloc.psf import SourceGeometry, gaussian_overlap_jet
-from srloc.sld import (
-    _TO_PHYSICAL,
-    PARAMETERS,
-    _support_frame,
-    _support_weights,
-    gaussian_pipeline,
-    gaussian_pipeline_stack,
-    orthonormalize,
-)
+from srloc.sld import _TO_PHYSICAL, PARAMETERS, _support_frame, _support_weights, orthonormalize
 
+from one_point import pipeline_point
 from oracle import oracle, row_scaled_error
 
 
@@ -161,7 +154,7 @@ def test_solve_sld_warns_near_cutoff(psf, monkeypatch):
     # at s = 0.1, p = 0 the small eigenvalue of rho is 6e-4, within a decade of 1e-4
     monkeypatch.setattr(srloc.sld, "SUPPORT_CUTOFF", 1e-4)
     with pytest.warns(CutoffDegeneracyWarning, match=r"first \(s=0\.1, p=0\.0\)") as caught:
-        gaussian_pipeline(psf, 0.1, 0.0)
+        evaluate(psf, [0.1], [0.0], "pipeline")
     assert caught[0].filename == __file__  # attributed to the caller, not to srloc
 
 
@@ -208,7 +201,7 @@ def test_rotate_axial_block_and_linearity():
 
 
 def pipeline_matrices(psf, s, p):
-    result = gaussian_pipeline(psf, s, p)
+    result = pipeline_point(psf, s, p)
     return result.h, result.gamma_mat, result
 
 
@@ -260,7 +253,7 @@ def test_rho_eigenvalues_reference(psf):
 
 
 def test_rho_eigenvalue_pattern_generic(psf):
-    result = gaussian_pipeline(psf, 0.8, 2.6)
+    result = pipeline_point(psf, 0.8, 2.6)
     ag = abs(gaussian_overlap_jet(psf, 0.8, 2.6).gamma)
     assert result.rho_eigenvalues[0] == pytest.approx(0.5 * (1.0 + ag), abs=1e-10)
     assert result.rho_eigenvalues[1] == pytest.approx(0.5 * (1.0 - ag), abs=1e-10)
@@ -270,7 +263,7 @@ def test_rho_eigenvalues_in_closed_form(psf):
     # the support eigenvalues are (1 +- |gamma|)/2 and the kernel is exact
     s = [0.05, 0.5, 1.0, 3.0, 4.9, 0.3]
     p = [0.1, 2.0, 0.0, 1.0, 4.9, 4.0]
-    stack = gaussian_pipeline_stack(psf, s, p)
+    stack = evaluate(psf, s, p, "pipeline")
     ag = np.abs(gaussian_overlap_jet(psf, np.array(s), np.array(p)).gamma)
     assert np.max(np.abs(stack.rho_eigenvalues[:, 0] - (1.0 + ag) / 2.0)) <= 1e-15
     assert np.max(np.abs(stack.rho_eigenvalues[:, 1] - (1.0 - ag) / 2.0)) <= 1e-15
@@ -292,7 +285,7 @@ def test_support_frame_diagonalizes_the_support_block():
 def test_equal_eigenvalues_far_apart(psf):
     # at s = 80, p = 0 |gamma| underflows to 0: rho's support block is I/2
     # and its eigenframe the identity
-    result = gaussian_pipeline(psf, 80.0, 0.0)
+    result = pipeline_point(psf, 80.0, 0.0)
     assert np.array_equal(result.h, np.diag([0.25, 1.0, 0.0625, 0.25]))
     assert np.array_equal(result.gamma_mat, np.zeros((4, 4)))
     assert result.rho_eigenvalues.tolist() == [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]
@@ -310,15 +303,19 @@ def test_reflection_symmetry_in_s(psf):
 def test_centroid_invariance_bit_identical(psf):
     g1 = SourceGeometry.from_coordinates(1.0, 4.1, 2.0, 6.1)
     g2 = SourceGeometry.from_coordinates(1.0 + 7.3, 4.1 - 2.1, 2.0 + 7.3, 6.1 - 2.1)
-    r1 = gaussian_pipeline(psf, g1.s, g1.p)
-    r2 = gaussian_pipeline(psf, g2.s, g2.p)
+    r1 = pipeline_point(psf, g1.s, g1.p)
+    r2 = pipeline_point(psf, g2.s, g2.p)
     assert r1.h.tobytes() == r2.h.tobytes()
     assert r1.gamma_mat.tobytes() == r2.gamma_mat.tobytes()
 
 
 def test_pipeline_refuses_tiny_separations(psf):
-    with pytest.raises(SmallSeparationError):
-        gaussian_pipeline(psf, 1e-7, 1e-7)
+    # below the threshold the pipeline method serves the coincident-source limit
+    ev = evaluate(psf, [1e-7, 1.0], [1e-7, 1.0], "pipeline")
+    assert ev.route == ("limit", "pipeline") and ev.error is None
+    h_lim, g_lim = small_separation_limit(psf)
+    assert np.array_equal(ev.h[0], h_lim) and np.array_equal(ev.gamma_mat[0], g_lim)
+    assert np.all(np.isnan(ev.rho_eigenvalues[0]))
 
 
 def test_compute_qfim_parameter_order():
@@ -336,8 +333,8 @@ def test_stack_matches_the_mpmath_oracle(psf):
     box_s, box_p = (a.ravel() for a in np.meshgrid(np.linspace(0.1, 5.0, 9),
                                                    np.linspace(0.0, 5.0, 9)))
     for s, p in ((STACK_S, STACK_P), (box_s, box_p)):
-        stack = gaussian_pipeline_stack(psf, s, p)
-        assert not stack.failed.any() and not stack.limit.any() and stack.error is None
+        stack = evaluate(psf, s, p, "pipeline")
+        assert set(stack.route) == {"pipeline"} and stack.error is None
         worst = max(row_scaled_error(stack.h[i], stack.gamma_mat[i], *oracle(psf, a, b))
                     for i, (a, b) in enumerate(zip(s, p)))
         assert worst <= 1e-12
@@ -346,47 +343,47 @@ def test_stack_matches_the_mpmath_oracle(psf):
 def test_stack_point_bits_independent_of_stack(psf, monkeypatch):
     s = np.linspace(0.1, 4.9, 25)
     p = np.linspace(4.0, 0.2, 25)
-    full = gaussian_pipeline_stack(psf, s, p)
+    full = evaluate(psf, s, p, "pipeline")
     for i in (0, 7, 24):
-        alone = gaussian_pipeline_stack(psf, [s[i]], [p[i]])
-        single = gaussian_pipeline(psf, float(s[i]), float(p[i]))
+        alone = evaluate(psf, [s[i]], [p[i]], "pipeline")
+        single = pipeline_point(psf, float(s[i]), float(p[i]))
         for name in ("h", "gamma_mat", "rho_eigenvalues"):
             assert getattr(alone, name)[0].tobytes() == getattr(full, name)[i].tobytes()
         assert single.h.tobytes() == full.h[i].tobytes()
         assert single.gamma_mat.tobytes() == full.gamma_mat[i].tobytes()
         assert single.rho_eigenvalues.tobytes() == full.rho_eigenvalues[i].tobytes()
     monkeypatch.setattr(srloc.sld, "BLOCK_POINTS", 4)
-    blocked = gaussian_pipeline_stack(psf, s, p)
+    blocked = evaluate(psf, s, p, "pipeline")
     assert blocked.h.tobytes() == full.h.tobytes()
     assert blocked.gamma_mat.tobytes() == full.gamma_mat.tobytes()
 
 
 def test_stack_fails_only_the_point_whose_jet_overflows(psf):
     # no numpy warning escapes (pytest turns RuntimeWarning into an error)
-    stack = gaussian_pipeline_stack(psf, [1.0, 1e200], [0.0, 0.0])
-    assert stack.failed.tolist() == [False, True]
+    stack = evaluate(psf, [1.0, 1e200], [0.0, 0.0], "pipeline")
+    assert stack.route == ("pipeline", "failed")
     assert isinstance(stack.error, DegenerateBasisError)
     assert "(s=1e+200, p=0.0)" in str(stack.error) and "not finite" in str(stack.error)
     assert np.all(np.isnan(stack.h[1]))
-    alone = gaussian_pipeline_stack(psf, [1.0], [0.0])
+    alone = evaluate(psf, [1.0], [0.0], "pipeline")
     for name in ("h", "gamma_mat", "rho_eigenvalues"):
         assert getattr(alone, name)[0].tobytes() == getattr(stack, name)[0].tobytes()
     with pytest.raises(DegenerateBasisError, match=r"\(s=1e\+200, p=0\.0\)"):
-        gaussian_pipeline(psf, 1e200, 0.0)
+        raise evaluate(psf, [1e200], [0.0], "pipeline").error
 
 
 def test_stack_reports_failures_per_point(psf):
     s = [1.0, 0.0, 0.01, 2.0, 0.02]
     p = [1.0, 0.0, 0.0, 0.5, 0.0]
-    stack = gaussian_pipeline_stack(psf, s, p)
-    assert stack.limit.tolist() == [False, True, False, False, False]
-    assert stack.failed.tolist() == [False, False, True, False, True]
+    stack = evaluate(psf, s, p, "pipeline")
+    assert stack.route == ("pipeline", "limit", "failed", "pipeline", "failed")
     assert isinstance(stack.error, DegenerateBasisError)
     assert "(s=0.01, p=0.0)" in str(stack.error)
-    assert np.all(np.isnan(stack.h[[1, 2, 4]]))
-    assert stack.h[3].tobytes() == gaussian_pipeline(psf, 2.0, 0.5).h.tobytes()
+    assert np.all(np.isnan(stack.h[[2, 4]])) and np.all(np.isnan(stack.rho_eigenvalues[[1, 2, 4]]))
+    assert np.array_equal(stack.h[1], small_separation_limit(psf)[0])
+    assert stack.h[3].tobytes() == pipeline_point(psf, 2.0, 0.5).h.tobytes()
     with pytest.raises(DegenerateBasisError, match=r"\(s=0\.01, p=0\.0\)"):
-        gaussian_pipeline(psf, 0.01, 0.0)
+        raise evaluate(psf, [0.01], [0.0], "pipeline").error
 
 
 def test_stack_isolates_cholesky_failure(psf, monkeypatch):
@@ -399,22 +396,22 @@ def test_stack_isolates_cholesky_failure(psf, monkeypatch):
         return factor(gram)
 
     monkeypatch.setattr(srloc.sld, "orthonormalize", refuse_victim)
-    stack = gaussian_pipeline_stack(psf, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-    assert stack.failed.tolist() == [False, True, False]
+    stack = evaluate(psf, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], "pipeline")
+    assert stack.route == ("pipeline", "failed", "pipeline")
     assert isinstance(stack.error, DegenerateBasisError)
     assert "(s=2.0, p=1.0)" in str(stack.error)
     monkeypatch.undo()
-    assert stack.h[2].tobytes() == gaussian_pipeline(psf, 3.0, 1.0).h.tobytes()
+    assert stack.h[2].tobytes() == pipeline_point(psf, 3.0, 1.0).h.tobytes()
 
 
 def test_stack_asymmetry_limit_names_first_point(psf, monkeypatch):
     monkeypatch.setattr(srloc.sld, "_ASYMMETRY_LIMIT", 0.0)
-    stack = gaussian_pipeline_stack(psf, [0.0, 1.5, 2.0], [0.0, 0.5, 1.0])
-    assert stack.failed.tolist() == [False, True, True]
+    stack = evaluate(psf, [0.0, 1.5, 2.0], [0.0, 0.5, 1.0], "pipeline")
+    assert stack.route == ("limit", "failed", "failed")
     assert type(stack.error) is SrlocError
     assert "asymmetry" in str(stack.error) and "(s=1.5, p=0.5)" in str(stack.error)
     with pytest.raises(SrlocError, match="asymmetry"):
-        gaussian_pipeline(psf, 1.5, 0.5)
+        raise evaluate(psf, [1.5], [0.5], "pipeline").error
 
 
 def test_stack_warns_on_cutoff_marginal_point(psf, monkeypatch):
@@ -422,20 +419,20 @@ def test_stack_warns_on_cutoff_marginal_point(psf, monkeypatch):
     monkeypatch.setattr(srloc.sld, "SUPPORT_CUTOFF", 1e-4)
     with warnings.catch_warnings():
         warnings.simplefilter("error", CutoffDegeneracyWarning)
-        gaussian_pipeline_stack(psf, [3.0, 4.0], [0.0, 0.0])
+        evaluate(psf, [3.0, 4.0], [0.0, 0.0], "pipeline")
     with pytest.warns(CutoffDegeneracyWarning, match=r"1 point\(s\), first \(s=0\.1, p=0\.0\)"):
-        gaussian_pipeline_stack(psf, [3.0, 0.1, 4.0], [0.0, 0.0, 0.0])
+        evaluate(psf, [3.0, 0.1, 4.0], [0.0, 0.0, 0.0], "pipeline")
 
 
 def test_stack_rejects_mismatched_coordinates(psf):
     with pytest.raises(InvalidParameterError):
-        gaussian_pipeline_stack(psf, [1.0, 2.0], [1.0])
+        evaluate(psf, [1.0, 2.0], [1.0], "pipeline")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_pipeline_rejects_non_finite_separations(psf, bad):
     for s, p in ((bad, 0.0), (1.0, bad)):
         with pytest.raises(InvalidParameterError, match="finite"):
-            gaussian_pipeline(psf, s, p)
+            evaluate(psf, [s], [p], "pipeline")
         with pytest.raises(InvalidParameterError, match="finite"):
-            gaussian_pipeline_stack(psf, [1.0, s], [1.0, p])
+            evaluate(psf, [1.0, s], [1.0, p], "pipeline")
