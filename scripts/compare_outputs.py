@@ -22,7 +22,10 @@ overflows, and sweeps whose CSV cells take the forms the figure panels never
 do: ``5e+17``-type exponents (``k = 1e12, z_R = 1e-6``, both closed
 methods), ``e-07`` exponents (``k = 1e-3, z_R = 1e3``), exact zeros and a
 limit row (``0:0.1:0.001`` at ``p = 0``), and 10,001 rows across several
-CSV write blocks.
+CSV write blocks.  Then the parser's own output: ``-h`` and ``<command> -h``
+for each of the five subcommands, no arguments, ``nonsense``, ``eval``
+without ``--p``, ``eval ... --bogus 1``, ``--bogus eval ...`` and
+``sweep ... --method magic``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ PSF = ["--k", "1", "--zr", "2"]
 METHODS = ("pipeline", "general", "gaussian-closed", "all")
 POINTS = (("1", "0"), ("1", "2"), ("0", "1"), ("0", "0"))
 PANELS = (("s", "0"), ("s", "2"), ("p", "0"), ("p", "1"))
+COMMANDS = ("eval", "sweep", "crossval", "limits", "crb")
 CSV = "out.csv"
 
 
@@ -82,6 +86,11 @@ def commands() -> list[list[str]]:
                  "--method", "gaussian-closed", "--out", CSV])
     cmds.append(["sweep", *PSF, "--sweep", "s", "--range", "0:5:0.0005", "--fixed", "1",
                  "--method", "general", "--out", CSV])
+    cmds += [["-h"], *([command, "-h"] for command in COMMANDS), [], ["nonsense"],
+             ["eval", *PSF, "--s", "1"],
+             ["eval", *PSF, "--s", "1", "--p", "0", "--bogus", "1"],
+             ["--bogus", "eval", *PSF, "--s", "1", "--p", "0"],
+             ["sweep", *PSF, "--sweep", "s", "--method", "magic", "--out", CSV]]
     return cmds
 
 

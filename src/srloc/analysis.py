@@ -51,7 +51,7 @@ class EstimationBudget:
                 f"eps = {self.eps} exceeds 1: the weak-source model assumes "
                 "at most one photon per coherence interval",
                 ModelValidityWarning,
-                stacklevel=2,
+                stacklevel=3,  # past __post_init__ and the dataclass's __init__
             )
 
     @property

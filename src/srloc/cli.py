@@ -66,6 +66,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _nonnegative(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
 def _parse_range(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -319,7 +326,17 @@ def _add_psf_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--zr", type=_finite, required=True, help="Rayleigh-type length z_R")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The ``srloc`` parser, with the arguments of subcommand ``command`` only.
+
+    A call parses one subcommand, so the other four's arguments would be
+    added and never read; adding them all was about 40% of building the
+    parser, itself most of a one-point ``eval``.  Every subparser is still
+    created with its help, so ``srloc -h``, an unknown subcommand and the
+    top-level usage line of an error read as they would with every argument
+    added.  Where ``command`` names no subcommand, none gets arguments, and
+    the top-level parser exits with its help or a usage error on its own.
+    """
     parser = argparse.ArgumentParser(
         prog="srloc",
         description="Quantum estimation limits for the angular and axial "
@@ -328,63 +345,72 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate H and Gamma at one (s, p)")
-    _add_psf_args(p_eval)
-    p_eval.add_argument("--s", type=_finite, required=True, help="angular separation")
-    p_eval.add_argument("--p", type=_finite, required=True, help="axial separation")
-    p_eval.add_argument("--method", choices=METHODS, default="gaussian-closed")
-    p_eval.add_argument("--tol", type=_finite, default=1e-8, help="cross-check tolerance")
-    p_eval.add_argument("--out", help="also write the JSON record to this path")
-    p_eval.set_defaults(func=cmd_eval)
+    if command == "eval":
+        _add_psf_args(p_eval)
+        p_eval.add_argument("--s", type=_finite, required=True, help="angular separation")
+        p_eval.add_argument("--p", type=_finite, required=True, help="axial separation")
+        p_eval.add_argument("--method", choices=METHODS, default="gaussian-closed")
+        p_eval.add_argument("--tol", type=_nonnegative, default=1e-8, help="cross-check tolerance")
+        p_eval.add_argument("--out", help="also write the JSON record to this path")
+        p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="sweep s or p and write CSV")
-    _add_psf_args(p_sweep)
-    p_sweep.add_argument("--sweep", choices=("s", "p"), required=True, help="swept variable")
-    p_sweep.add_argument(
-        "--range", default="0:5:0.01", help="swept grid as start:stop:step (default 0:5:0.01)"
-    )
-    p_sweep.add_argument(
-        "--fixed", type=_finite, default=0.0, help="value of the non-swept separation"
-    )
-    p_sweep.add_argument("--method", choices=METHODS, default="gaussian-closed")
-    p_sweep.add_argument(
-        "--normalized", action="store_true",
-        help="divide H columns by N = k/(2 z_R)",
-    )
-    p_sweep.add_argument("--tol", type=_finite, default=1e-8, help="method=all check tolerance")
-    p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.set_defaults(func=cmd_sweep)
+    if command == "sweep":
+        _add_psf_args(p_sweep)
+        p_sweep.add_argument("--sweep", choices=("s", "p"), required=True, help="swept variable")
+        p_sweep.add_argument(
+            "--range", default="0:5:0.01", help="swept grid as start:stop:step (default 0:5:0.01)"
+        )
+        p_sweep.add_argument(
+            "--fixed", type=_finite, default=0.0, help="value of the non-swept separation"
+        )
+        p_sweep.add_argument("--method", choices=METHODS, default="gaussian-closed")
+        p_sweep.add_argument(
+            "--normalized", action="store_true",
+            help="divide H columns by N = k/(2 z_R)",
+        )
+        p_sweep.add_argument(
+            "--tol", type=_nonnegative, default=1e-8, help="method=all check tolerance"
+        )
+        p_sweep.add_argument("--out", required=True, help="output CSV path")
+        p_sweep.set_defaults(func=cmd_sweep)
 
     p_cross = sub.add_parser("crossval", help="three-route consistency over an (s, p) grid")
-    _add_psf_args(p_cross)
-    p_cross.add_argument(
-        "--range", default="0.1:5:0.25", help="grid for both s and p, start:stop:step"
-    )
-    p_cross.add_argument("--tol", type=_finite, default=1e-8, help="relative tolerance")
-    p_cross.add_argument("--out", help="also write the JSON report to this path")
-    p_cross.set_defaults(func=cmd_crossval)
+    if command == "crossval":
+        _add_psf_args(p_cross)
+        p_cross.add_argument(
+            "--range", default="0.1:5:0.25", help="grid for both s and p, start:stop:step"
+        )
+        p_cross.add_argument("--tol", type=_nonnegative, default=1e-8, help="relative tolerance")
+        p_cross.add_argument("--out", help="also write the JSON report to this path")
+        p_cross.set_defaults(func=cmd_crossval)
 
     p_lim = sub.add_parser("limits", help="coincident-source limit matrices")
-    _add_psf_args(p_lim)
-    p_lim.add_argument("--out", help="also write the JSON record to this path")
-    p_lim.set_defaults(func=cmd_limits)
+    if command == "limits":
+        _add_psf_args(p_lim)
+        p_lim.add_argument("--out", help="also write the JSON record to this path")
+        p_lim.set_defaults(func=cmd_limits)
 
     p_crb = sub.add_parser("crb", help="total-variance Cramer-Rao bound")
-    _add_psf_args(p_crb)
-    p_crb.add_argument("--from-limits", action="store_true", help="use the limit H")
-    p_crb.add_argument("--s", type=_finite, help="angular separation (point evaluation)")
-    p_crb.add_argument("--p", type=_finite, help="axial separation (point evaluation)")
-    p_crb.add_argument("--method", choices=METHODS[:3], default="gaussian-closed")
-    p_crb.add_argument("--nu", type=_finite, required=True, help="number of runs")
-    p_crb.add_argument("--m", type=_finite, required=True, help="coherence intervals per run")
-    p_crb.add_argument("--eps", type=_finite, required=True, help="mean photons per interval")
-    p_crb.add_argument("--out", help="also write the JSON record to this path")
-    p_crb.set_defaults(func=cmd_crb)
+    if command == "crb":
+        _add_psf_args(p_crb)
+        p_crb.add_argument("--from-limits", action="store_true", help="use the limit H")
+        p_crb.add_argument("--s", type=_finite, help="angular separation (point evaluation)")
+        p_crb.add_argument("--p", type=_finite, help="axial separation (point evaluation)")
+        p_crb.add_argument("--method", choices=METHODS[:3], default="gaussian-closed")
+        p_crb.add_argument("--nu", type=_finite, required=True, help="number of runs")
+        p_crb.add_argument("--m", type=_finite, required=True, help="coherence intervals per run")
+        p_crb.add_argument("--eps", type=_finite, required=True, help="mean photons per interval")
+        p_crb.add_argument("--out", help="also write the JSON record to this path")
+        p_crb.set_defaults(func=cmd_crb)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse dispatches a subcommand named by the first argument not an option
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits with 2 on usage errors

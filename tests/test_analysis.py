@@ -26,8 +26,9 @@ def test_budget_requires_positive_fields():
 
 
 def test_budget_warns_on_strong_sources():
-    with pytest.warns(ModelValidityWarning):
+    with pytest.warns(ModelValidityWarning) as record:
         EstimationBudget(nu=1.0, m=1.0, eps=1.5)
+    assert record[0].filename == __file__
 
 
 def test_budget_total():

@@ -140,6 +140,21 @@ def test_non_finite_numbers_are_usage_errors(capsys, tmp_path, monkeypatch, argv
     assert out == "" and not (tmp_path / "x.csv").exists()
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["eval", *PSF, "--s", "1", "--p", "2", "--method", "all", "--tol=-1e-8"],
+    ["sweep", *PSF, "--sweep", "s", "--range", "0.1:1:0.5", "--method", "all", "--tol", "-1",
+     "--out", "x.csv"],
+    ["crossval", *PSF, "--range", "0.1:1:0.5", "--tol", "-1"],
+])
+def test_negative_tolerance_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage:") and "error: argument --tol:" in err
+    assert out == "" and not (tmp_path / "x.csv").exists()
+
+
 JET_OVERFLOWS = "pipeline fails at {}: overlap jet is not finite"
 
 
@@ -618,3 +633,56 @@ def test_crb_pipeline_refuses_where_eval_does(capsys, s, p):
     code, out, err = run(capsys, "crb", *point, "--nu", "1", "--m", "1", "--eps", "1")
     assert code == eval_code == 1 and out == ""
     assert err == eval_err and err.startswith("error: ") and err.count("\n") == 1
+
+
+# -------------------------------------------------------------------- parser
+
+OPTIONS = {
+    "eval": ("--k", "--zr", "--s", "--p", "--method", "--tol", "--out"),
+    "sweep": ("--k", "--zr", "--sweep", "--range", "--fixed", "--method", "--normalized",
+              "--tol", "--out"),
+    "crossval": ("--k", "--zr", "--range", "--tol", "--out"),
+    "limits": ("--k", "--zr", "--out"),
+    "crb": ("--k", "--zr", "--from-limits", "--s", "--p", "--method", "--nu", "--m", "--eps",
+            "--out"),
+}
+TOP_USAGE = "usage: srloc [-h] {eval,sweep,crossval,limits,crb} ...\n"
+
+
+@pytest.fixture
+def help_width(monkeypatch):
+    # argparse wraps help and usage lines to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_subcommand_help_names_every_option(capsys, help_width, command):
+    code, out, _ = run(capsys, command, "-h")
+    assert code == 0
+    assert out.startswith(f"usage: srloc {command} [-h]")
+    assert all(f" {option} " in out for option in OPTIONS[command])
+
+
+def test_top_level_help_lists_every_subcommand(capsys, help_width):
+    code, out, _ = run(capsys, "-h")
+    assert code == 0 and out.startswith(TOP_USAGE)
+    assert all(f"    {command} " in out for command in OPTIONS)
+
+
+@pytest.mark.parametrize("argv, unrecognized", [
+    (["eval", *PSF, "--s", "1", "--p", "0", "--bogus", "1"], "--bogus 1"),
+    # an option before the subcommand: the subcommand's own arguments still parse
+    (["--bogus", "eval", *PSF, "--s", "1", "--p", "0"], "--bogus"),
+])
+def test_unknown_option_is_a_top_level_usage_error(capsys, help_width, argv, unrecognized):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"{TOP_USAGE}srloc: error: unrecognized arguments: {unrecognized}\n"
+
+
+def test_commands_in_one_process_parse_alike(capsys, tmp_path):
+    point = ["eval", *PSF, "--s", "1", "--p", "2"]
+    first = run(capsys, *point)
+    assert run(capsys, "sweep", *PSF, "--sweep", "s", "--range", "0.1:1:0.5",
+               "--out", str(tmp_path / "x.csv"))[0] == 0
+    assert run(capsys, *point) == first and first[0] == 0
