@@ -16,8 +16,10 @@ command is identical in all four respects, else 1.
 The commands: the README's, the four figure panels of
 ``scripts/localization_curves.py`` for every ``--method``, ``crossval`` on
 the default grid, ``0:2:1``, ``0:0.1:0.01``, ``0.37:4.37:1.0`` and at
-``k = z_R = 1e3``, ``eval`` and ``crb`` for every method at (1, 0), (1, 2),
-(0, 1) and (0, 0), the far-separation commands where the overlap jet
+``k = z_R = 1e3``, ``1e4`` and ``1e5``, ``eval --method all`` at ``k = 1e7,
+z_R = 1e-3`` with ``s = sqrt(z_R / k)`` and ``p = z_R``, ``eval`` and
+``crb`` for every method at (1, 0), (1, 2), (0, 1) and (0, 0), the
+far-separation commands where the overlap jet
 overflows, and sweeps whose CSV cells take the forms the figure panels never
 do: ``5e+17``-type exponents (``k = 1e12, z_R = 1e-6``, both closed
 methods), ``e-07`` exponents (``k = 1e-3, z_R = 1e3``), exact zeros and a
@@ -65,7 +67,10 @@ def commands() -> list[list[str]]:
     cmds.append(["crossval", *PSF])
     for grid in ("0:2:1", "0:0.1:0.01", "0.37:4.37:1.0"):
         cmds.append(["crossval", *PSF, "--range", grid])
-    cmds.append(["crossval", "--k", "1e3", "--zr", "1e3", "--range", "0.1:5:0.25"])
+    for scale in ("1e3", "1e4", "1e5"):
+        cmds.append(["crossval", "--k", scale, "--zr", scale, "--range", "0.1:5:0.25"])
+    cmds.append(["eval", "--k", "1e7", "--zr", "1e-3", "--s", "1e-5", "--p", "1e-3",
+                 "--method", "all"])
     for s, p in POINTS:
         for method in METHODS:
             cmds.append(["eval", *PSF, "--s", s, "--p", p, "--method", method])

@@ -6,13 +6,13 @@ Three layers, each giving the pair (H, Gamma) from one call:
   overlap magnitude/phase derivatives and the PSF constants.  Valid
   wherever |gamma| < 1.
 * ``gaussian_matrices``: fully explicit Gaussian-beam expressions in the
-  dimensionless combination varsigma = 2 k s^2 z_R / (p^2 + 4 z_R^2).  They
-  carry powers of s in denominators, so they need |s| above a small
-  threshold; the s -> 0 regime is covered by the general layer (regular
-  there for p != 0).
+  natural separations (s~, p~) and varsigma = s~^2 / (p~^2 + 4).  They carry
+  powers of s in denominators, so they need |s~| >= ``SMALL_SEPARATION``;
+  the s -> 0 regime is covered by the general layer (regular for p != 0).
 * ``small_separation_limit``: the (s, p) -> (0, 0) limit, where H is
   diagonal and Gamma vanishes.
 
+The Gaussian forms are those of ``psf.NATURAL``, times ``GaussianPsf.scale``.
 Matrix layout is 4x4 in the parameter order (s, xbar, p, zbar); only the
 (xbar, zbar) off-diagonal of H and the (s,xbar), (p,zbar), (s,zbar),
 (xbar,p) entries of Gamma are ever nonzero.  Every form is elementwise in
@@ -24,26 +24,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateOverlapError, InvalidParameterError, SmallSeparationError
-from .psf import (
-    GaussianPsf,
-    OverlapJet,
-    PsfConstants,
-    _points,
-    small_separation_threshold,
-)
+from .errors import DegenerateOverlapError, SmallSeparationError
+from .psf import GaussianPsf, OverlapJet, PsfConstants, _points
 
 __all__ = ["varsigma", "general_matrices", "gaussian_matrices", "small_separation_limit"]
 
 # 1 - |gamma|^2 below this is too degenerate for the 1/(1-|gamma|^2) terms.
 OVERLAP_DEGENERACY_TOL = 1e-10
 
+# |s~| below which the explicit forms, and |(s~, p~)| below which the
+# pipeline, serve two sources as coincident (natural units).
+SMALL_SEPARATION = 1e-6
+
 
 def varsigma(k: float, z_r: float, s: float, p: float) -> float:
-    """Dimensionless Gaussian separation parameter 2 k s^2 z_R / (p^2 + 4 z_R^2)."""
-    if not (k > 0.0 and z_r > 0.0):
-        raise InvalidParameterError(f"need k > 0 and z_r > 0, got k={k}, z_r={z_r}")
-    return 2.0 * k * s * s * z_r / (p * p + 4.0 * z_r * z_r)
+    """Dimensionless Gaussian separation parameter 2 k s^2 z_R / (p^2 + 4 z_R^2),
+    as s~^2 / (p~^2 + 4) in the natural separations."""
+    s, p = GaussianPsf(k=k, z_r=z_r).natural(s, p)
+    return s * s / (p * p + 4.0)
 
 
 def _overlap_factors(jet: OverlapJet):
@@ -75,7 +73,7 @@ def _matrices(shape) -> np.ndarray:
 
 def general_matrices(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray, np.ndarray]:
     """Quantum Fisher information matrix H and SLD-commutator matrix Gamma
-    for an arbitrary PSF.
+    for an arbitrary PSF, from the jet of its centered overlap.
 
     The separation blocks of H are constant: H_ss equals the transverse
     constant and H_pp the generator variance, independent of (s, p).  The
@@ -89,48 +87,46 @@ def general_matrices(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray,
     var = consts.g_variance
     # with dsa = |gamma| ls_re, dpa = |gamma| lp_re and r = |gamma|^2 / (1 - |gamma|^2)
     r = ag2 / one_minus
-    carrier = consts.mean_g + dpph
     r_dsph = r * dsph
 
     h = _matrices(shape)
     h[..., 0, 0] = consts.dpsi_norm_sq
     h[..., 2, 2] = var
     h[..., 1, 1] = 4.0 * (consts.dpsi_norm_sq - ag2 * ls_re * ls_re - r_dsph * dsph)
-    h[..., 3, 3] = 4.0 * (var - ag2 * lp_re * lp_re - r * carrier * carrier)
-    h[..., 1, 3] = h[..., 3, 1] = -4.0 * (r_dsph * carrier + ag2 * ls_re * lp_re)
+    h[..., 3, 3] = 4.0 * (var - ag2 * lp_re * lp_re - r * dpph * dpph)
+    h[..., 1, 3] = h[..., 3, 1] = -4.0 * (r_dsph * dpph + ag2 * ls_re * lp_re)
 
     # 2 |gamma| dsa and 2 |gamma| dpa
     gs = 2.0 * ag2 * ls_re
     gp = 2.0 * ag2 * lp_re
     g = _matrices(shape)
     g[..., 0, 1] = -gs * dsph * ag2 / one_minus
-    g[..., 2, 3] = -gp * carrier * ag2 / one_minus
-    g[..., 0, 3] = gp * dsph - gs * carrier / one_minus
-    g[..., 1, 2] = gp * dsph / one_minus - gs * carrier
+    g[..., 2, 3] = -gp * dpph * ag2 / one_minus
+    g[..., 0, 3] = gp * dsph - gs * dpph / one_minus
+    g[..., 1, 2] = gp * dsph / one_minus - gs * dpph
     return h, g - g.swapaxes(-1, -2)
 
 
-def _require_s_in_range(psf: GaussianPsf, s) -> None:
-    threshold = small_separation_threshold(psf.k, psf.z_r)
-    if np.count_nonzero(np.abs(s) < threshold):
+def _require_s_in_range(s) -> None:
+    if np.count_nonzero(np.abs(s) < SMALL_SEPARATION):
         raise SmallSeparationError(
-            f"|s| = {np.abs(s).min():.3e} below {threshold:.3e}: the explicit Gaussian "
-            "expressions have removable singularities at s = 0; use general_matrices with "
-            "the analytic jet (p != 0) or small_separation_limit (both separations small)"
+            f"natural |s| = {np.abs(s).min():.3e} below {SMALL_SEPARATION:.0e}: the explicit "
+            "Gaussian expressions have removable singularities at s = 0; use general_matrices "
+            "with the analytic jet (p != 0) or small_separation_limit (both separations small)"
         )
 
 
 def _explicit_terms(psf: GaussianPsf, s, p):
     """Subexpressions shared by the explicit Gaussian H and Gamma, elementwise."""
     shape, (s, p) = _points(s, p)
-    _require_s_in_range(psf, s)
-    k, zr = psf.k, psf.z_r
+    s, p = psf.natural(s, p)
+    _require_s_in_range(s)
     s2 = s * s
     q = p * p
-    vs = (2.0 * k * zr) * s2 / (q + 4.0 * zr * zr)
+    vs = s2 / (q + 4.0)
     evs = np.exp(vs)
-    ks2 = k * s2
-    den = ks2 * evs - (2.0 * zr) * vs  # k e^vs s^2 - 2 vs z_R
+    ks2 = 0.5 * s2
+    den = ks2 * evs - 2.0 * vs  # k e^vs s^2 - 2 vs z_R, with k = 1/2 and z_R = 1
     return shape, s, p, s2, q, vs, evs, np.exp(-vs), ks2, den
 
 
@@ -140,36 +136,32 @@ def gaussian_matrices(psf: GaussianPsf, s, p) -> tuple[np.ndarray, np.ndarray]:
     Broadcasts over array ``s`` and ``p``: N points give two (N, 4, 4) stacks.
     """
     shape, s, p, s2, q, vs, evs, emvs, ks2, den = _explicit_terms(psf, s, p)
-    k, zr = psf.k, psf.z_r
-    zr2 = zr * zr
     vs2 = vs * vs
     kk = ks2 * ks2  # k^2 s^4
 
     h = _matrices(shape)
-    h[..., 0, 0] = k / (2.0 * zr)
-    h[..., 1, 1] = (vs / s2) * (
-        q * (1.0 / zr2 - 2.0 * vs2 / (zr * den)) - 8.0 * zr * emvs * vs2 / ks2 + 4.0
-    )
-    h[..., 2, 2] = 1.0 / (4.0 * zr2)
+    h[..., 0, 0] = 0.25
+    h[..., 1, 1] = (vs / s2) * (q * (1.0 - 2.0 * vs2 / den) - 8.0 * emvs * vs2 / ks2 + 4.0)
+    h[..., 2, 2] = 0.25
     h[..., 3, 3] = emvs * (
         4.0 * evs * evs * kk * kk
-        - kk * evs * vs2 * (q * (vs2 - 4.0 * vs + 8.0) + 4.0 * zr2 * (vs2 + 4.0))
-        + 16.0 * zr2 * q * (vs - 1.0) * (vs - 1.0) * vs2 * vs2
-    ) / (4.0 * zr2 * kk * ks2 * den)
+        - kk * evs * vs2 * (q * (vs2 - 4.0 * vs + 8.0) + 4.0 * (vs2 + 4.0))
+        + 16.0 * q * (vs - 1.0) * (vs - 1.0) * vs2 * vs2
+    ) / (4.0 * kk * ks2 * den)
     h[..., 1, 3] = h[..., 3, 1] = (
-        p * emvs * vs2 * (kk * evs * (vs - 2.0) - 8.0 * zr2 * (vs - 1.0) * vs2)
-        / (zr * kk * s * den)
+        p * emvs * vs2 * (kk * evs * (vs - 2.0) - 8.0 * (vs - 1.0) * vs2) / (kk * s * den)
     )
 
     vs3 = vs * vs * vs
     em_den = emvs / den
-    bq = q * (vs - 2.0) - 4.0 * zr * zr * vs
+    bq = q * (vs - 2.0) - 4.0 * vs
     g = _matrices(shape)
-    g[..., 0, 1] = -4.0 * zr * p * em_den * vs3 * vs / (ks2 * s2)
-    g[..., 2, 3] = -p * em_den * (vs - 1.0) * vs3 * vs * bq / (2.0 * zr * kk * ks2)
+    g[..., 0, 1] = -4.0 * p * em_den * vs3 * vs / (ks2 * s2)
+    g[..., 2, 3] = -p * em_den * (vs - 1.0) * vs3 * vs * bq / (2.0 * kk * ks2)
     g[..., 0, 3] = em_den * vs3 * (2.0 * q * (vs - 1.0) * vs - kk * evs) / (kk * s)
     g[..., 1, 2] = -em_den * vs3 * (kk * evs + vs * bq) / (kk * s)
-    return h, g - g.swapaxes(-1, -2)
+    scale = psf.scale
+    return h * scale, (g - g.swapaxes(-1, -2)) * scale
 
 
 def small_separation_limit(psf: GaussianPsf) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +171,4 @@ def small_separation_limit(psf: GaussianPsf) -> tuple[np.ndarray, np.ndarray]:
     zero: all four parameters decouple for infinitesimally separated
     sources, and the total error bound stays finite.
     """
-    k, zr = psf.k, psf.z_r
-    h = np.diag([k / (2.0 * zr), 2.0 * k / zr, 1.0 / (4.0 * zr ** 2), 1.0 / zr ** 2])
-    return h, np.zeros((4, 4))
-
+    return np.diag([0.25, 1.0, 0.25, 1.0]) * psf.scale, np.zeros((4, 4))

@@ -8,7 +8,8 @@ the four coordinate derivatives of those images,
 
 Their Gram matrix S holds everything the pipeline needs about the basis.
 Every Gram entry depends on the source coordinates only through the
-separations (s, p); centroid coordinates never enter.
+separations (s, p); centroid coordinates never enter.  The images are
+centered (see ``psf.gaussian_overlap``): each is orthogonal to its derivatives.
 """
 
 from __future__ import annotations
@@ -55,23 +56,20 @@ def build_gram_stack(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray,
         [jet.gamma, jet.d_s, jet.d_p, jet.d_ss, jet.d_pp, jet.d_sp], dtype=complex
     ).reshape(6, -1)
     n = consts.dpsi_norm_sq
-    mg = consts.mean_g
-    mg2 = consts.mean_g2
+    var = consts.g_variance
 
     s = np.zeros((len(g), 6, 6), dtype=complex)
     s[:, 0, 0] = 1.0
     s[:, 1, 1] = 1.0
     s[:, 2, 2] = n
-    s[:, 3, 3] = mg2
+    s[:, 3, 3] = var
     s[:, 4, 4] = n
-    s[:, 5, 5] = mg2
+    s[:, 5, 5] = var
     s[:, 0, 1] = g
-    s[:, 0, 3] = -1j * mg
     s[:, 0, 4] = ds          # <Psi1 | d/dx2 Psi2> = +d_s
     s[:, 0, 5] = dp          # <Psi1 | d/dz2 Psi2> = +d_p
     s[:, 1, 2] = -ds.conj()  # conj of <d/dx1 Psi1 | Psi2> = conj(-d_s)
     s[:, 1, 3] = -dp.conj()
-    s[:, 1, 5] = -1j * mg
     s[:, 2, 4] = -dss        # <d/dx1 Psi1 | d/dx2 Psi2> = -d_ss
     s[:, 2, 5] = -dsp
     s[:, 3, 4] = -dsp

@@ -3,19 +3,21 @@
 The two-source estimation problem never needs the image-plane amplitude
 itself.  A PSF enters only through
 
-* three source-independent scalars: the squared norm of the transverse
-  derivative of the reference image state, and the mean and variance of
-  the axial propagation generator; and
-* the complex overlap ``gamma(s, p)`` between the two source images,
-  together with its first and second partial derivatives in the angular
-  separation ``s`` and the axial separation ``p``.
+* two source-independent scalars: the squared norm of the transverse
+  derivative of the reference image state, and the variance of the axial
+  propagation generator; and
+* the centered complex overlap ``gamma(s, p)`` between the two source
+  images (see ``gaussian_overlap``), together with its first and second
+  partial derivatives in the angular separation ``s`` and the axial
+  separation ``p``.
 
 This module defines those value types, the Gaussian-beam model with
 analytic derivatives, and a finite-difference adapter that builds the
 derivative data for any user-supplied overlap function.
 
 All lengths are in one consistent, caller-chosen unit; the wavenumber
-``k`` carries the inverse unit.  No internal unit conversion happens.
+``k`` carries the inverse unit.  ``GaussianPsf.natural`` and ``.scale``
+relate a Gaussian beam to ``NATURAL``, the beam in its natural units.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ __all__ = [
     "gaussian_overlap_jet",
     "fd_overlap_jet",
     "fd_default_step",
-    "small_separation_threshold",
+    "NATURAL",
 ]
 
 
@@ -75,18 +77,15 @@ class PsfConstants:
     """Source-independent scalars of a PSF model.
 
     ``dpsi_norm_sq``: squared norm of the transverse-derivative image state
-    (inverse length squared).  ``mean_g`` and ``g_variance``: mean and
-    variance of the axial generator in the reference image state (inverse
-    length, inverse length squared).  The variance is stored, not rebuilt
-    from the second moment, which would cancel when ``mean_g**2`` dwarfs it.
+    (inverse length squared).  ``g_variance``: variance of the axial
+    generator in the reference image state (inverse length squared).
     """
 
     dpsi_norm_sq: float
-    mean_g: float
     g_variance: float
 
     def __post_init__(self) -> None:
-        for name in ("dpsi_norm_sq", "mean_g", "g_variance"):
+        for name in ("dpsi_norm_sq", "g_variance"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.dpsi_norm_sq > 0.0:
@@ -97,11 +96,6 @@ class PsfConstants:
             raise InvalidParameterError(
                 f"generator variance g_variance must not be negative, got {self.g_variance}"
             )
-
-    @property
-    def mean_g2(self) -> float:
-        """Second moment of the axial generator, g_variance + mean_g**2."""
-        return self.g_variance + self.mean_g ** 2
 
 
 @dataclass(frozen=True)
@@ -131,8 +125,8 @@ class OverlapJet:
 class GaussianPsf:
     """Gaussian-beam PSF, parametrized by wavenumber ``k`` and the
     Rayleigh-type length ``z_r`` (both positive, consistent units).  The
-    limit information k/(2 z_R), 2k/z_R, 1/(4 z_R^2) and 1/z_R^2 must be
-    finite and nonzero in floating point."""
+    scales D^2 = (2k/z_r, 1/z_r^2), and D^2 / 4, must be finite and nonzero
+    in floating point: together they are the coincident-source limit."""
 
     k: float
     z_r: float
@@ -151,19 +145,31 @@ class GaussianPsf:
                 "1/(4 z_r^2) and 1/z_r^2 must be finite and nonzero"
             )
 
+    def natural(self, s, p):
+        """(s, p) in the natural units sqrt(z_R / (2k)) and z_R."""
+        return s * math.sqrt(2.0 * self.k / self.z_r), p / self.z_r
+
+    @property
+    def scale(self) -> np.ndarray:
+        """D_i D_j, D = diag(a, a, b, b), a^2 = 2k/z_R and b^2 = 1/z_R^2, each
+        rounded once: H and Gamma at (s, p) are those of ``NATURAL`` at
+        ``natural(s, p)`` times this 4x4 matrix, entry by entry."""
+        ss, pp = 2.0 * self.k / self.z_r, 1.0 / (self.z_r * self.z_r)
+        sp = math.sqrt(ss) / self.z_r
+        return np.array([[ss, ss, sp, sp], [ss, ss, sp, sp], [sp, sp, pp, pp], [sp, sp, pp, pp]])
+
+
+# The Gaussian beam in its natural units, whose constants are both 1/4.
+NATURAL = GaussianPsf(k=0.5, z_r=1.0)
+
 
 def gaussian_constants(psf: GaussianPsf) -> PsfConstants:
     """Source-independent constants of the Gaussian beam.
 
-    dpsi_norm_sq = k/(2 z_R), mean_g = k - 1/(2 z_R) and the generator
-    variance g_variance = 1/(4 z_R^2).
+    dpsi_norm_sq = k/(2 z_R) and the generator variance g_variance = 1/(4 z_R^2).
     """
     k, zr = psf.k, psf.z_r
-    return PsfConstants(
-        dpsi_norm_sq=k / (2.0 * zr),
-        mean_g=k - 1.0 / (2.0 * zr),
-        g_variance=1.0 / (4.0 * zr * zr),
-    )
+    return PsfConstants(dpsi_norm_sq=k / (2.0 * zr), g_variance=1.0 / (4.0 * zr * zr))
 
 
 def _points(*values, dtype=float):
@@ -199,24 +205,26 @@ def _cmul(a, b):
 
 
 def _overlap_terms(psf: GaussianPsf, s, p):
-    """The shape of the points, s, p, gamma, 1/d and i k s^2 / (2 d) with
-    d = p + 2i z_R, elementwise (see ``_points``)."""
+    """The shape of the points, s, p, the centered gamma, 1/d and
+    i k s^2 / (2 d) with d = p + 2i z_R, elementwise (see ``_points``)."""
     k, zr = psf.k, psf.z_r
     # complex s and p: numpy mixes its real scalars with Python complex slowly
     shape, (s, p) = _points(s, p, dtype=complex)
     inv = 1.0 / (p + 2j * zr)
     t = (0.5j * k) * (s * s) * inv  # an imaginary factor times inv rounds alike
-    gamma = _cmul((2j * zr) * inv, np.exp((-1j * k) * p - t))
+    gamma = _cmul((2j * zr) * inv, np.exp((-0.5j / zr) * p - t))
     return shape, s, p, gamma, inv, t
 
 
 def gaussian_overlap(psf: GaussianPsf, s, p):
-    """Complex overlap of the two Gaussian source images.
+    """Centered complex overlap of the two Gaussian source images.
 
-    gamma(s, p) = [2i z_R / (p + 2i z_R)] * exp(-i k p - i k s^2 / (2 (p + 2i z_R)))
+    gamma(s, p) = [2i z_R / (p + 2i z_R)] * exp(-i p / (2 z_R) - i k s^2 / (2 (p + 2i z_R)))
 
-    Entire in (s, p); gamma(0, 0) = 1 and |gamma| < 1 elsewhere.  Broadcasts
-    over array ``s`` and ``p``; scalars give a scalar.
+    It is the overlap times exp(i <G> p), <G> = k - 1/(2 z_R) the mean of the
+    axial generator: a phase of one image, which changes neither |gamma| nor
+    the state.  Entire in (s, p); gamma(0, 0) = 1 and |gamma| < 1 elsewhere.
+    Broadcasts over array ``s`` and ``p``; scalars give a scalar.
     """
     shape, _, _, gamma, _, _ = _overlap_terms(psf, s, p)
     return _shaped(shape, [gamma])[0]
@@ -235,7 +243,7 @@ def gaussian_overlap_jet(psf: GaussianPsf, s, p) -> OverlapJet:
     # d log(gamma)/ds and /dp, plus their own derivatives
     iks = (-1j * k) * s
     ls = iks * inv
-    lp = _cmul(t, inv) - inv - 1j * k
+    lp = _cmul(t, inv) - inv - 0.5j / psf.z_r
     inv2 = _cmul(inv, inv)
     ls_s = (-1j * k) * inv
     lp_p = _cmul(inv2, 1.0 - 2.0 * t)
@@ -315,9 +323,3 @@ def fd_overlap_jet(
         d_pp=(fpp_ - 2.0 * f00 + fmp) / (h * h),
         d_sp=(fap - fam - fbp + fbm) / (4.0 * h * h),
     )
-
-
-def small_separation_threshold(k: float, z_r: float) -> float:
-    """Separation scale below which numerical routes defer to the
-    coincident-source limit: 1e-6 * max(1/k, z_R)."""
-    return 1e-6 * max(1.0 / k, z_r)

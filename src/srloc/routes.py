@@ -3,18 +3,19 @@
 Per method, the route each point gets:
 
 * ``gaussian-closed``: the explicit Gaussian forms; ``"general"`` for
-  ``|s| < small_separation_threshold``, and ``"limit"`` where then also
+  ``|s~| < SMALL_SEPARATION``, and ``"limit"`` where then also
   ``1 - |gamma|^2 <= 1e-8``.
 * ``general``: the general closed forms; ``"limit"`` where
   ``1 - |gamma|^2 < 1e-10``.
 * ``pipeline``: the stacked numerical pipeline (``sld.pipeline``);
-  ``"limit"`` where ``s^2 + p^2`` is below the squared small-separation
-  threshold, and ``"failed"`` (NaN matrices) where the pipeline refuses the
-  point.
+  ``"limit"`` where ``s~^2 + p~^2 < SMALL_SEPARATION^2``, and
+  ``"failed"`` (NaN matrices) where the pipeline refuses the point.
 
-Each method serves the whole grid at once: the closed forms and the overlap
-jet are elementwise array code, and each route is chosen by a mask.  This is
-the only place that checks the inputs and decides the routes.
+Every route solves the problem of ``psf.NATURAL`` at (s~, p~) =
+``psf.natural(s, p)`` and multiplies by ``psf.scale`` once.  Each method
+serves the whole grid at once: the closed forms and the overlap jet are
+elementwise array code, and each route is chosen by a mask.  This is the
+only place that checks the inputs and decides the routes.
 """
 
 from __future__ import annotations
@@ -28,13 +29,8 @@ import numpy as np
 
 from . import closed_forms, sld
 from .errors import InvalidParameterError, SrlocError
-from .psf import (
-    GaussianPsf,
-    gaussian_constants,
-    gaussian_overlap,
-    gaussian_overlap_jet,
-    small_separation_threshold,
-)
+from .closed_forms import SMALL_SEPARATION
+from .psf import NATURAL, GaussianPsf, gaussian_constants, gaussian_overlap, gaussian_overlap_jet
 
 __all__ = ["METHODS", "Evaluation", "Deviations", "evaluate", "all_routes", "deviations",
            "sparsity_ok"]
@@ -134,8 +130,8 @@ def _where(mask: np.ndarray):
 def _closed(psf: GaussianPsf, s: np.ndarray, p: np.ndarray, method: str):
     """H, Gamma and route labels of the two closed-form methods, by masks.
 
-    ``gaussian-closed`` serves ``|s| >= t`` by the explicit forms and reroutes
-    the other points to the general forms, or to the limit where
+    ``gaussian-closed`` serves ``|s~| >= SMALL_SEPARATION`` by the explicit forms
+    and reroutes the other points to the general forms, or to the limit where
     ``1 - |gamma|^2 <= 1e-8``; ``general`` serves every point by the general
     forms, or by the limit where ``1 - |gamma|^2 < OVERLAP_DEGENERACY_TOL``.
     A form that overflows or divides by zero leaves a non-finite entry, which
@@ -156,8 +152,9 @@ def _closed_block(psf, s, p, method, h, g) -> list[tuple[int, str]]:
     """``_closed`` on one block, into ``h`` and ``g``; returns the (index,
     route) of each point not served by ``method`` itself."""
     relabel = []
+    s_n, p_n = psf.natural(s, p)
     if method == "gaussian-closed":
-        rest = np.abs(s) < small_separation_threshold(psf.k, psf.z_r)
+        rest = np.abs(s_n) < SMALL_SEPARATION
         if not _all(rest):
             at = _where(~rest)
             h[at], g[at] = closed_forms.gaussian_matrices(psf, s[at], p[at])
@@ -166,7 +163,7 @@ def _closed_block(psf, s, p, method, h, g) -> list[tuple[int, str]]:
         rest = np.ones(len(s), dtype=bool)
     if np.count_nonzero(rest):
         at = _where(rest)
-        jet = gaussian_overlap_jet(psf, s[at], p[at])
+        jet = gaussian_overlap_jet(NATURAL, s_n[at], p_n[at])
         ag = np.abs(jet.gamma)
         one_minus = 1.0 - ag * ag
         if method == "gaussian-closed":
@@ -179,18 +176,20 @@ def _closed_block(psf, s, p, method, h, g) -> list[tuple[int, str]]:
             relabel += [(i, "limit") for i in at[limit].tolist()]
             at, jet = at[~limit], jet[~limit]
         if len(jet.gamma):
-            h[at], g[at] = closed_forms.general_matrices(jet, gaussian_constants(psf))
+            h_n, g_n = closed_forms.general_matrices(jet, gaussian_constants(NATURAL))
+            scale = psf.scale
+            h[at], g[at] = h_n * scale, g_n * scale
     return relabel
 
 
 def _pipeline(psf: GaussianPsf, s: np.ndarray, p: np.ndarray):
     """H, Gamma, route labels, rho's eigenvalues and the first error of the
-    pipeline method: the limit where s^2 + p^2 < t^2, ``sld.pipeline``
-    elsewhere, ``failed`` where it refuses a point (NaN matrices); the error
-    names the first failed point's (s, p), or is None."""
-    t = small_separation_threshold(psf.k, psf.z_r)
+    pipeline method: the limit where s~^2 + p~^2 < SMALL_SEPARATION^2,
+    ``sld.pipeline`` elsewhere, ``failed`` where it refuses a point (NaN
+    matrices); the error names the first failed point's (s, p), or is None."""
+    s_n, p_n = psf.natural(s, p)
     with np.errstate(over="ignore"):  # inf is not below it
-        limit = s * s + p * p < t * t
+        limit = s_n * s_n + p_n * p_n < SMALL_SEPARATION ** 2
     h, g, eigs, failures = sld.pipeline(psf, s, p, limit)
     route = ["pipeline"] * len(s)
     if np.count_nonzero(limit):

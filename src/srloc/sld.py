@@ -18,7 +18,8 @@ together, and
                                   = sum_{i < 2, j} q_i L_mu[i, j] conj(L_nu[i, j]).
 
 All results are independent of the centroid coordinates by construction
-(the Gram data only sees the separations).  ``pipeline`` runs the blocks;
+(the Gram data only sees the separations).  ``pipeline`` runs the blocks on
+the beam ``NATURAL`` at the natural separations and scales the results;
 ``routes.evaluate(..., "pipeline")`` checks the inputs, sends the points
 above the coincident-source threshold to it and labels every point.
 """
@@ -33,7 +34,8 @@ import numpy as np
 
 from .errors import CutoffDegeneracyWarning, DegenerateBasisError, SrlocError
 from .gram import _DRHO_ROWS, COORDINATES, build_gram_stack
-from .psf import GaussianPsf, OverlapJet, PsfConstants, gaussian_constants, gaussian_overlap_jet
+from .psf import (NATURAL, GaussianPsf, OverlapJet, PsfConstants, gaussian_constants,
+                  gaussian_overlap_jet)
 
 __all__ = ["PARAMETERS", "orthonormalize", "pipeline"]
 
@@ -259,16 +261,16 @@ def _pipeline_block(jet: OverlapJet, consts: PsfConstants):
     return h, gamma_mat, eigs, shaky, dict(sorted(failures.items()))
 
 
-def _jet(psf: GaussianPsf, s, p) -> OverlapJet:
-    """The overlap jet at (s, p); where it overflows it holds inf or NaN,
-    which ``build_gram_stack`` reports as a failed point."""
+def _jet(s, p) -> OverlapJet:
+    """The overlap jet of ``NATURAL`` at (s, p); where it overflows it holds
+    inf or NaN, which ``build_gram_stack`` reports as a failed point."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return gaussian_overlap_jet(psf, s, p)
+        return gaussian_overlap_jet(NATURAL, s, p)
 
 
 def pipeline(psf: GaussianPsf, s: np.ndarray, p: np.ndarray, skip: np.ndarray):
     """The stacked pipeline at the points (s[i], p[i]) outside the mask
-    ``skip``, in blocks of ``BLOCK_POINTS``.
+    ``skip``, in blocks of ``BLOCK_POINTS``, solved at ``psf.natural(s, p)``.
 
     Returns H and Gamma (N, 4, 4), rho's eigenvalues (N, 6), descending,
     and the failures, index -> (error type, reason), in index order; skipped
@@ -282,13 +284,17 @@ def pipeline(psf: GaussianPsf, s: np.ndarray, p: np.ndarray, skip: np.ndarray):
     eigs = np.full((n, 6), np.nan)
     shaky = np.zeros(n, dtype=int)
     failures = {}
-    consts = gaussian_constants(psf)
+    consts = gaussian_constants(NATURAL)
+    s_n, p_n = psf.natural(s, p)
     todo = np.flatnonzero(~skip)
     for start in range(0, len(todo), BLOCK_POINTS):
         idx = todo[start:start + BLOCK_POINTS]
         h[idx], gamma_mat[idx], eigs[idx], shaky[idx], block_failures = _pipeline_block(
-            _jet(psf, s[idx], p[idx]), consts)
+            _jet(s_n[idx], p_n[idx]), consts)
         failures.update((int(idx[i]), failure) for i, failure in block_failures.items())
+    scale = psf.scale
+    h *= scale
+    gamma_mat *= scale
     if shaky.any():
         first = int(np.flatnonzero(shaky)[0])
         _warn_cutoff(int(shaky.sum()),

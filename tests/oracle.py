@@ -2,7 +2,10 @@
 
 It evaluates the general closed forms on the analytic overlap jet of the
 Gaussian beam in 50-digit arithmetic, independently of every double
-precision route in ``srloc``.
+precision route in ``srloc``.  It keeps the uncentered overlap, with its
+phase exp(-i k p), and the generator's mean, in physical units, so it checks
+the centering and the scaling of the routes instead of sharing them; the
+cancellation between the two costs about 21 of the 50 digits at k = z_R = 1e5.
 """
 
 import mpmath

@@ -101,17 +101,20 @@ def test_eval_usage_error_exit_code(capsys):
 
 def test_eval_all_reports_the_pipeline_refusal(capsys):
     code, _, err = run(
-        capsys, "eval", "--k", "1e3", "--zr", "1e3", "--s", "1", "--p", "1e3", "--method", "all",
+        capsys, "eval", "--k", "1", "--zr", "2", "--s", "0.001", "--p", "0", "--method", "all",
     )
     assert code == 1
-    assert "(s=1.0, p=1000.0)" in err and "degenerate" in err
+    assert "(s=0.001, p=0.0)" in err and "degenerate" in err
 
 
 def test_crossval_passes_at_physical_scale(capsys):
-    # H_pp on the general route is the stored generator variance, which no
-    # longer cancels against mean_g^2 when k z_R >> 1
-    record = run_json(capsys, "crossval", "--k", "1e3", "--zr", "1e3", "--range", "0.1:5:0.25")
-    assert record["pass"] is True
+    # every route solves the centered problem in natural units, so neither the
+    # general route's phase derivative nor the pipeline's Gram matrix mixes
+    # the scales k and 1/z_R when k z_R >> 1
+    for scale in ("1e3", "1e4", "1e5"):
+        record = run_json(capsys, "crossval", "--k", scale, "--zr", scale, "--range", "0.1:5:0.25")
+        assert record["pass"] is True
+        assert record["n_points_all_three_routes"] == 400
 
 
 PSF = ["--k", "1", "--zr", "2"]

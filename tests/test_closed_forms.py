@@ -6,7 +6,13 @@ import pytest
 import srloc.closed_forms
 from srloc.closed_forms import gaussian_matrices, general_matrices, small_separation_limit, varsigma
 from srloc.errors import DegenerateOverlapError, InvalidParameterError, SmallSeparationError
-from srloc.psf import GaussianPsf, PsfConstants, gaussian_constants, gaussian_overlap_jet
+from srloc.psf import (
+    NATURAL,
+    GaussianPsf,
+    PsfConstants,
+    gaussian_constants,
+    gaussian_overlap_jet,
+)
 from srloc.routes import evaluate
 
 from oracle import oracle, row_scaled_error
@@ -37,7 +43,7 @@ def test_varsigma_validates_parameters():
 
 def test_general_h_separation_entries_are_passthrough(psf):
     jet = gaussian_overlap_jet(psf, 1.0, 1.0)
-    consts = PsfConstants(dpsi_norm_sq=0.7, mean_g=1.0, g_variance=1.0)
+    consts = PsfConstants(dpsi_norm_sq=0.7, g_variance=1.0)
     h, _ = general_matrices(jet, consts)
     assert h[0, 0] == 0.7
     assert h[2, 2] == 1.0
@@ -212,7 +218,8 @@ def test_explicit_forms_match_the_mpmath_oracle_at_physical_scale():
 
 
 def test_general_h_pp_is_the_exact_generator_variance_at_physical_scale():
-    # mean_g^2 is 4e12 times the variance here; no moment difference may enter H_pp
+    # the generator's squared mean is 4e12 times its variance here; H_pp is the
+    # stored variance, never a difference of moments
     psf = GaussianPsf(k=1e3, z_r=1e3)
     h, _ = general_matrices(gaussian_overlap_jet(psf, 1.0, 1e3), gaussian_constants(psf))
     assert h[2, 2] == 1.0 / (4.0 * psf.z_r ** 2)
@@ -253,11 +260,11 @@ def test_routed_evaluation_selects_explicit_forms(psf):
     assert np.array_equal(h, gaussian_matrices(psf, 1.0, 2.0)[0])
 
 
-def test_routed_evaluation_reroutes_zero_s(psf, consts):
+def test_routed_evaluation_reroutes_zero_s(psf):
     h, g, route = routed(psf, 0.0, 2.0)
     assert route == "general"
-    jet = gaussian_overlap_jet(psf, 0.0, 2.0)
-    assert np.array_equal(h, general_matrices(jet, consts)[0])
+    jet = gaussian_overlap_jet(NATURAL, *psf.natural(0.0, 2.0))
+    assert np.array_equal(h, general_matrices(jet, gaussian_constants(NATURAL))[0] * psf.scale)
 
 
 def test_routed_evaluation_falls_back_to_limit(psf):

@@ -25,11 +25,10 @@ def test_constant_entries(psf, consts, s, p):
     assert sm[0, 0] == 1.0 and sm[1, 1] == 1.0
     assert sm[2, 2] == consts.dpsi_norm_sq == 0.25
     assert sm[4, 4] == 0.25
-    assert sm[3, 3] == consts.mean_g2 == 0.625
-    assert sm[5, 5] == 0.625
-    assert sm[0, 3] == -0.75j
-    assert sm[1, 5] == -0.75j
+    assert sm[3, 3] == consts.g_variance == 0.0625
+    assert sm[5, 5] == 0.0625
     assert sm[0, 2] == 0.0 and sm[1, 4] == 0.0
+    assert sm[0, 3] == 0.0 and sm[1, 5] == 0.0  # the centered images
     assert sm[2, 3] == 0.0 and sm[4, 5] == 0.0
 
 

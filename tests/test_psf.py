@@ -14,7 +14,6 @@ from srloc.psf import (
     gaussian_constants,
     gaussian_overlap,
     gaussian_overlap_jet,
-    small_separation_threshold,
 )
 
 # Hypothesis parameter ranges keep varsigma <= ~200 so exp() stays in range.
@@ -61,14 +60,7 @@ def test_geometry_round_trip(x1, z1, x2, z2):
 def test_gaussian_constants_reference_values(psf):
     consts = gaussian_constants(psf)
     assert consts.dpsi_norm_sq == pytest.approx(0.25, abs=0)
-    assert consts.mean_g == pytest.approx(0.75, abs=0)
-    assert consts.mean_g2 == pytest.approx(0.625, abs=0)
     assert consts.g_variance == pytest.approx(0.0625, abs=1e-16)
-
-
-def test_gaussian_constants_mean_g_cancellation():
-    consts = gaussian_constants(GaussianPsf(k=1.0, z_r=0.5))
-    assert consts.mean_g == 0.0
 
 
 @given(k=ks, zr=zrs)
@@ -87,12 +79,12 @@ def test_constants_validated():
     from srloc.psf import PsfConstants
 
     with pytest.raises(InvalidParameterError):
-        PsfConstants(dpsi_norm_sq=0.0, mean_g=1.0, g_variance=1.0)
+        PsfConstants(dpsi_norm_sq=0.0, g_variance=1.0)
     with pytest.raises(InvalidParameterError):
-        PsfConstants(dpsi_norm_sq=1.0, mean_g=2.0, g_variance=-1.0)
-    for field in ("dpsi_norm_sq", "mean_g", "g_variance"):
+        PsfConstants(dpsi_norm_sq=1.0, g_variance=-1.0)
+    for field in ("dpsi_norm_sq", "g_variance"):
         for bad in (math.inf, -math.inf, math.nan):
-            fields = {"dpsi_norm_sq": 1.0, "mean_g": 2.0, "g_variance": 1.0, field: bad}
+            fields = {"dpsi_norm_sq": 1.0, "g_variance": 1.0, field: bad}
             with pytest.raises(InvalidParameterError, match=field):
                 PsfConstants(**fields)
 
@@ -209,8 +201,3 @@ def test_fd_default_step_scaling():
     assert fd_default_step(0.2, 0.3) == 1e-5
     assert fd_default_step(4.0, 1.0) == pytest.approx(4e-5, rel=1e-15)
     assert fd_default_step(0.0, -7.0) == pytest.approx(7e-5, rel=1e-15)
-
-
-def test_small_separation_threshold():
-    assert small_separation_threshold(1.0, 2.0) == 2e-6
-    assert small_separation_threshold(0.1, 0.5) == pytest.approx(1e-5, rel=1e-15)  # 1/k dominates

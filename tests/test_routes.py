@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from srloc.closed_forms import small_separation_limit
 from srloc.errors import DegenerateBasisError, InvalidParameterError, SrlocError
 from srloc.psf import GaussianPsf
 from srloc.routes import METHODS, Evaluation, all_routes, deviations, evaluate, sparsity_ok
+
+from oracle import oracle
 
 
 def test_evaluate_labels_each_point_with_its_route(psf):
@@ -79,6 +82,40 @@ def test_all_routes_keeps_each_method_on_its_own_route(psf):
     assert [[m for m, ok in zip(METHODS, row) if ok] for row in served] == [
         list(METHODS), ["pipeline", "general"], []]
     assert evs["gaussian-closed"].route == ("gaussian-closed", "general", "limit")
+
+
+# (k, z_R) with k z_R from 1e-3 to 1e10.  The test points are given in units of
+# w = sqrt(z_R / k) across the axis and of z_R along it.
+SCALES = [(1e-3, 1.0), (1.0, 2.0), (1e3, 1e3), (1e4, 1e4), (1e5, 1e5), (1e6, 1.0), (1e7, 1e-3)]
+
+
+@pytest.mark.parametrize("k, zr", SCALES)
+def test_every_route_matches_the_oracle_across_scales(k, zr):
+    # the oracle keeps the uncentered overlap in physical units, so it checks
+    # the routes' centering and scaling instead of sharing them
+    psf = GaussianPsf(k=k, z_r=zr)
+    s, p = (a.ravel() for a in np.meshgrid([0.1, 0.7, 2.0, 4.9], [0.1, 1.3, 4.9]))
+    s, p = s * math.sqrt(zr / k), p * zr
+    refs = [oracle(psf, a, b) for a, b in zip(s, p)]
+    for method in METHODS:
+        ev = evaluate(psf, s, p, method)
+        assert ev.route == (method,) * len(s)
+        for i, (h_ref, g_ref) in enumerate(refs):
+            diag = np.abs(np.diag(h_ref))
+            scale = np.sqrt(np.outer(diag, diag))
+            err = max(np.max(np.abs(ev.h[i] - h_ref) / scale),
+                      np.max(np.abs(ev.gamma_mat[i] - g_ref) / scale))
+            assert err <= 1e-13, (method, s[i], p[i], err)
+
+
+@pytest.mark.parametrize("k, zr", [(1e3, 1e3), (1e4, 1e4), (1e5, 1e5), (1e7, 1e-3)])
+def test_routes_agree_on_the_default_grid_in_natural_units(k, zr):
+    # crossval's default 20x20 grid 0.1:5:0.25, in units of w across and z_R along the axis
+    v = 0.1 + 0.25 * np.arange(20)
+    s, p = np.repeat(v, 20) * math.sqrt(zr / k), np.tile(v, 20) * zr
+    dev = deviations(all_routes(GaussianPsf(k=k, z_r=zr), s, p))
+    assert dev.served.all()
+    assert dev.max_rel.max() <= 1e-8
 
 
 def _evaluation(h, routes):
