@@ -19,12 +19,17 @@ the default grid, ``0:2:1``, ``0:0.1:0.01``, ``0.37:4.37:1.0`` and at
 ``k = z_R = 1e3``, ``1e4`` and ``1e5``, ``eval --method all`` at ``k = 1e7,
 z_R = 1e-3`` with ``s = sqrt(z_R / k)`` and ``p = z_R``, ``eval`` and
 ``crb`` for every method at (1, 0), (1, 2), (0, 1) and (0, 0), the
-far-separation commands where the overlap jet
-overflows, and sweeps whose CSV cells take the forms the figure panels never
-do: ``5e+17``-type exponents (``k = 1e12, z_R = 1e-6``, both closed
-methods), ``e-07`` exponents (``k = 1e-3, z_R = 1e3``), exact zeros and a
-limit row (``0:0.1:0.001`` at ``p = 0``), and 10,001 rows across several
-CSV write blocks.  Then the parser's own output: ``-h`` and ``<command> -h``
+pipeline's refusal boundary (``sweep --method pipeline`` along ``s`` and
+along ``p`` at 0 over ``0:0.12:0.001`` and ``0.05:0.12:0.001``, and
+``crossval`` on ``0:0.12:0.001``), ``eval --method pipeline`` at
+``s = 76, 77`` with ``p = 0`` (a subnormal ``|gamma|``), ``eval --method
+all`` at ``k = 5.11e-262, z_R = 1.49e-26`` (H's diagonal near 1e-166), the
+far-separation commands where the overlap jet overflows, and sweeps whose
+CSV cells take the forms the figure panels never do: ``5e+17``-type
+exponents (``k = 1e12, z_R = 1e-6``, both closed methods), ``e-07``
+exponents (``k = 1e-3, z_R = 1e3``), exact zeros and a limit row
+(``0:0.1:0.001`` at ``p = 0``), and 10,001 rows across several CSV write
+blocks.  Then the parser's own output: ``-h`` and ``<command> -h``
 for each of the five subcommands, no arguments, ``nonsense``, ``eval``
 without ``--p``, ``eval ... --bogus 1``, ``--bogus eval ...`` and
 ``sweep ... --method magic``.
@@ -77,6 +82,16 @@ def commands() -> list[list[str]]:
         for method in METHODS[:3]:
             cmds.append(["crb", *PSF, "--s", s, "--p", p, "--method", method,
                          "--nu", "1000", "--m", "1", "--eps", "1"])
+    for swept in ("s", "p"):  # the pipeline's refusal boundary on each axis
+        for start in ("0", "0.05"):
+            cmds.append(["sweep", *PSF, "--sweep", swept, "--range", f"{start}:0.12:0.001",
+                         "--fixed", "0", "--method", "pipeline", "--out", CSV])
+    cmds.append(["crossval", *PSF, "--range", "0:0.12:0.001"])
+    for s in ("76", "77"):  # |gamma| is subnormal
+        cmds.append(["eval", *PSF, "--s", s, "--p", "0", "--method", "pipeline"])
+    # H's diagonal is about 1e-166, so H_ii H_jj underflows
+    cmds.append(["eval", "--method", "all", "--k", "5.11e-262", "--zr", "1.49e-26",
+                 "--s", "7.36e-125", "--p", "2.03e208"])
     for method in ("pipeline", "all"):
         cmds.append(["eval", *PSF, "--s", "1e200", "--p", "0", "--method", method])
     cmds.append(["eval", *PSF, "--s", "1e200", "--p", "1e200", "--method", "pipeline"])

@@ -1,4 +1,4 @@
-"""Gram matrices of the two-source basis.
+"""The Cholesky factor of the two-source basis's Gram matrix, in closed form.
 
 The one-photon state of two incoherent sources and all its coordinate
 derivatives live in the span of six vectors: the two source images and
@@ -9,7 +9,22 @@ the four coordinate derivatives of those images,
 Their Gram matrix S holds everything the pipeline needs about the basis.
 Every Gram entry depends on the source coordinates only through the
 separations (s, p); centroid coordinates never enter.  The images are
-centered (see ``psf.gaussian_overlap``): each is orthogonal to its derivatives.
+centered (see ``psf.gaussian_overlap``): each is orthogonal to its
+derivatives.  With the jet (g, ds, dp, dss, dpp, dsp) and the constants
+n = ``dpsi_norm_sq``, v = ``g_variance``, the upper triangle of S is
+
+    row 0:  1  g        0     0      ds     dp
+    row 1:     1        -ds*  -dp*   0      0
+    row 2:              n     0      -dss   -dsp
+    row 3:                    v      -dsp   -dpp
+    row 4:                           n      0
+    row 5:                                  v
+
+by the chain rule (s = x2 - x1, p = z2 - z1: d/dx1 -> -d/ds, d/dx2 ->
++d/ds, and the same axially; the mixed source-1/source-2 second
+derivatives pick up one sign flip each).  ``factor`` takes its upper
+Cholesky factor T, S = T^H T, entry by entry from the jet, skipping the
+known zeros, so no matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -18,77 +33,97 @@ import numpy as np
 
 from .psf import OverlapJet, PsfConstants
 
-__all__ = ["COORDINATES", "build_gram_stack"]
+__all__ = ["COORDINATES", "factor"]
 
 # Coordinate labels for the derivative operators, in basis-row order.
 COORDINATES = ("x1", "z1", "x2", "z2")
 
-# A basis whose smallest Gram eigenvalue falls below this times the largest
-# counts as numerically degenerate.
-DEGENERACY_THRESHOLD = 1e-12
+# A point whose smallest normalized pivot T_jj^2 / S_jj falls below this
+# counts as numerically degenerate.  Each normalized pivot is at least the
+# ratio of the extreme eigenvalues of S.  Near (0, 0) the pipeline's error
+# grows as the pivots shrink; at this bound each point of the grid
+# [0, 0.12]^2 (k = 1, z_R = 2) that it serves and the eigenvalue-ratio test
+# at 1e-12 refused is closer to the 50-digit oracle than the worst point
+# that test served.
+DEGENERACY_THRESHOLD = 5e-8
 
 # (state row, derivative-vector row) populated by each coordinate derivative.
 _DRHO_ROWS = {"x1": (0, 2), "z1": (0, 3), "x2": (1, 4), "z2": (1, 5)}
 
-# Strict lower triangle of a 6x6 Gram matrix, filled from the upper one.
-_LOWER = np.tril_indices(6, k=-1)
+
+def _abs2(z):
+    """|z|^2 as two real products, rounded alike on numpy scalars and arrays."""
+    return z.real * z.real + z.imag * z.imag
 
 
-def build_gram_stack(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray, dict[int, str]]:
-    """Assemble the Gram matrices of a jet of N points as one (N, 6, 6) stack
-    (a jet of scalars is one point).
+# Complex products and conjugates as ufunc calls: on numpy scalars these run
+# the array loops, so a scalar product rounds as an array's does (a scalar's
+# own ``*`` does not fuse its multiply-adds); ``np.conjugate`` of a scalar is
+# also much cheaper than its ``.conj()`` method.
+_mul, _conj = np.multiply, np.conjugate
 
-    Derivatives with respect to absolute coordinates reduce to separation
-    derivatives by the chain rule (s = x2 - x1, p = z2 - z1):
-    d/dx1 -> -d/ds, d/dx2 -> +d/ds, d/dz1 -> -d/dp, d/dz2 -> +d/dp, and the
-    mixed source-1/source-2 second derivatives pick up one sign flip each.
-    The lower triangle is filled from conjugates, so Hermiticity holds by
-    construction.
 
-    Returns the stack and, for each point whose basis is numerically
-    degenerate, the reason keyed by its index: its jet or Gram matrix is not
-    finite (the jet overflows at far separations), or the smallest eigenvalue
-    of its Gram matrix falls below ``DEGENERACY_THRESHOLD`` times the largest
-    (happens as (s, p) -> (0, 0)).  One ``eigvalsh`` covers the stack, with
-    the identity in place of each matrix that is not finite.
+def factor(jet: OverlapJet, consts: PsfConstants):
+    """The upper Cholesky factor T of the Gram matrix at each point of a jet,
+    and the points it refuses.
+
+    Works elementwise on the jet's fields, numpy scalars or 1-D arrays, and
+    rounds alike on both, so a point gives the same bits alone as among
+    others.  Returns T as a dict (row, col) -> entry of its nonzero entries,
+    the diagonal real, and the refused points, index -> reason: the jet is
+    not finite (it overflows at far separations), or a normalized pivot
+    T_jj^2 / S_jj is not at least ``DEGENERACY_THRESHOLD`` (happens as (s, p)
+    -> (0, 0)); the reason names the first such pivot.  A refused point's
+    entries may be NaN or infinite.
     """
-    g, ds, dp, dss, dpp, dsp = np.array(
-        [jet.gamma, jet.d_s, jet.d_p, jet.d_ss, jet.d_pp, jet.d_sp], dtype=complex
-    ).reshape(6, -1)
-    n = consts.dpsi_norm_sq
-    var = consts.g_variance
+    g, ds, dp, dss, dpp, dsp = jet.gamma, jet.d_s, jet.d_p, jet.d_ss, jet.d_pp, jet.d_sp
+    n, v = consts.dpsi_norm_sq, consts.g_variance
+    with np.errstate(all="ignore"):
+        piv = [1.0 - _abs2(g)]
+        t11 = np.sqrt(piv[0])
+        inv = -1.0 / t11
+        u12, u13 = ds * inv, dp * inv  # conj(T[1, 2]), conj(T[1, 3])
+        t14, t15 = _mul(_conj(g), ds) * inv, _mul(_conj(g), dp) * inv
+        piv.append(n - _abs2(u12))
+        t22 = np.sqrt(piv[1])
+        inv = -1.0 / t22
+        t23 = _mul(u12, _conj(u13)) * inv
+        t24 = (dss + _mul(u12, t14)) * inv
+        t25 = (dsp + _mul(u12, t15)) * inv
+        piv.append(v - _abs2(u13) - _abs2(t23))
+        t33 = np.sqrt(piv[2])
+        inv = -1.0 / t33
+        u23 = _conj(t23)
+        t34 = (dsp + _mul(u13, t14) + _mul(u23, t24)) * inv
+        t35 = (dpp + _mul(u13, t15) + _mul(u23, t25)) * inv
+        piv.append(n - _abs2(ds) - _abs2(t14) - _abs2(t24) - _abs2(t34))
+        t44 = np.sqrt(piv[3])
+        t45 = ((_mul(_conj(ds), dp) + _mul(_conj(t14), t15) + _mul(_conj(t24), t25)
+                + _mul(_conj(t34), t35)) * (-1.0 / t44))
+        piv.append(v - _abs2(dp) - _abs2(t15) - _abs2(t25) - _abs2(t35) - _abs2(t45))
+        t55 = np.sqrt(piv[4])
+        ok = ((piv[0] >= DEGENERACY_THRESHOLD) & (piv[1] >= DEGENERACY_THRESHOLD * n)
+              & (piv[2] >= DEGENERACY_THRESHOLD * v) & (piv[3] >= DEGENERACY_THRESHOLD * n)
+              & (piv[4] >= DEGENERACY_THRESHOLD * v))
+        refused = {} if np.count_nonzero(ok) == np.size(ok) else _refused(
+            jet, ~np.atleast_1d(ok), np.array(piv).reshape(5, -1) / [[1.0], [n], [v], [n], [v]])
+    t = {(0, 0): 1.0, (0, 1): g, (0, 4): ds, (0, 5): dp,
+         (1, 1): t11, (1, 2): _conj(u12), (1, 3): _conj(u13), (1, 4): t14, (1, 5): t15,
+         (2, 2): t22, (2, 3): t23, (2, 4): t24, (2, 5): t25,
+         (3, 3): t33, (3, 4): t34, (3, 5): t35, (4, 4): t44, (4, 5): t45, (5, 5): t55}
+    return t, refused
 
-    s = np.zeros((len(g), 6, 6), dtype=complex)
-    s[:, 0, 0] = 1.0
-    s[:, 1, 1] = 1.0
-    s[:, 2, 2] = n
-    s[:, 3, 3] = var
-    s[:, 4, 4] = n
-    s[:, 5, 5] = var
-    s[:, 0, 1] = g
-    s[:, 0, 4] = ds          # <Psi1 | d/dx2 Psi2> = +d_s
-    s[:, 0, 5] = dp          # <Psi1 | d/dz2 Psi2> = +d_p
-    s[:, 1, 2] = -ds.conj()  # conj of <d/dx1 Psi1 | Psi2> = conj(-d_s)
-    s[:, 1, 3] = -dp.conj()
-    s[:, 2, 4] = -dss        # <d/dx1 Psi1 | d/dx2 Psi2> = -d_ss
-    s[:, 2, 5] = -dsp
-    s[:, 3, 4] = -dsp
-    s[:, 3, 5] = -dpp
-    rows, cols = _LOWER
-    s[:, rows, cols] = s[:, cols, rows].conj()
 
-    finite = np.isfinite(s.view(float)).all(axis=(1, 2))
-    # eigvalsh fails on a whole stack that holds one non-finite matrix: test the identity there
-    eigs = np.linalg.eigvalsh(s if finite.all() else np.where(finite[:, None, None], s, np.eye(6)))
-    degenerate = {
-        int(i): "overlap jet is not finite (it overflows at this separation)"
-        for i in np.flatnonzero(~finite)
+def _refused(jet: OverlapJet, bad: np.ndarray, pivots: np.ndarray) -> dict[int, str]:
+    """index -> reason of the points ``bad`` that ``factor`` refuses, given
+    the normalized pivots (5, N)."""
+    finite = np.atleast_1d(np.isfinite(jet.gamma) & np.isfinite(jet.d_s) & np.isfinite(jet.d_p)
+                           & np.isfinite(jet.d_ss) & np.isfinite(jet.d_pp) & np.isfinite(jet.d_sp))
+    first = pivots[np.argmax(~(pivots >= DEGENERACY_THRESHOLD), axis=0), np.arange(len(bad))]
+    return {
+        int(i): "overlap jet is not finite (it overflows at this separation)" if not finite[i]
+        else "basis is numerically degenerate "
+        f"(normalized Cholesky pivot {first[i]:.3e} below threshold {DEGENERACY_THRESHOLD:.1e}); "
+        "the sources are too close for the numerical route -- use the coincident-source limit"
+        for i in np.flatnonzero(bad)
     }
-    degenerate.update({
-        int(i): "basis is numerically degenerate "
-        f"(eigenvalue ratio {eigs[i, 0]:.3e} / {eigs[i, -1]:.3e} below "
-        f"threshold {DEGENERACY_THRESHOLD:.1e}); the sources are too close "
-        "for the numerical route -- use the coincident-source limit"
-        for i in np.flatnonzero(eigs[:, 0] < DEGENERACY_THRESHOLD * eigs[:, -1])
-    })
-    return s, degenerate

@@ -267,7 +267,13 @@ def _deviations_block(mats: np.ndarray, served: np.ndarray):
     first = np.argmax(served, axis=0)  # 0 where no route served: such points read 0
     n = len(first)
     diag = np.abs(np.diagonal(mats[first, 0, np.arange(n)], axis1=-2, axis2=-1))
-    scale = np.sqrt(diag[:, :, None] * diag[:, None, :])
+    product = diag[:, :, None] * diag[:, None, :]
+    # the product underflows where H's diagonal is below about 1e-154
+    tiny = product < np.finfo(float).tiny
+    scale = np.sqrt(product)
+    if np.count_nonzero(tiny):
+        root = np.sqrt(diag)
+        scale[tiny] = (root[:, :, None] * root[:, None, :])[tiny]
     pair = (served[_PAIR_A] & served[_PAIR_B])[:, None, :, None, None]
     with np.errstate(all="ignore"):
         dev = np.where(pair, np.abs(mats[_PAIR_A] - mats[_PAIR_B]), 0.0)

@@ -2,18 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srloc.gram
-from srloc.gram import _DRHO_ROWS, COORDINATES, build_gram_stack
-from srloc.psf import SourceGeometry, gaussian_constants, gaussian_overlap_jet
-from srloc.sld import orthonormalize
+from srloc.gram import _DRHO_ROWS, COORDINATES, factor
+from srloc.psf import (NATURAL, OverlapJet, SourceGeometry, gaussian_constants,
+                       gaussian_overlap_jet)
+
+from gram_reference import build_gram_stack, factor_stack
 
 
 def gram_at(psf, s, p):
-    """The Gram matrix at (s, p) and the degeneracy reason, or None."""
-    stack, degenerate = build_gram_stack(gaussian_overlap_jet(psf, s, p), gaussian_constants(psf))
+    """The reference Gram matrix at (s, p) and the reason ``factor`` refuses
+    the point, or None."""
+    jet = gaussian_overlap_jet(psf, s, p)
+    stack = build_gram_stack(jet, gaussian_constants(psf))
     assert stack.shape == (1, 6, 6)
-    return stack[0], degenerate.get(0)
+    return stack[0], factor(jet, gaussian_constants(psf))[1].get(0)
 
 
 # ------------------------------------------------------------- structure
@@ -39,14 +45,14 @@ def test_overlap_entry(psf):
 
 def test_exactly_hermitian(psf):
     s, p = np.meshgrid(np.linspace(0.1, 5.0, 4), np.linspace(0.0, 5.0, 4))
-    stack, _ = build_gram_stack(gaussian_overlap_jet(psf, s.ravel(), p.ravel()),
-                                gaussian_constants(psf))
+    stack = build_gram_stack(gaussian_overlap_jet(psf, s.ravel(), p.ravel()),
+                             gaussian_constants(psf))
     assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
 
 
 def test_first_derivative_entries_signs(psf):
     jet = gaussian_overlap_jet(psf, 0.9, 1.4)
-    sm = build_gram_stack(jet, gaussian_constants(psf))[0][0]
+    sm = build_gram_stack(jet, gaussian_constants(psf))[0]
     assert sm[0, 4] == jet.d_s          # <Psi1|d_x2 Psi2> = +d_s
     assert sm[2, 1] == -jet.d_s         # <d_x1 Psi1|Psi2> = -d_s
     assert sm[0, 5] == jet.d_p
@@ -58,8 +64,9 @@ def test_first_derivative_entries_signs(psf):
 
 def test_positive_definite_on_grid(psf, consts):
     s, p = (a.ravel() for a in np.meshgrid(np.linspace(0.1, 5.0, 8), np.linspace(0.1, 5.0, 8)))
-    stack, degenerate = build_gram_stack(gaussian_overlap_jet(psf, s, p), consts)
-    assert degenerate == {}
+    jet = gaussian_overlap_jet(psf, s, p)
+    assert factor(jet, consts)[1] == {}
+    stack = build_gram_stack(jet, consts)
     np.linalg.cholesky(stack)  # raises if any matrix is not PD
     assert np.all(np.linalg.eigvalsh(stack)[:, 0] > 0.0)
 
@@ -71,14 +78,14 @@ def test_degenerate_at_coincident_sources(psf):
 
 def test_degeneracy_threshold_configurable(psf, consts, monkeypatch):
     jet = gaussian_overlap_jet(psf, 0.05, 0.05)
-    assert build_gram_stack(jet, consts)[1] == {}  # fine at the default threshold
+    assert factor(jet, consts)[1] == {}  # fine at the default threshold
     monkeypatch.setattr(srloc.gram, "DEGENERACY_THRESHOLD", 1e-2)
-    assert "numerically degenerate" in build_gram_stack(jet, consts)[1][0]
+    assert "numerically degenerate" in factor(jet, consts)[1][0]
 
 
-def test_gram_entries_depend_only_on_separations(psf):
+def test_gram_entries_depend_only_on_separations(psf, consts):
     # geometries differing only by a centroid shift chosen so the float
-    # subtractions are exact -> bit-identical Gram data
+    # subtractions are exact -> bit-identical Gram data and factors
     g1 = SourceGeometry.from_coordinates(1.0, 4.1, 2.0, 6.1)
     g2 = SourceGeometry.from_coordinates(1.0 + 7.3, 4.1 - 2.1, 2.0 + 7.3, 6.1 - 2.1)
     assert (g1.s, g1.p) == (g2.s, g2.p)
@@ -86,14 +93,80 @@ def test_gram_entries_depend_only_on_separations(psf):
     sm1, _ = gram_at(psf, g1.s, g1.p)
     sm2, _ = gram_at(psf, g2.s, g2.p)
     assert sm1.tobytes() == sm2.tobytes()
+    t1 = factor_stack(gaussian_overlap_jet(psf, g1.s, g1.p), consts)[0]
+    t2 = factor_stack(gaussian_overlap_jet(psf, g2.s, g2.p), consts)[0]
+    assert t1.tobytes() == t2.tobytes()
+
+
+# --------------------------------------------------- the Cholesky factor
+
+natural = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=natural, p=natural)
+def test_factor_matches_the_reference_gram_and_lapack(s, p):
+    # log-uniform natural separations in [1e-2, 1e2], both signs of p
+    consts = gaussian_constants(NATURAL)
+    jet = gaussian_overlap_jet(NATURAL, np.array([s, s]), np.array([p, -p]))
+    gram = build_gram_stack(jet, consts)
+    t, refused = factor_stack(jet, consts)
+    assert np.array_equal(t, np.triu(t))
+    root = np.sqrt(np.diagonal(gram, axis1=1, axis2=2).real)
+    scale = root[:, :, None] * root[:, None, :]
+    assert np.max(np.abs(t.conj().swapaxes(-1, -2) @ t - gram) / scale) <= 1e-14
+    for i in set(range(2)) - set(refused):
+        diag = np.diagonal(t[i])
+        assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
+        # LAPACK's factor is exact to about eps times the condition of the
+        # Gram matrix, at most eps over the smallest normalized pivot
+        pivot = np.min(diag.real ** 2 / root[i] ** 2)
+        lapack = np.linalg.cholesky(gram[i]).conj().T
+        assert np.max(np.abs(t[i] - lapack) / root[i]) <= max(1e-13, 1e-15 / pivot)
+
+
+def test_factor_far_apart_is_diagonal(consts):
+    # at s = 80 the jet underflows to 0: S and T are diagonal, exactly
+    t, refused = factor_stack(gaussian_overlap_jet(NATURAL, 80.0, 0.0), consts)
+    assert refused == {}
+    assert np.array_equal(t[0], np.diag([1.0, 1.0, 0.5, 0.25, 0.5, 0.25]))
+
+
+def test_factor_refuses_a_non_positive_pivot(consts):
+    # |gamma| >= 1 is no overlap of distinct unit vectors: the pivot T_11^2 =
+    # 1 - |gamma|^2 is negative, or 0
+    zero = np.zeros(3, dtype=complex)
+    jet = OverlapJet(np.array([0.5, 1.5, 1.0]), zero, zero, zero, zero, zero)
+    refused = factor(jet, consts)[1]
+    assert list(refused) == [1, 2]
+    assert "normalized Cholesky pivot -1.250e+00 below" in refused[1]
+    assert "normalized Cholesky pivot 0.000e+00 below" in refused[2]
+
+
+def test_factor_refuses_a_non_finite_jet(psf, consts):
+    with np.errstate(all="ignore"):
+        jet = gaussian_overlap_jet(psf, np.array([1.0, 1e200]), np.array([0.0, 0.0]))
+    assert factor(jet, consts)[1] == {
+        1: "overlap jet is not finite (it overflows at this separation)"}
+
+
+def test_factor_point_bits_independent_of_stack(psf, consts):
+    # one point runs on numpy scalars, a stack on arrays: the same bits
+    s, p = np.linspace(0.1, 4.9, 7), np.linspace(4.0, 0.2, 7)
+    stack = factor(gaussian_overlap_jet(psf, s, p), consts)[0]
+    for i in range(7):
+        alone = factor(gaussian_overlap_jet(psf, float(s[i]), float(p[i])), consts)[0]
+        assert np.ndim(alone[1, 4]) == 0
+        for key, entry in stack.items():
+            assert np.asarray(alone[key]).tobytes() == np.broadcast_to(entry, 7)[i].tobytes(), key
 
 
 # --------------------------------------------------- state in the Gram frame
 
 
-def test_rho_action_trace_is_one(psf):
+def test_rho_action_trace_is_one(psf, consts):
     # with T^H T = S the state is (t0 t0^H + t1 t1^H)/2, of trace (S00 + S11)/2
-    t = orthonormalize(gram_at(psf, 1.2, 0.3)[0])
+    t = factor_stack(gaussian_overlap_jet(psf, 1.2, 0.3), consts)[0][0]
     pair = t[:, :2]
     assert np.trace(pair @ pair.conj().T / 2.0) == pytest.approx(1.0, abs=1e-15)
 
@@ -107,7 +180,7 @@ def test_drho_action_row_placement(psf, coord, rows):
     # is the derivative of the purity (1 + |gamma|^2)/2 along that coordinate.
     assert _DRHO_ROWS[coord] == rows and set(_DRHO_ROWS) == set(COORDINATES)
     jet = gaussian_overlap_jet(psf, 0.8, 1.1)
-    t = orthonormalize(build_gram_stack(jet, gaussian_constants(psf))[0][0])
+    t = factor_stack(jet, gaussian_constants(psf))[0][0]
     a, b = rows
     drho = (np.outer(t[:, a], t[:, b].conj()) + np.outer(t[:, b], t[:, a].conj())) / 2.0
     rho = (np.outer(t[:, 0], t[:, 0].conj()) + np.outer(t[:, 1], t[:, 1].conj())) / 2.0

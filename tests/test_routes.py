@@ -144,6 +144,20 @@ def test_deviations_scale_by_the_first_route():
     assert np.array_equal(dev.scale[1], np.sqrt(np.outer(np.diag(shifted), np.diag(shifted))))
 
 
+def test_deviations_scale_keeps_its_bits_and_survives_tiny_diagonals():
+    # H_ss H_pp = 1e-320 underflows: that scale is sqrt(H_ss) sqrt(H_pp), the
+    # other entries keep sqrt(H_ii H_jj) bit for bit
+    h = np.diag([1e-160, 3.0, 1e-160, 7.0])
+    dev = deviations({
+        "pipeline": _evaluation([h], ("pipeline",)),
+        "general": _evaluation([h * (1 + 2e-16)], ("general",)),
+        "gaussian-closed": _evaluation([h], ("gaussian-closed",)),
+    })
+    assert np.all(np.isfinite(dev.max_rel)) and dev.max_rel[0] <= 1e-15
+    assert dev.scale[0, 0, 2] == 1e-160 and dev.scale[0, 0, 0] == 1e-160
+    assert dev.scale[0, 1, 3] == math.sqrt(21.0) and dev.scale[0, 0, 1] == math.sqrt(3e-160)
+
+
 def _pairwise_reference(evs, i):
     """The cross-route rule at point i, one route pair at a time."""
     served = [(ev.h[i], ev.gamma_mat[i]) for method, ev in evs.items() if ev.route[i] == method]

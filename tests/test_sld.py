@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import srloc.psf
 import srloc.sld
 from srloc import evaluate
 from srloc.closed_forms import gaussian_matrices, small_separation_limit
@@ -13,53 +14,12 @@ from srloc.errors import (
     InvalidParameterError,
     SrlocError,
 )
-from srloc.gram import COORDINATES, build_gram_stack
+from srloc.gram import COORDINATES
 from srloc.psf import SourceGeometry, gaussian_overlap_jet
-from srloc.sld import _TO_PHYSICAL, PARAMETERS, _support_frame, _support_weights, orthonormalize
+from srloc.sld import PARAMETERS, _support_frame, _support_weights, _to_physical
 
 from one_point import pipeline_point
 from oracle import oracle, row_scaled_error
-
-
-def gram_stack(psf, consts, s, p):
-    return build_gram_stack(gaussian_overlap_jet(psf, s, p), consts)[0]
-
-
-# --------------------------------------------------------- orthonormalize
-
-
-def test_orthonormalize_identity():
-    assert np.array_equal(orthonormalize(np.eye(4)), np.eye(4))
-
-
-def test_orthonormalize_two_by_two():
-    s_mat = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
-    t = orthonormalize(s_mat)
-    assert t == pytest.approx(np.array([[1.0, 0.5], [0.0, math.sqrt(0.75)]]))
-    assert t.conj().T @ t == pytest.approx(s_mat)
-
-
-def test_orthonormalize_factor_property(psf, consts):
-    s_mat = gram_stack(psf, consts, 0.6, 1.7)[0]
-    t = orthonormalize(s_mat)
-    assert np.allclose(t.conj().T @ t, s_mat, atol=1e-14)
-    assert np.allclose(t, np.triu(t))
-
-
-def test_orthonormalize_restores_plain_hermiticity(psf, consts):
-    # in the frame the Gram matrix is the identity, so the adjoint of an
-    # operator is its plain conjugate transpose; a stack gives each factor
-    s_mat = gram_stack(psf, consts, [1.0, 0.4, 2.5], [0.0, 3.0, 1.0])
-    t = orthonormalize(s_mat)
-    assert t.shape == s_mat.shape
-    for s_i, t_i in zip(s_mat, t):
-        t_inv = np.linalg.inv(t_i)
-        assert np.allclose(t_inv.conj().T @ s_i @ t_inv, np.eye(6), rtol=0, atol=1e-12)
-
-
-def test_orthonormalize_rejects_indefinite():
-    with pytest.raises(DegenerateBasisError):
-        orthonormalize(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
 
 
 # -------------------------------------------------------------- SLD solve
@@ -165,8 +125,7 @@ def rotate(l_x1, l_x2, l_z1, l_z2):
     """Physical SLDs (s, xbar, p, zbar) from coordinate SLDs, as the pipeline
     maps them."""
     coord = {"x1": l_x1, "x2": l_x2, "z1": l_z1, "z2": l_z2}
-    stack = np.array([coord[c] for c in COORDINATES], dtype=complex)
-    return np.einsum("pc,cij->pij", _TO_PHYSICAL, stack)
+    return _to_physical(np.array([coord[c] for c in COORDINATES], dtype=complex))
 
 
 def test_rotate_symmetric_input():
@@ -275,7 +234,9 @@ def test_support_frame_diagonalizes_the_support_block():
     m = np.triu(rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2)))
     m[:, 1, 1] = np.abs(m[:, 1, 1])
     m[:, 0, 0] = m[:, 1, 1] + np.abs(m[:, 0, 0])  # m[0, 0] >= m[1, 1]
-    q, u = _support_frame(m)
+    q_big, q_small, cos, sin = _support_frame(m[:, 0, 0].real, m[:, 0, 1], m[:, 1, 1].real)
+    q = np.stack([q_big, q_small], axis=-1)
+    u = np.array([[cos, -sin.conj()], [sin, cos]]).transpose(2, 0, 1)
     rho = m @ m.conj().swapaxes(-1, -2) / 2.0
     assert np.all(q[:, 0] >= q[:, 1])
     assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2))) <= 1e-15
@@ -288,6 +249,17 @@ def test_equal_eigenvalues_far_apart(psf):
     result = pipeline_point(psf, 80.0, 0.0)
     assert np.array_equal(result.h, np.diag([0.25, 1.0, 0.0625, 0.25]))
     assert np.array_equal(result.gamma_mat, np.zeros((4, 4)))
+    assert result.rho_eigenvalues.tolist() == [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("s,p", [(76.0, 0.0), (77.0, 0.0), (141.42, 6.2)])
+def test_subnormal_overlap_far_apart(psf, s, p):
+    # |gamma| is subnormal (1e-314 to 1e-322): rho's support block is I/2 to
+    # all digits, and its eigenframe stays unitary
+    result = pipeline_point(psf, s, p)
+    assert 0.0 < abs(gaussian_overlap_jet(psf, s, p).gamma) < np.finfo(float).tiny
+    assert np.max(np.abs(result.h - np.diag([0.25, 1.0, 0.0625, 0.25]))) <= 1e-15
+    assert np.max(np.abs(result.gamma_mat)) <= 1e-15
     assert result.rho_eigenvalues.tolist() == [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]
 
 
@@ -387,15 +359,16 @@ def test_stack_reports_failures_per_point(psf):
 
 
 def test_stack_isolates_cholesky_failure(psf, monkeypatch):
-    victim = gaussian_overlap_jet(psf, 2.0, 1.0).gamma
-    factor = srloc.sld.orthonormalize
+    # a non-positive pivot at the victim point only: 1 - |gamma|^2 < 0 there
+    victim = srloc.sld._jet(*psf.natural(2.0, 1.0)).gamma
+    jet = srloc.sld._jet
 
-    def refuse_victim(gram):
-        if np.any(np.asarray(gram)[..., 0, 1] == victim):
-            raise DegenerateBasisError("Gram matrix is not positive definite")
-        return factor(gram)
+    def bad_pivot_at_victim(s, p):
+        out = jet(s, p)
+        return srloc.psf.OverlapJet(np.where(out.gamma == victim, 2.0, out.gamma), out.d_s,
+                                    out.d_p, out.d_ss, out.d_pp, out.d_sp)
 
-    monkeypatch.setattr(srloc.sld, "orthonormalize", refuse_victim)
+    monkeypatch.setattr(srloc.sld, "_jet", bad_pivot_at_victim)
     stack = evaluate(psf, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], "pipeline")
     assert stack.route == ("pipeline", "failed", "pipeline")
     assert isinstance(stack.error, DegenerateBasisError)
