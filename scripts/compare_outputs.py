@@ -29,7 +29,12 @@ CSV cells take the forms the figure panels never do: ``5e+17``-type
 exponents (``k = 1e12, z_R = 1e-6``, both closed methods), ``e-07``
 exponents (``k = 1e-3, z_R = 1e3``), exact zeros and a limit row
 (``0:0.1:0.001`` at ``p = 0``), and 10,001 rows across several CSV write
-blocks.  Then the parser's own output: ``-h`` and ``<command> -h``
+blocks.  The coincident-source band, where ``1 - |gamma|^2`` is near the
+limit's bound ``1e-10``: ``eval`` for every method and ``crb --method
+general`` at (0, 1e-4), ``eval --method pipeline`` at (1e-5, 0), ``sweep
+--method all`` along ``p`` at ``s = 0`` over ``0:0.0008:0.00002`` and
+``sweep --method gaussian-closed`` along ``s`` at ``p = 0`` over
+``0:4e-5:1e-6``.  Then the parser's own output: ``-h`` and ``<command> -h``
 for each of the five subcommands, no arguments, ``nonsense``, ``eval``
 without ``--p``, ``eval ... --bogus 1``, ``--bogus eval ...`` and
 ``sweep ... --method magic``.
@@ -106,6 +111,16 @@ def commands() -> list[list[str]]:
                  "--method", "gaussian-closed", "--out", CSV])
     cmds.append(["sweep", *PSF, "--sweep", "s", "--range", "0:5:0.0005", "--fixed", "1",
                  "--method", "general", "--out", CSV])
+    # the coincident-source band, where 1 - |gamma|^2 is near the limit's bound 1e-10
+    for method in METHODS:
+        cmds.append(["eval", *PSF, "--s", "0", "--p", "1e-4", "--method", method])
+    cmds.append(["crb", *PSF, "--s", "0", "--p", "1e-4", "--method", "general",
+                 "--nu", "1000", "--m", "1", "--eps", "1"])
+    cmds.append(["eval", *PSF, "--s", "1e-5", "--p", "0", "--method", "pipeline"])
+    cmds.append(["sweep", *PSF, "--sweep", "p", "--fixed", "0", "--range", "0:0.0008:0.00002",
+                 "--method", "all", "--out", CSV])
+    cmds.append(["sweep", *PSF, "--sweep", "s", "--fixed", "0", "--range", "0:4e-5:1e-6",
+                 "--method", "gaussian-closed", "--out", CSV])
     cmds += [["-h"], *([command, "-h"] for command in COMMANDS), [], ["nonsense"],
              ["eval", *PSF, "--s", "1"],
              ["eval", *PSF, "--s", "1", "--p", "0", "--bogus", "1"],

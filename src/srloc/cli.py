@@ -220,6 +220,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "were served by the coincident-source limit",
             file=sys.stderr,
         )
+    if args.method == "all" and evs["pipeline"].error is not None:
+        print(f"note: the pipeline refused {evs['pipeline'].route.count('failed')} grid "
+              f"point(s), first: {evs['pipeline'].error}", file=sys.stderr)
     norm = psf.k / (2.0 * psf.z_r) if args.normalized else 1.0
     table = np.empty((len(s), 11))
     table[:, 0] = s

@@ -4,13 +4,14 @@ Three layers, each giving the pair (H, Gamma) from one call:
 
 * ``general_matrices``: exact expressions for any PSF in terms of the
   overlap magnitude/phase derivatives and the PSF constants.  Valid
-  wherever |gamma| < 1.
+  wherever 1 - |gamma|^2 >= ``OVERLAP_DEGENERACY_TOL``.
 * ``gaussian_matrices``: fully explicit Gaussian-beam expressions in the
   natural separations (s~, p~) and varsigma = s~^2 / (p~^2 + 4).  They carry
   powers of s in denominators, so they need |s~| >= ``SMALL_SEPARATION``;
   the s -> 0 regime is covered by the general layer (regular for p != 0).
 * ``small_separation_limit``: the (s, p) -> (0, 0) limit, where H is
-  diagonal and Gamma vanishes.
+  diagonal and Gamma vanishes.  ``routes.evaluate`` serves it, for every
+  method, exactly where the general layer's guard refuses a point.
 
 The Gaussian forms are those of ``psf.NATURAL``, times ``GaussianPsf.scale``.
 Matrix layout is 4x4 in the parameter order (s, xbar, p, zbar); only the
@@ -29,11 +30,11 @@ from .psf import GaussianPsf, OverlapJet, PsfConstants, _points
 
 __all__ = ["varsigma", "general_matrices", "gaussian_matrices", "small_separation_limit"]
 
-# 1 - |gamma|^2 below this is too degenerate for the 1/(1-|gamma|^2) terms.
+# 1 - |gamma|^2 below this is too degenerate for the 1/(1-|gamma|^2) terms;
+# every method serves the coincident-source limit there.
 OVERLAP_DEGENERACY_TOL = 1e-10
 
-# |s~| below which the explicit forms, and |(s~, p~)| below which the
-# pipeline, serve two sources as coincident (natural units).
+# The natural |s~| below which the explicit forms are not evaluated.
 SMALL_SEPARATION = 1e-6
 
 
@@ -107,20 +108,16 @@ def general_matrices(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray,
     return h, g - g.swapaxes(-1, -2)
 
 
-def _require_s_in_range(s) -> None:
+def _explicit_terms(psf: GaussianPsf, s, p):
+    """Subexpressions shared by the explicit Gaussian H and Gamma, elementwise."""
+    shape, (s, p) = _points(s, p)
+    s, p = psf.natural(s, p)
     if np.count_nonzero(np.abs(s) < SMALL_SEPARATION):
         raise SmallSeparationError(
             f"natural |s| = {np.abs(s).min():.3e} below {SMALL_SEPARATION:.0e}: the explicit "
             "Gaussian expressions have removable singularities at s = 0; use general_matrices "
             "with the analytic jet (p != 0) or small_separation_limit (both separations small)"
         )
-
-
-def _explicit_terms(psf: GaussianPsf, s, p):
-    """Subexpressions shared by the explicit Gaussian H and Gamma, elementwise."""
-    shape, (s, p) = _points(s, p)
-    s, p = psf.natural(s, p)
-    _require_s_in_range(s)
     s2 = s * s
     q = p * p
     vs = s2 / (q + 4.0)

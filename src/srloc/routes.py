@@ -1,21 +1,22 @@
 """The one evaluation layer: which route serves each (s, p), and its fallback.
 
-Per method, the route each point gets:
+``evaluate`` converts (s, p) to the natural separations (s~, p~) =
+``psf.natural(s, p)``, marks the coincident-source points and multiplies
+every served row by ``psf.scale``, once for every method.  A point is
+``"limit"`` by one rule, the general forms' own guard ``1 - |gamma(s~,
+p~)|^2 < closed_forms.OVERLAP_DEGENERACY_TOL``, and gets
+``small_separation_limit``.  Each method serves the other points as the
+problem of ``psf.NATURAL``:
 
-* ``gaussian-closed``: the explicit Gaussian forms; ``"general"`` for
-  ``|s~| < SMALL_SEPARATION``, and ``"limit"`` where then also
-  ``1 - |gamma|^2 <= 1e-8``.
-* ``general``: the general closed forms; ``"limit"`` where
-  ``1 - |gamma|^2 < 1e-10``.
-* ``pipeline``: the stacked numerical pipeline (``sld.pipeline``);
-  ``"limit"`` where ``s~^2 + p~^2 < SMALL_SEPARATION^2``, and
-  ``"failed"`` (NaN matrices) where the pipeline refuses the point.
+* ``pipeline``: the stacked numerical pipeline (``sld.pipeline``), and
+  ``"failed"`` (NaN matrices) where it refuses the point.
+* ``general``: the general closed forms.
+* ``gaussian-closed``: the explicit Gaussian forms where ``|s~| >=
+  SMALL_SEPARATION``, elsewhere the ``general`` method's own code path,
+  labelled ``"general"``.
 
-Every route solves the problem of ``psf.NATURAL`` at (s~, p~) =
-``psf.natural(s, p)`` and multiplies by ``psf.scale`` once.  Each method
-serves the whole grid at once: the closed forms and the overlap jet are
-elementwise array code, and each route is chosen by a mask.  This is the
-only place that checks the inputs and decides the routes.
+Each method serves the whole grid at once, by masks over elementwise array
+code.  This is the only place that checks the inputs and decides the routes.
 """
 
 from __future__ import annotations
@@ -127,82 +128,95 @@ def _where(mask: np.ndarray):
     return slice(None) if _all(mask) else np.flatnonzero(mask)
 
 
-def _closed(psf: GaussianPsf, s: np.ndarray, p: np.ndarray, method: str):
-    """H, Gamma and route labels of the two closed-form methods, by masks.
+# The natural-unit limit rows and the constants of NATURAL's general forms.
+_LIMIT = closed_forms.small_separation_limit(NATURAL)
+_CONSTS = gaussian_constants(NATURAL)
 
-    ``gaussian-closed`` serves ``|s~| >= SMALL_SEPARATION`` by the explicit forms
-    and reroutes the other points to the general forms, or to the limit where
-    ``1 - |gamma|^2 <= 1e-8``; ``general`` serves every point by the general
-    forms, or by the limit where ``1 - |gamma|^2 < OVERLAP_DEGENERACY_TOL``.
-    A form that overflows or divides by zero leaves a non-finite entry, which
-    ``_require_finite`` reports.  Points go in blocks of ``BLOCK_POINTS``.
+
+def _limit(s: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The coincident-source points at the natural (s, p): 1 - |gamma|^2 below
+    the general forms' guard, from the bits of gamma that the guard reads.
+    1 - |gamma|^2 >= max(p^2 / (p^2 + 4), 1 - exp(-s^2 / (p^2 + 4))) is over
+    12 times the guard where s^2 + p^2 >= 100 times it: gamma is needed only inside."""
+    tol = closed_forms.OVERLAP_DEGENERACY_TOL
+    limit = s * s + p * p < 100.0 * tol
+    if np.count_nonzero(limit):
+        at = np.flatnonzero(limit)
+        ag = np.abs(gaussian_overlap(NATURAL, s[at], p[at]))
+        limit[at] = 1.0 - ag * ag < tol
+    return limit
+
+
+def _closed(s, p, limit, method, general):
+    """Natural-unit H and Gamma of a closed-form method off the ``limit``
+    points, and the mask of the points that the general forms serve, in
+    blocks of ``BLOCK_POINTS``.  ``general`` is None, or the general method's
+    natural-unit (H, Gamma) at the same points, whose rows those points take.
     """
     n = len(s)
-    h = np.empty((n, 4, 4))
-    g = np.empty((n, 4, 4))
-    route = [method] * n
-    with np.errstate(all="ignore"):
-        for block in _blocks(n):
-            for i, label in _closed_block(psf, s[block], p[block], method, h[block], g[block]):
-                route[block.start + i] = label
-    return h, g, tuple(route)
-
-
-def _closed_block(psf, s, p, method, h, g) -> list[tuple[int, str]]:
-    """``_closed`` on one block, into ``h`` and ``g``; returns the (index,
-    route) of each point not served by ``method`` itself."""
-    relabel = []
-    s_n, p_n = psf.natural(s, p)
-    if method == "gaussian-closed":
-        rest = np.abs(s_n) < SMALL_SEPARATION
-        if not _all(rest):
-            at = _where(~rest)
-            h[at], g[at] = closed_forms.gaussian_matrices(psf, s[at], p[at])
-        relabel = [(i, "general") for i in np.flatnonzero(rest).tolist()]
-    else:
-        rest = np.ones(len(s), dtype=bool)
-    if np.count_nonzero(rest):
-        at = _where(rest)
-        jet = gaussian_overlap_jet(NATURAL, s_n[at], p_n[at])
-        ag = np.abs(jet.gamma)
-        one_minus = 1.0 - ag * ag
+    h, g = np.empty((n, 4, 4)), np.empty((n, 4, 4))
+    rest = ~limit
+    for block in _blocks(n):
+        s_b, p_b, h_b, g_b = s[block], p[block], h[block], g[block]
         if method == "gaussian-closed":
-            limit = one_minus <= 1e-8  # where the limit is accurate to O(1e-8)
-        else:
-            limit = one_minus < closed_forms.OVERLAP_DEGENERACY_TOL
-        if np.count_nonzero(limit):
-            at = np.flatnonzero(rest)
-            h[at[limit]], g[at[limit]] = closed_forms.small_separation_limit(psf)
-            relabel += [(i, "limit") for i in at[limit].tolist()]
-            at, jet = at[~limit], jet[~limit]
-        if len(jet.gamma):
-            h_n, g_n = closed_forms.general_matrices(jet, gaussian_constants(NATURAL))
-            scale = psf.scale
-            h[at], g[at] = h_n * scale, g_n * scale
-    return relabel
+            explicit = rest[block] & (np.abs(s_b) >= SMALL_SEPARATION)
+            if np.count_nonzero(explicit):
+                at = _where(explicit)
+                h_b[at], g_b[at] = closed_forms.gaussian_matrices(NATURAL, s_b[at], p_b[at])
+            rest[block] &= ~explicit
+        if np.count_nonzero(rest[block]):
+            at = _where(rest[block])
+            if general is None:
+                jet = gaussian_overlap_jet(NATURAL, s_b[at], p_b[at])
+                h_b[at], g_b[at] = closed_forms.general_matrices(jet, _CONSTS)
+            else:
+                h_b[at], g_b[at] = general[0][block][at], general[1][block][at]
+    return h, g, rest
 
 
-def _pipeline(psf: GaussianPsf, s: np.ndarray, p: np.ndarray):
-    """H, Gamma, route labels, rho's eigenvalues and the first error of the
-    pipeline method: the limit where s~^2 + p~^2 < SMALL_SEPARATION^2,
-    ``sld.pipeline`` elsewhere, ``failed`` where it refuses a point (NaN
-    matrices); the error names the first failed point's (s, p), or is None."""
+def _evaluate(psf: GaussianPsf, s, p, methods) -> dict[str, Evaluation]:
+    """The evaluations of ``methods``, in order, at the N points (s[i], p[i])."""
+    s = np.asarray(s, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if s.shape != p.shape or s.ndim != 1 or not (_all(np.isfinite(s)) and _all(np.isfinite(p))):
+        raise InvalidParameterError(f"s and p must be finite, 1-D and of equal length, "
+                                    f"got shapes {s.shape} and {p.shape}")
+    for method in methods:
+        if method not in METHODS:
+            raise InvalidParameterError(f"method must be one of {METHODS}, got {method!r}")
     s_n, p_n = psf.natural(s, p)
-    with np.errstate(over="ignore"):  # inf is not below it
-        limit = s_n * s_n + p_n * p_n < SMALL_SEPARATION ** 2
-    h, g, eigs, failures = sld.pipeline(psf, s, p, limit)
-    route = ["pipeline"] * len(s)
-    if np.count_nonzero(limit):
-        h[limit], g[limit] = closed_forms.small_separation_limit(psf)
-        for i in np.flatnonzero(limit).tolist():
-            route[i] = "limit"
-    for i in failures:
-        route[i] = "failed"
-    error = None
-    if failures:
-        i, (kind, reason) = next(iter(failures.items()))
-        error = kind(f"pipeline fails at (s={float(s[i])!r}, p={float(p[i])!r}): {reason}")
-    return h, g, tuple(route), eigs, error
+    scale = psf.scale
+    evs, general = {}, None
+    # Where the overlap, a closed form or the scale overflows or divides by
+    # zero it leaves a non-finite entry, which _require_finite reports.
+    with np.errstate(all="ignore"):
+        limit = _limit(s_n, p_n)
+    for method in methods:
+        route = np.empty(len(s), dtype=object)  # np.full fills objects one by one
+        route[:] = method
+        eigs = error = None
+        if method == "pipeline":
+            h, g, eigs, failures, shaky = sld.pipeline(s_n, p_n, limit)
+            route[list(failures)] = "failed"
+            if failures:
+                i, (kind, reason) = next(iter(failures.items()))
+                error = kind(f"pipeline fails at (s={float(s[i])!r}, p={float(p[i])!r}): {reason}")
+            if shaky.any():
+                sld._warn_cutoff(shaky, s, p)
+        else:
+            with np.errstate(all="ignore"):
+                h, g, rest = _closed(s_n, p_n, limit, method, general)
+            route[rest] = "general"
+            if method == "general":
+                general = h, g
+        if np.count_nonzero(limit):
+            h[limit], g[limit] = _LIMIT
+            route[limit] = "limit"
+        with np.errstate(all="ignore"):
+            h, g, route = h * scale, g * scale, tuple(route.tolist())
+        _require_finite(psf, method, h, g, route, s, p)
+        evs[method] = Evaluation(h, g, route, eigs, error)
+    return evs
 
 
 def evaluate(psf: GaussianPsf, s: Sequence[float], p: Sequence[float], method: str) -> Evaluation:
@@ -213,25 +227,14 @@ def evaluate(psf: GaussianPsf, s: Sequence[float], p: Sequence[float], method: s
     naming (s, p) and the route, where a served point's H or Gamma is not
     finite, and why where its closed form overflows or divides by zero.
     """
-    s = np.asarray(s, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if s.shape != p.shape or s.ndim != 1 or not (_all(np.isfinite(s)) and _all(np.isfinite(p))):
-        raise InvalidParameterError(f"s and p must be finite, 1-D and of equal length, "
-                                    f"got shapes {s.shape} and {p.shape}")
-    if method not in METHODS:
-        raise InvalidParameterError(f"method must be one of {METHODS}, got {method!r}")
-    if method == "pipeline":
-        h, g, route, eigs, error = _pipeline(psf, s, p)
-    else:
-        h, g, route = _closed(psf, s, p, method)
-        eigs = error = None
-    _require_finite(psf, method, h, g, route, s, p)
-    return Evaluation(h, g, route, eigs, error)
+    return _evaluate(psf, s, p, (method,))[method]
 
 
 def all_routes(psf: GaussianPsf, s: Sequence[float], p: Sequence[float]) -> dict[str, Evaluation]:
-    """Every method on the N points, one ``evaluate`` each, in ``METHODS`` order."""
-    return {method: evaluate(psf, s, p, method) for method in METHODS}
+    """Every method on the N points, as ``evaluate`` gives each, in ``METHODS``
+    order; the general forms run once, and ``gaussian-closed`` takes the
+    rows of the points it reroutes from the ``general`` method."""
+    return _evaluate(psf, s, p, METHODS)
 
 
 # The route pairs (a, b) that ``deviations`` compares, by index in METHODS.

@@ -20,9 +20,10 @@ together, and
 
 All results are independent of the centroid coordinates by construction
 (the Gram data only sees the separations).  ``pipeline`` runs the blocks on
-the beam ``NATURAL`` at the natural separations and scales the results;
-``routes.evaluate(..., "pipeline")`` checks the inputs, sends the points
-above the coincident-source threshold to it and labels every point.
+the beam ``NATURAL`` at natural separations and returns natural-unit
+results; ``routes.evaluate(..., "pipeline")`` checks the inputs, converts
+them, sends the points outside the coincident-source limit to it, scales
+the results and labels every point.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ import numpy as np
 
 from .errors import CutoffDegeneracyWarning, DegenerateBasisError, SrlocError
 from .gram import _DRHO_ROWS, COORDINATES, _abs2, factor
-from .psf import (NATURAL, GaussianPsf, OverlapJet, PsfConstants, gaussian_constants,
-                  gaussian_overlap_jet)
+from .psf import NATURAL, OverlapJet, PsfConstants, gaussian_constants, gaussian_overlap_jet
 
 __all__ = ["PARAMETERS", "pipeline"]
 
@@ -116,14 +116,18 @@ def _support_weights(q: np.ndarray):
     return 2.0 / np.where(qsum > cutoff, qsum, np.inf), shaky
 
 
-def _warn_cutoff(count: int, where: str) -> None:
+def _warn_cutoff(shaky: np.ndarray, s: np.ndarray, p: np.ndarray) -> None:
+    """Emit one :class:`CutoffDegeneracyWarning` for the (N,) counts ``shaky``
+    of ``pipeline`` at the points (s, p), naming the first point they flag."""
+    first = int(np.flatnonzero(shaky)[0])
     # attribute the warning to the first caller outside the srloc package
     level, frame = 1, sys._getframe()
     while frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
         level, frame = level + 1, frame.f_back
     warnings.warn(
-        f"{count} eigenvalue sums within a decade of the support cutoff {SUPPORT_CUTOFF:.1e}"
-        f"{where}; SLD entries there are low-confidence",
+        f"{int(shaky.sum())} eigenvalue sums within a decade of the support cutoff "
+        f"{SUPPORT_CUTOFF:.1e} at {np.count_nonzero(shaky)} point(s), first "
+        f"(s={float(s[first])!r}, p={float(p[first])!r}); SLD entries there are low-confidence",
         CutoffDegeneracyWarning,
         stacklevel=level,
     )
@@ -221,15 +225,14 @@ def _jet(s, p) -> OverlapJet:
         return gaussian_overlap_jet(NATURAL, s, p)
 
 
-def pipeline(psf: GaussianPsf, s: np.ndarray, p: np.ndarray, skip: np.ndarray):
-    """The stacked pipeline at the points (s[i], p[i]) outside the mask
-    ``skip``, in blocks of ``BLOCK_POINTS``, solved at ``psf.natural(s, p)``.
+def pipeline(s: np.ndarray, p: np.ndarray, skip: np.ndarray):
+    """The stacked pipeline of ``NATURAL`` at the natural separations (s[i],
+    p[i]) outside the mask ``skip``, in blocks of ``BLOCK_POINTS``.
 
-    Returns H and Gamma (N, 4, 4), rho's eigenvalues (N, 6), descending,
-    and the failures, index -> (error type, reason), in index order; skipped
-    and failed points hold NaN.  Emits one :class:`CutoffDegeneracyWarning`
-    when any evaluated point has an eigenvalue sum within a decade of the
-    cutoff.
+    Returns H and Gamma (N, 4, 4), rho's eigenvalues (N, 6), descending, the
+    failures, index -> (error type, reason), in index order, and per point
+    the count of eigenvalue sums within a decade of the cutoff (N,), for
+    ``_warn_cutoff``; skipped and failed points hold NaN.
     """
     n = len(s)
     h = np.full((n, 4, 4), np.nan)
@@ -238,19 +241,10 @@ def pipeline(psf: GaussianPsf, s: np.ndarray, p: np.ndarray, skip: np.ndarray):
     shaky = np.zeros(n, dtype=int)
     failures = {}
     consts = gaussian_constants(NATURAL)
-    s_n, p_n = psf.natural(s, p)
     todo = np.flatnonzero(~skip)
     for start in range(0, len(todo), BLOCK_POINTS):
         idx = todo[start:start + BLOCK_POINTS]
         h[idx], gamma_mat[idx], eigs[idx], shaky[idx], block_failures = _pipeline_block(
-            _jet(s_n[idx], p_n[idx]), consts)
+            _jet(s[idx], p[idx]), consts)
         failures.update((int(idx[i]), failure) for i, failure in block_failures.items())
-    scale = psf.scale
-    h *= scale
-    gamma_mat *= scale
-    if shaky.any():
-        first = int(np.flatnonzero(shaky)[0])
-        _warn_cutoff(int(shaky.sum()),
-                     f" at {np.count_nonzero(shaky)} point(s), first (s={float(s[first])!r}, "
-                     f"p={float(p[first])!r})")
-    return h, gamma_mat, eigs, failures
+    return h, gamma_mat, eigs, failures, shaky

@@ -374,6 +374,28 @@ def test_sweep_flags_rerouted_points(capsys, tmp_path):
     assert float(rows[0][4]) == 1.0  # H_xx limit = 2k/z_r
 
 
+def test_sweep_all_notes_the_pipeline_refusals(capsys, tmp_path):
+    # the pipeline refuses s = 0.001..0.046 at p = 0; the closed routes serve them
+    argv = ["sweep", "--k", "1", "--zr", "2", "--sweep", "s", "--range", "0:0.12:0.001",
+            "--fixed", "0", "--out"]
+    code, out, err = run(capsys, *argv, str(tmp_path / "all.csv"), "--method", "all")
+    assert code == 0 and out == ""
+    notes = err.splitlines()
+    assert len(notes) == 2 and "coincident-source limit" in notes[0]
+    assert notes[1].startswith("note: the pipeline refused 46 grid point(s), first: "
+                               "pipeline fails at (s=0.001, p=0.0): ")
+    assert "degenerate" in notes[1]
+    # the CSV holds the gaussian-closed rows, as without the note
+    code, _, err = run(capsys, *argv, str(tmp_path / "closed.csv"))
+    assert code == 0 and "pipeline" not in err
+    assert (tmp_path / "all.csv").read_bytes() == (tmp_path / "closed.csv").read_bytes()
+    # no note where the pipeline serves every point off the limit
+    code, _, err = run(capsys, "sweep", "--k", "1", "--zr", "2", "--sweep", "s", "--range",
+                       "0:1:0.25", "--fixed", "0", "--out", str(tmp_path / "x.csv"),
+                       "--method", "all")
+    assert code == 0 and "pipeline" not in err
+
+
 def test_sweep_pipeline_matches_per_point_pipeline(capsys, tmp_path):
     psf = GaussianPsf(k=1.0, z_r=2.0)
     out = tmp_path / "pipeline.csv"

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import srloc.closed_forms
 from srloc.cli import main
-from srloc.closed_forms import small_separation_limit
+from srloc.closed_forms import OVERLAP_DEGENERACY_TOL, small_separation_limit
 from srloc.errors import DegenerateBasisError, InvalidParameterError, SrlocError
-from srloc.psf import GaussianPsf
+from srloc.psf import NATURAL, GaussianPsf, gaussian_overlap
 from srloc.routes import METHODS, Evaluation, all_routes, deviations, evaluate, sparsity_ok
 
 from oracle import oracle
@@ -34,6 +35,18 @@ def test_evaluate_labels_each_point_with_its_route(psf):
     assert isinstance(ev.error, DegenerateBasisError)
     assert "(s=0.01, p=0.0)" in str(ev.error)
     assert np.all(np.isnan(ev.h[3]))
+    # one limit rule for every method: (0, 1e-4) has 1 - |gamma|^2 = 6.25e-10
+    # (served by the general forms), (1e-5, 0) 2.5e-11 (the limit)
+    want = {
+        "gaussian-closed": ("general", "limit"),
+        "general": ("general", "limit"),
+        "pipeline": ("failed", "limit"),
+    }
+    for method in METHODS:
+        ev = evaluate(psf, [0.0, 1e-5], [1e-4, 0.0], method)
+        assert ev.route == want[method]
+        assert np.array_equal(ev.h[1], h_lim) and np.array_equal(ev.gamma_mat[1], g_lim)
+    assert evaluate(psf, [0.0], [1e-4], "gaussian-closed").gamma_mat[0, 2, 3] < 0.0
 
 
 def test_evaluate_rejects_bad_input(psf):
@@ -82,6 +95,72 @@ def test_all_routes_keeps_each_method_on_its_own_route(psf):
     assert [[m for m, ok in zip(METHODS, row) if ok] for row in served] == [
         list(METHODS), ["pipeline", "general"], []]
     assert evs["gaussian-closed"].route == ("gaussian-closed", "general", "limit")
+
+
+def test_all_routes_runs_the_general_forms_once_per_block(psf, monkeypatch):
+    # gaussian-closed takes the rows of the points it reroutes (s = 0) from the
+    # general method instead of computing them again
+    true_fn = srloc.closed_forms._overlap_factors
+    seen = []
+
+    def counted(jet):
+        seen.append(np.size(jet.gamma))
+        return true_fn(jet)
+
+    monkeypatch.setattr(srloc.closed_forms, "_overlap_factors", counted)
+    s, p = [0.0, 1.0, 0.0, 2.0, 0.0], [2.0, 2.0, 0.5, 0.0, 0.0]
+    evs = all_routes(psf, s, p)
+    assert seen == [4]
+    assert evs["gaussian-closed"].route == ("general", "gaussian-closed", "general",
+                                            "gaussian-closed", "limit")
+    for method in ("general", "gaussian-closed"):
+        alone = evaluate(psf, s, p, method)
+        assert alone.route == evs[method].route
+        assert alone.h.tobytes() == evs[method].h.tobytes()
+        assert alone.gamma_mat.tobytes() == evs[method].gamma_mat.tobytes()
+    # blocks of 2, 2 and 1 points; the last holds only the limit point
+    monkeypatch.setattr("srloc.routes.BLOCK_POINTS", 2)
+    seen.clear()
+    all_routes(psf, s, p)
+    assert seen == [2, 2]
+
+
+def test_gaussian_closed_matches_the_oracle_at_coincident_centroids_on_axis(psf):
+    # s = 0 with 1 - |gamma|^2 from just above the general forms' guard (1e-10)
+    # to 2e-8: the general forms serve these points, the limit is 1e-4 off
+    p_natural = np.geomspace(2.001e-5, 2.8e-4, 12)
+    p = p_natural * psf.z_r
+    ev = evaluate(psf, np.zeros_like(p), p, "gaussian-closed")
+    assert set(ev.route) == {"general"}
+    for i, b in enumerate(p):
+        h_ref, g_ref = oracle(psf, 0.0, b)
+        diag = np.abs(np.diag(h_ref))
+        scale = np.sqrt(np.outer(diag, diag))
+        err = max(np.max(np.abs(ev.h[i] - h_ref) / scale),
+                  np.max(np.abs(ev.gamma_mat[i] - g_ref) / scale))
+        assert err <= 1e-10, (b, err)
+
+
+# Natural separations log-uniform in [1e-9, 1e-2], or 0 (the axes).
+natural_separations = st.one_of(st.just(0.0), st.floats(min_value=-9.0, max_value=-2.0).map(
+    lambda e: 10.0 ** e))
+
+
+@settings(max_examples=80, deadline=None)
+@given(k_zr=st.sampled_from([(1.0, 2.0), (1e3, 1e3), (1e-3, 1.0)]),
+       s_n=natural_separations, p_n=natural_separations)
+def test_every_method_serves_the_limit_exactly_where_the_general_guard_refuses(k_zr, s_n, p_n):
+    psf = GaussianPsf(*k_zr)
+    s = np.array([s_n, s_n, 0.0]) / math.sqrt(2.0 * psf.k / psf.z_r)
+    p = np.array([p_n, 0.0, p_n]) * psf.z_r
+    ag = np.abs(gaussian_overlap(NATURAL, *psf.natural(s, p)))
+    want = 1.0 - ag * ag < OVERLAP_DEGENERACY_TOL
+    for method in METHODS:
+        # no DegenerateOverlapError (nor any other error) escapes
+        ev = evaluate(psf, s, p, method)
+        assert [r == "limit" for r in ev.route] == want.tolist(), (method, ev.route)
+        for i in range(len(s)):
+            assert evaluate(psf, s[i:i + 1], p[i:i + 1], method).route == ev.route[i:i + 1]
 
 
 # (k, z_R) with k z_R from 1e-3 to 1e10.  The test points are given in units of
