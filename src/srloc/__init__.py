@@ -14,7 +14,6 @@ submodules (``psf``, ``gram``, ``sld``, ``closed_forms``, ``routes``,
 from .analysis import EstimationBudget, compatibility_report, qcrb_subset, qcrb_total
 from .closed_forms import gaussian_matrices, general_matrices, small_separation_limit
 from .errors import (
-    CutoffDegeneracyWarning,
     DegenerateBasisError,
     DegenerateOverlapError,
     InvalidParameterError,
@@ -30,7 +29,6 @@ from .routes import evaluate
 __version__ = "0.1.0"
 
 __all__ = [
-    "CutoffDegeneracyWarning",
     "DegenerateBasisError",
     "DegenerateOverlapError",
     "EstimationBudget",

@@ -119,7 +119,8 @@ def _evaluate_point(psf: GaussianPsf, s: float, p: float, method: str) -> routes
     ev = routes.evaluate(psf, [s], [p], method)
     if method == "pipeline" and ev.route[0] != "pipeline":
         raise ev.error or SmallSeparationError(
-            f"separations (s={s!r}, p={p!r}) below the pipeline threshold; "
+            f"the pipeline does not serve the coincident-source limit at (s={s!r}, p={p!r}), "
+            f"where 1 - |gamma|^2 < {closed_forms.OVERLAP_DEGENERACY_TOL:.0e}; "
             "use the `limits` command"
         )
     return ev

@@ -5,15 +5,15 @@ Three layers, each giving the pair (H, Gamma) from one call:
 * ``general_matrices``: exact expressions for any PSF in terms of the
   overlap magnitude/phase derivatives and the PSF constants.  Valid
   wherever 1 - |gamma|^2 >= ``OVERLAP_DEGENERACY_TOL``.
-* ``gaussian_matrices``: fully explicit Gaussian-beam expressions in the
-  natural separations (s~, p~) and varsigma = s~^2 / (p~^2 + 4).  They carry
-  powers of s in denominators, so they need |s~| >= ``SMALL_SEPARATION``;
-  the s -> 0 regime is covered by the general layer (regular for p != 0).
+* ``natural_gaussian_matrices``: explicit Gaussian-beam expressions in the
+  natural separations (s~, p~) and varsigma = s~^2 / (p~^2 + 4).  Powers of
+  s in their denominators need |s~| >= ``SMALL_SEPARATION``; the s -> 0
+  regime is covered by the general layer (regular for p != 0).
 * ``small_separation_limit``: the (s, p) -> (0, 0) limit, where H is
   diagonal and Gamma vanishes.  ``routes.evaluate`` serves it, for every
   method, exactly where the general layer's guard refuses a point.
 
-The Gaussian forms are those of ``psf.NATURAL``, times ``GaussianPsf.scale``.
+``gaussian_matrices`` scales the explicit forms to any beam by ``psf.scale``.
 Matrix layout is 4x4 in the parameter order (s, xbar, p, zbar); only the
 (xbar, zbar) off-diagonal of H and the (s,xbar), (p,zbar), (s,zbar),
 (xbar,p) entries of Gamma are ever nonzero.  Every form is elementwise in
@@ -28,7 +28,8 @@ import numpy as np
 from .errors import DegenerateOverlapError, SmallSeparationError
 from .psf import GaussianPsf, OverlapJet, PsfConstants, _points
 
-__all__ = ["varsigma", "general_matrices", "gaussian_matrices", "small_separation_limit"]
+__all__ = ["varsigma", "general_matrices", "natural_gaussian_matrices", "gaussian_matrices",
+           "small_separation_limit"]
 
 # 1 - |gamma|^2 below this is too degenerate for the 1/(1-|gamma|^2) terms;
 # every method serves the coincident-source limit there.
@@ -108,10 +109,9 @@ def general_matrices(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray,
     return h, g - g.swapaxes(-1, -2)
 
 
-def _explicit_terms(psf: GaussianPsf, s, p):
-    """Subexpressions shared by the explicit Gaussian H and Gamma, elementwise."""
+def _explicit_terms(s, p):
+    """Subexpressions shared by the explicit H and Gamma at the natural (s, p), elementwise."""
     shape, (s, p) = _points(s, p)
-    s, p = psf.natural(s, p)
     if np.count_nonzero(np.abs(s) < SMALL_SEPARATION):
         raise SmallSeparationError(
             f"natural |s| = {np.abs(s).min():.3e} below {SMALL_SEPARATION:.0e}: the explicit "
@@ -127,12 +127,12 @@ def _explicit_terms(psf: GaussianPsf, s, p):
     return shape, s, p, s2, q, vs, evs, np.exp(-vs), ks2, den
 
 
-def gaussian_matrices(psf: GaussianPsf, s, p) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit Gaussian-beam H and Gamma at separations (s, p).
+def natural_gaussian_matrices(s, p) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit H and Gamma of ``psf.NATURAL`` at the natural separations (s, p).
 
     Broadcasts over array ``s`` and ``p``: N points give two (N, 4, 4) stacks.
     """
-    shape, s, p, s2, q, vs, evs, emvs, ks2, den = _explicit_terms(psf, s, p)
+    shape, s, p, s2, q, vs, evs, emvs, ks2, den = _explicit_terms(s, p)
     vs2 = vs * vs
     kk = ks2 * ks2  # k^2 s^4
 
@@ -157,8 +157,16 @@ def gaussian_matrices(psf: GaussianPsf, s, p) -> tuple[np.ndarray, np.ndarray]:
     g[..., 2, 3] = -p * em_den * (vs - 1.0) * vs3 * vs * bq / (2.0 * kk * ks2)
     g[..., 0, 3] = em_den * vs3 * (2.0 * q * (vs - 1.0) * vs - kk * evs) / (kk * s)
     g[..., 1, 2] = -em_den * vs3 * (kk * evs + vs * bq) / (kk * s)
+    return h, g - g.swapaxes(-1, -2)
+
+
+def gaussian_matrices(psf: GaussianPsf, s, p) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit Gaussian-beam H and Gamma at separations (s, p): those of
+    ``natural_gaussian_matrices`` at ``psf.natural(s, p)``, times ``psf.scale``."""
+    h, g = natural_gaussian_matrices(*psf.natural(np.asarray(s, dtype=float),
+                                                  np.asarray(p, dtype=float)))
     scale = psf.scale
-    return h * scale, (g - g.swapaxes(-1, -2)) * scale
+    return h * scale, g * scale
 
 
 def small_separation_limit(psf: GaussianPsf) -> tuple[np.ndarray, np.ndarray]:

@@ -32,10 +32,5 @@ class SingularMatrixError(SrlocError):
     """A matrix that must be inverted is numerically singular."""
 
 
-class CutoffDegeneracyWarning(UserWarning):
-    """Density-matrix eigenvalue sums fell within a decade of the support
-    cutoff; the solved logarithmic derivatives are low-confidence."""
-
-
 class ModelValidityWarning(UserWarning):
     """Inputs lie outside the regime where the physical model is trustworthy."""

@@ -162,7 +162,7 @@ def _closed(s, p, limit, method, general):
             explicit = rest[block] & (np.abs(s_b) >= SMALL_SEPARATION)
             if np.count_nonzero(explicit):
                 at = _where(explicit)
-                h_b[at], g_b[at] = closed_forms.gaussian_matrices(NATURAL, s_b[at], p_b[at])
+                h_b[at], g_b[at] = closed_forms.natural_gaussian_matrices(s_b[at], p_b[at])
             rest[block] &= ~explicit
         if np.count_nonzero(rest[block]):
             at = _where(rest[block])
@@ -196,13 +196,11 @@ def _evaluate(psf: GaussianPsf, s, p, methods) -> dict[str, Evaluation]:
         route[:] = method
         eigs = error = None
         if method == "pipeline":
-            h, g, eigs, failures, shaky = sld.pipeline(s_n, p_n, limit)
+            h, g, eigs, failures = sld.pipeline(s_n, p_n, limit)
             route[list(failures)] = "failed"
             if failures:
                 i, (kind, reason) = next(iter(failures.items()))
                 error = kind(f"pipeline fails at (s={float(s[i])!r}, p={float(p[i])!r}): {reason}")
-            if shaky.any():
-                sld._warn_cutoff(shaky, s, p)
         else:
             with np.errstate(all="ignore"):
                 h, g, rest = _closed(s_n, p_n, limit, method, general)

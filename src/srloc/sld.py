@@ -12,8 +12,8 @@ so no inverse is formed.  rho has rank 2 and lives on the first two
 coordinates: the eigenvalues q and eigenvectors u of that 2x2 block come in
 closed form, and the eigenframe of rho is blockdiag(u, I_4).  H and Gamma
 need each SLD only on its two support rows, where ``L rho + rho L = 2 drho``
-is solved elementwise for the four physical parameters (s, xbar, p, zbar)
-together, and
+gives L[i, j] = 2 drho[i, j] / (q_i + q_j) for the four physical parameters
+(s, xbar, p, zbar) together, and
 
     H[mu, nu] + i * Gamma[mu, nu] = Tr(rho L_mu L_nu)
                                   = sum_{i < 2, j} q_i L_mu[i, j] conj(L_nu[i, j]).
@@ -29,12 +29,10 @@ the results and labels every point.
 from __future__ import annotations
 
 import logging
-import sys
-import warnings
 
 import numpy as np
 
-from .errors import CutoffDegeneracyWarning, DegenerateBasisError, SrlocError
+from .errors import DegenerateBasisError, SrlocError
 from .gram import _DRHO_ROWS, COORDINATES, _abs2, factor
 from .psf import NATURAL, OverlapJet, PsfConstants, gaussian_constants, gaussian_overlap_jet
 
@@ -44,10 +42,6 @@ logger = logging.getLogger(__name__)
 
 # Estimation parameters, fixed order used by every 4x4 matrix in the package.
 PARAMETERS = ("s", "xbar", "p", "zbar")
-
-# Numerical rank-2 states populate their kernel at ~1e-16; eigenvalue sums at
-# or below this are treated as exact kernel in the SLD solve.
-SUPPORT_CUTOFF = 1e-12
 
 # Max tolerated asymmetry of Re/Im Tr(rho L L) before symmetrization.
 _ASYMMETRY_LIMIT = 1e-10
@@ -93,46 +87,6 @@ def _support_frame(t00, t01, t11):
     return q_big, q_small, rise / norm + degenerate, b.real / norm - 1j * (b.imag / norm)
 
 
-def _support_weights(q: np.ndarray):
-    """Weights of the SLD's support rows in the eigenbasis of a state of rank
-    at most two, and the number of ill-conditioned entries.
-
-    ``q`` holds the d eigenvalues of the state (d, ...), its two support
-    eigenvalues first and 0 on the kernel.  The support rows of the SLD are
-    L[i, j] = w[i, j] drho[i, j] (i < 2), with w = 2 / (q_i + q_j) wherever
-    q_i + q_j exceeds ``SUPPORT_CUTOFF`` and 0 elsewhere (2, d, ...).  The
-    kernel rows of L follow by Hermiticity, and its kernel block is left
-    out: H and Gamma do not depend on how it is completed.  An eigenvalue
-    sum within a decade of the cutoff makes its entry ill-conditioned; their
-    count over the d x d frame, where each support-kernel pair appears
-    twice, is returned per trailing index of ``q``.
-    """
-    cutoff = SUPPORT_CUTOFF
-    qsum = q[:2, None] + q[None, :]
-    near = (qsum > cutoff / 10.0) & (qsum <= cutoff * 10.0)
-    shaky = np.zeros(q.shape[1:], dtype=int)
-    if near.any():
-        shaky = np.count_nonzero(near, axis=(0, 1)) + np.count_nonzero(near[:, 2:], axis=(0, 1))
-    return 2.0 / np.where(qsum > cutoff, qsum, np.inf), shaky
-
-
-def _warn_cutoff(shaky: np.ndarray, s: np.ndarray, p: np.ndarray) -> None:
-    """Emit one :class:`CutoffDegeneracyWarning` for the (N,) counts ``shaky``
-    of ``pipeline`` at the points (s, p), naming the first point they flag."""
-    first = int(np.flatnonzero(shaky)[0])
-    # attribute the warning to the first caller outside the srloc package
-    level, frame = 1, sys._getframe()
-    while frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
-        level, frame = level + 1, frame.f_back
-    warnings.warn(
-        f"{int(shaky.sum())} eigenvalue sums within a decade of the support cutoff "
-        f"{SUPPORT_CUTOFF:.1e} at {np.count_nonzero(shaky)} point(s), first "
-        f"(s={float(s[first])!r}, p={float(p[first])!r}); SLD entries there are low-confidence",
-        CutoffDegeneracyWarning,
-        stacklevel=level,
-    )
-
-
 def _to_physical(coord: np.ndarray) -> np.ndarray:
     """Derivatives in the physical (s, xbar, p, zbar) from those in the
     coordinates (x1, z1, x2, z2), along the first axis of ``coord``: s = x2 -
@@ -171,9 +125,8 @@ def _support_drho(t: dict, cos, sin, n: int) -> np.ndarray:
 
 def _pipeline_block(jet: OverlapJet, consts: PsfConstants):
     """Run the pipeline on the n points of an overlap jet at once: H and
-    Gamma (n, 4, 4), rho's eigenvalues (n, 6), descending, the count of
-    eigenvalue sums within a decade of the cutoff (n,), and the failures,
-    index -> (error type, reason), in index order.
+    Gamma (n, 4, 4), rho's eigenvalues (n, 6), descending, and the
+    failures, index -> (error type, reason), in index order.
 
     Every step but the traces is elementwise, with the points on the last
     axis: the Cholesky factor and the eigenframe of rho's support block in
@@ -188,9 +141,9 @@ def _pipeline_block(jet: OverlapJet, consts: PsfConstants):
     with np.errstate(all="ignore"):  # the refused points' entries may be NaN
         q = np.zeros((6, n))
         q[0], q[1], cos, sin = _support_frame(t[0, 0], t[0, 1], t[1, 1])
-        weights, shaky = _support_weights(q)
         l_rows = _support_drho(t, cos, sin, n)
-        l_rows *= weights  # the SLDs' support rows
+        # SLD support rows; served points keep q_i + q_j >= q_small >= DEGENERACY_THRESHOLD / 4
+        l_rows *= 2.0 / (q[:2, None] + q[None, :])
         # Tr(rho L_mu L_nu) = sum_ij q_i L_mu[i, j] conj(L_nu[i, j]), L
         # Hermitian and q_i = 0 off the support rows: one (4, 12) @ (12, 4)
         # product per point.
@@ -214,8 +167,7 @@ def _pipeline_block(jet: OverlapJet, consts: PsfConstants):
     if failures:
         bad = list(failures)
         h[bad] = gamma_mat[bad] = eigs[bad] = np.nan
-        shaky[bad] = 0
-    return h, gamma_mat, eigs, shaky, dict(sorted(failures.items()))
+    return h, gamma_mat, eigs, dict(sorted(failures.items()))
 
 
 def _jet(s, p) -> OverlapJet:
@@ -229,22 +181,20 @@ def pipeline(s: np.ndarray, p: np.ndarray, skip: np.ndarray):
     """The stacked pipeline of ``NATURAL`` at the natural separations (s[i],
     p[i]) outside the mask ``skip``, in blocks of ``BLOCK_POINTS``.
 
-    Returns H and Gamma (N, 4, 4), rho's eigenvalues (N, 6), descending, the
-    failures, index -> (error type, reason), in index order, and per point
-    the count of eigenvalue sums within a decade of the cutoff (N,), for
-    ``_warn_cutoff``; skipped and failed points hold NaN.
+    Returns H and Gamma (N, 4, 4), rho's eigenvalues (N, 6), descending, and
+    the failures, index -> (error type, reason), in index order; skipped and
+    failed points hold NaN.
     """
     n = len(s)
     h = np.full((n, 4, 4), np.nan)
     gamma_mat = np.full((n, 4, 4), np.nan)
     eigs = np.full((n, 6), np.nan)
-    shaky = np.zeros(n, dtype=int)
     failures = {}
     consts = gaussian_constants(NATURAL)
     todo = np.flatnonzero(~skip)
     for start in range(0, len(todo), BLOCK_POINTS):
         idx = todo[start:start + BLOCK_POINTS]
-        h[idx], gamma_mat[idx], eigs[idx], shaky[idx], block_failures = _pipeline_block(
+        h[idx], gamma_mat[idx], eigs[idx], block_failures = _pipeline_block(
             _jet(s[idx], p[idx]), consts)
         failures.update((int(idx[i]), failure) for i, failure in block_failures.items())
-    return h, gamma_mat, eigs, failures, shaky
+    return h, gamma_mat, eigs, failures

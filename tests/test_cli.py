@@ -82,6 +82,25 @@ def test_eval_pipeline_refuses_coincident_sources(capsys):
     )
     assert code == 1
     assert "limits" in err
+    assert ("the pipeline does not serve the coincident-source limit at (s=0.0, p=0.0), "
+            "where 1 - |gamma|^2 < 1e-10") in err
+
+
+def test_eval_all_fails_where_the_routes_disagree(capsys, monkeypatch):
+    true_fn = srloc.closed_forms.natural_gaussian_matrices
+
+    def corrupted(s, p):
+        h, g = true_fn(s, p)
+        h[..., 1, 1] *= 1.001
+        return h, g
+
+    monkeypatch.setattr("srloc.closed_forms.natural_gaussian_matrices", corrupted)
+    code, out, err = run(capsys, "eval", *PSF, "--s", "1", "--p", "2", "--method", "all")
+    assert code == 1
+    record = json.loads(out)
+    assert record["cross_check"]["pass"] is False
+    assert record["cross_check"]["max_rel_deviation"] > record["cross_check"]["tol"]
+    assert "cross-method deviation exceeds tolerance" in err
 
 
 def test_eval_rejects_invalid_psf(capsys):
@@ -460,14 +479,14 @@ def test_sweep_pipeline_linalg_calls_independent_of_length(capsys, tmp_path, mon
 
 
 def test_sweep_all_names_the_first_deviating_point(capsys, monkeypatch, tmp_path):
-    true_fn = srloc.closed_forms.gaussian_matrices
+    true_fn = srloc.closed_forms.natural_gaussian_matrices
 
-    def corrupted(psf, s, p):  # H_xx off by 1e-3 from s = 1.2 on
-        h, g = true_fn(psf, s, p)
+    def corrupted(s, p):  # H_xx off by 1e-3 from s = 1.2 on (s~ = s at k = 1, z_R = 2)
+        h, g = true_fn(s, p)
         h[..., 1, 1] *= np.where(np.asarray(s) >= 1.2, 1.001, 1.0)
         return h, g
 
-    monkeypatch.setattr("srloc.closed_forms.gaussian_matrices", corrupted)
+    monkeypatch.setattr("srloc.closed_forms.natural_gaussian_matrices", corrupted)
     code, _, err = run(
         capsys, "sweep", "--k", "1", "--zr", "2", "--sweep", "s", "--range", "0.5:2:0.25",
         "--fixed", "1", "--method", "all", "--out", str(tmp_path / "x.csv"),
@@ -502,7 +521,7 @@ def test_failing_sweep_leaves_an_existing_file_alone(capsys, tmp_path):
 def test_sweep_rejects_bad_range(capsys, tmp_path):
     out = str(tmp_path / "x.csv")
     for bad in (["--range", "1:0:0.1"], ["--range", "0:-2:0.1"], ["--range", "0:1:-0.1"],
-                ["--range=-1:1:0.1"]):
+                ["--range=-1:1:0.1"], ["--range", "1:2"], ["--range", "a:b:c"]):
         code, _, err = run(capsys, "sweep", *PSF, "--sweep", "s", *bad, "--out", out)
         assert code == 2, bad
         assert "error:" in err and "Traceback" not in err, bad
@@ -569,14 +588,14 @@ def test_crossval_drops_pipeline_route_exactly_where_it_fails():
 
 
 def test_crossval_detects_corrupted_formula(capsys, monkeypatch):
-    true_fn = srloc.closed_forms.gaussian_matrices
+    true_fn = srloc.closed_forms.natural_gaussian_matrices
 
-    def corrupted(psf, s, p):
-        h, g = true_fn(psf, s, p)
+    def corrupted(s, p):
+        h, g = true_fn(s, p)
         h[..., 1, 1] *= 1.001
         return h, g
 
-    monkeypatch.setattr("srloc.closed_forms.gaussian_matrices", corrupted)
+    monkeypatch.setattr("srloc.closed_forms.natural_gaussian_matrices", corrupted)
     code, out, _ = run(capsys, "crossval", "--k", "1", "--zr", "2", "--range", "0.5:1.5:0.5")
     assert code == 1
     record = json.loads(out)
@@ -585,15 +604,15 @@ def test_crossval_detects_corrupted_formula(capsys, monkeypatch):
     assert record["per_entry_max_rel_deviation_h"][1][1] > 1e-8
 
 
-# The matrix of gaussian_matrices' (H, Gamma) that a case shifts.
+# The matrix of natural_gaussian_matrices' (H, Gamma) that a case shifts.
 _MATRIX = {"gaussian_qfim": 0, "gaussian_gamma_matrix": 1}
 
 
 def _shift(matrix, entries, delta):
-    true_fn = srloc.closed_forms.gaussian_matrices
+    true_fn = srloc.closed_forms.natural_gaussian_matrices
 
-    def shifted(psf, s, p):
-        mats = true_fn(psf, s, p)
+    def shifted(s, p):
+        mats = true_fn(s, p)
         for (i, j), sign in entries:
             mats[_MATRIX[matrix]][..., i, j] += sign * delta
         return mats
@@ -608,7 +627,8 @@ def _shift(matrix, entries, delta):
 ])
 def test_crossval_sparsity_check_flags_each_zero_entry(capsys, monkeypatch, matrix, entries,
                                                        delta):
-    monkeypatch.setattr("srloc.closed_forms.gaussian_matrices", _shift(matrix, entries, delta))
+    monkeypatch.setattr("srloc.closed_forms.natural_gaussian_matrices",
+                        _shift(matrix, entries, delta))
     code, out, _ = run(capsys, "crossval", "--k", "1", "--zr", "2", "--range", "0:2:0.5",
                        "--tol", "1")
     record = json.loads(out)

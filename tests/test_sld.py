@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,29 +7,23 @@ import srloc.psf
 import srloc.sld
 from srloc import evaluate
 from srloc.closed_forms import gaussian_matrices, small_separation_limit
-from srloc.errors import (
-    CutoffDegeneracyWarning,
-    DegenerateBasisError,
-    InvalidParameterError,
-    SrlocError,
-)
-from srloc.gram import COORDINATES
+from srloc.errors import DegenerateBasisError, InvalidParameterError, SrlocError
+from srloc.gram import COORDINATES, DEGENERACY_THRESHOLD
 from srloc.psf import SourceGeometry, gaussian_overlap_jet
-from srloc.sld import PARAMETERS, _support_frame, _support_weights, _to_physical
+from srloc.sld import PARAMETERS, _support_frame, _to_physical
 
 from one_point import pipeline_point
 from oracle import oracle, row_scaled_error
 
 
 # -------------------------------------------------------------- SLD solve
-# The solve runs in the eigenbasis of rho, on its two support rows: from the
-# eigenvalues q (support first, 0 on the kernel), _support_weights gives the
-# weights that turn the support rows of drho into those of the SLD.
+# The solve runs in the eigenbasis of rho, on its support rows: with the
+# eigenvalues q (support first, 0 on the kernel), the pipeline's weights
+# 2 / (q_i + q_j) turn the support rows of drho into those of the SLD.
 
 
 def support_sld(q, drho_rows):
-    weights, shaky = _support_weights(q)
-    return weights * drho_rows, shaky
+    return 2.0 / (q[:len(drho_rows), None] + q[None, :]) * drho_rows
 
 
 def full_sld(l_rows):
@@ -44,19 +37,19 @@ def full_sld(l_rows):
 
 
 def test_solve_sld_orthonormal_diagonal_case():
-    l_rows, shaky = support_sld(np.array([0.5, 0.5]), np.diag([1.0, -1.0]).astype(complex))
+    l_rows = support_sld(np.array([0.5, 0.5]), np.diag([1.0, -1.0]).astype(complex))
     assert l_rows == pytest.approx(np.diag([2.0, -2.0]), abs=1e-14)
-    assert shaky == 0
 
 
 def test_solve_sld_pure_state_case():
-    # rank-one rho; drho from a normalized pure-state family, for which the
-    # support-restricted solution coincides with 2*drho
+    # rank-one rho, solved on its one support row; drho from a normalized
+    # pure-state family, for which the support-restricted solution
+    # coincides with 2*drho
     psi = np.array([1.0, 0.0, 0.0], dtype=complex)
     dpsi = np.array([0.3j, 0.5, -0.2j], dtype=complex)  # <psi|dpsi> imaginary
     drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
-    l_rows, _ = support_sld(np.array([1.0, 0.0, 0.0]), drho[:2])
-    assert l_rows == pytest.approx(2.0 * drho[:2], abs=1e-12)
+    l_rows = support_sld(np.array([1.0, 0.0, 0.0]), drho[:1])
+    assert l_rows == pytest.approx(2.0 * drho[:1], abs=1e-12)
 
 
 def random_state_and_derivative(rank, dim, seed):
@@ -80,7 +73,7 @@ def eigenframe(rho, drho):
 
 def test_solve_sld_equation_residual_on_support():
     q, drho_e = eigenframe(*random_state_and_derivative(2, 6, seed=7))
-    l_rows, _ = support_sld(q, drho_e[:2])
+    l_rows = support_sld(q, drho_e[:2])
     sld = full_sld(l_rows)
     residual = sld * q + q[:, None] * sld - 2.0 * drho_e
     residual[2:, 2:] = 0.0  # no SLD reaches the kernel block
@@ -89,33 +82,8 @@ def test_solve_sld_equation_residual_on_support():
 
 def test_solve_sld_represents_hermitian_operator():
     q, drho_e = eigenframe(*random_state_and_derivative(2, 6, seed=11))
-    l_rows, _ = support_sld(q, drho_e[:2])
+    l_rows = support_sld(q, drho_e[:2])
     assert np.max(np.abs(l_rows[:, :2] - l_rows[:, :2].conj().T)) <= 1e-12
-
-
-def test_solve_sld_masks_sums_at_the_cutoff():
-    # q_1 + q_j = 5e-13 on the support-kernel pairs and 1e-12 on (1, 1): both
-    # at or below the 1e-12 cutoff, so those entries are 0
-    drho_rows = np.ones((2, 4), dtype=complex)
-    l_rows, _ = support_sld(np.array([1.0 - 5e-13, 5e-13, 0.0, 0.0]), drho_rows)
-    assert np.array_equal(l_rows[1, 1:], np.zeros(3))
-    assert l_rows[0] == pytest.approx([1.0, 2.0, 2.0, 2.0])
-    assert l_rows[1, 0] == pytest.approx(2.0)
-
-
-def test_solve_sld_warns_near_cutoff(psf, monkeypatch):
-    # the eigenvalue sum 6e-12 lies within a decade of the 1e-12 cutoff
-    q = np.array([1.0 - 3e-12, 3e-12])
-    _, shaky = support_sld(q, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    assert shaky == 1
-    # a support-kernel pair counts twice, as (1, 2) and as (2, 1) of the frame
-    _, shaky = support_sld(np.array([1.0 - 3e-12, 3e-12, 0.0]), np.ones((2, 3), dtype=complex))
-    assert shaky == 3
-    # at s = 0.1, p = 0 the small eigenvalue of rho is 6e-4, within a decade of 1e-4
-    monkeypatch.setattr(srloc.sld, "SUPPORT_CUTOFF", 1e-4)
-    with pytest.warns(CutoffDegeneracyWarning, match=r"first \(s=0\.1, p=0\.0\)") as caught:
-        evaluate(psf, [0.1], [0.0], "pipeline")
-    assert caught[0].filename == __file__  # attributed to the caller, not to srloc
 
 
 # ----------------------------------------------------- coordinate to physical
@@ -290,6 +258,46 @@ def test_pipeline_refuses_tiny_separations(psf):
     assert np.all(np.isnan(ev.rho_eigenvalues[0]))
 
 
+def _smallest_served_on_axis(psf, axis):
+    """The smallest natural separation on one axis (0: s~, 1: p~) that the
+    pipeline serves, to within adjacent doubles, by bisection."""
+    root = math.sqrt(2.0 * psf.k / psf.z_r)
+    lo, hi = 1e-6, 1.0  # refused and served on both axes, at every beam
+
+    def served(r):
+        s, p = (r / root, 0.0) if axis == 0 else (0.0, r * psf.z_r)
+        return evaluate(psf, [s], [p], "pipeline").route == ("pipeline",)
+
+    assert not served(lo) and served(hi)
+    while np.nextafter(lo, hi) < hi:
+        mid = math.sqrt(lo * hi)
+        if mid in (lo, hi):
+            mid = np.nextafter(lo, hi)
+        lo, hi = (mid, hi) if not served(mid) else (lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize("k, z_r", [(1.0, 2.0), (1e3, 1e3), (1e-3, 1.0), (5.11e-262, 1.49e-26)])
+def test_served_points_keep_the_small_eigenvalue_above_the_pivot_bound(k, z_r):
+    # gram.factor serves a point only where 1 - |gamma|^2 = t11^2 >=
+    # DEGENERACY_THRESHOLD, and q_small = t11^2 / (4 q_big) with q_big <= 1:
+    # every SLD weight 2 / (q_i + q_j) is finite there
+    psf = srloc.psf.GaussianPsf(k=k, z_r=z_r)
+    rng = np.random.default_rng(21)
+    r = 10.0 ** rng.uniform(-12.0, 3.0, 3000)
+    angle = rng.uniform(0.0, 2.0 * math.pi, 3000)
+    s_n = np.concatenate([r * np.cos(angle), r, np.zeros(3000), [76.0, 77.0]])
+    p_n = np.concatenate([r * np.sin(angle), np.zeros(3000), r, [0.0, 0.0]])
+    edges = [_smallest_served_on_axis(psf, axis) for axis in (0, 1)]
+    s_n = np.append(s_n, [edges[0], 0.0])
+    p_n = np.append(p_n, [0.0, edges[1]])
+    root = math.sqrt(2.0 * k / z_r)
+    ev = evaluate(psf, s_n / root, p_n * z_r, "pipeline")
+    served = np.array(ev.route) == "pipeline"
+    assert {"pipeline", "failed", "limit"} <= set(ev.route) and served[-4:].all()
+    assert np.all(ev.rho_eigenvalues[served, 1] >= DEGENERACY_THRESHOLD / 4.0)
+
+
 def test_compute_qfim_parameter_order():
     assert PARAMETERS == ("s", "xbar", "p", "zbar")
 
@@ -385,16 +393,6 @@ def test_stack_asymmetry_limit_names_first_point(psf, monkeypatch):
     assert "asymmetry" in str(stack.error) and "(s=1.5, p=0.5)" in str(stack.error)
     with pytest.raises(SrlocError, match="asymmetry"):
         raise evaluate(psf, [1.5], [0.5], "pipeline").error
-
-
-def test_stack_warns_on_cutoff_marginal_point(psf, monkeypatch):
-    # at s = 0.1, p = 0 the small eigenvalue of rho is 6e-4, within a decade of 1e-4
-    monkeypatch.setattr(srloc.sld, "SUPPORT_CUTOFF", 1e-4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", CutoffDegeneracyWarning)
-        evaluate(psf, [3.0, 4.0], [0.0, 0.0], "pipeline")
-    with pytest.warns(CutoffDegeneracyWarning, match=r"1 point\(s\), first \(s=0\.1, p=0\.0\)"):
-        evaluate(psf, [3.0, 0.1, 4.0], [0.0, 0.0, 0.0], "pipeline")
 
 
 def test_stack_rejects_mismatched_coordinates(psf):
