@@ -34,7 +34,11 @@ limit's bound ``1e-10``: ``eval`` for every method and ``crb --method
 general`` at (0, 1e-4), ``eval --method pipeline`` at (1e-5, 0), ``sweep
 --method all`` along ``p`` at ``s = 0`` over ``0:0.0008:0.00002`` and
 ``sweep --method gaussian-closed`` along ``s`` at ``p = 0`` over
-``0:4e-5:1e-6``.  Then the parser's own output: ``-h`` and ``<command> -h``
+``0:4e-5:1e-6``.  Physical extremes: ``eval`` where ``s * s`` overflows in
+physical units (``general`` and ``pipeline``), where ``H_ii H_jj``
+overflows (``all``) and where ``p / z_R`` overflows, and ``crb`` with a
+budget ``nu * m * eps`` that underflows or overflows and with a bound that
+overflows.  Then the parser's own output: ``-h`` and ``<command> -h``
 for each of the five subcommands, no arguments, ``nonsense``, ``eval``
 without ``--p``, ``eval ... --bogus 1``, ``--bogus eval ...`` and
 ``sweep ... --method magic``.
@@ -121,6 +125,23 @@ def commands() -> list[list[str]]:
                  "--method", "all", "--out", CSV])
     cmds.append(["sweep", *PSF, "--sweep", "s", "--fixed", "0", "--range", "0:4e-5:1e-6",
                  "--method", "gaussian-closed", "--out", CSV])
+    # physical extremes: |gamma| where s * s overflows in physical units (general and
+    # pipeline), H_ii H_jj overflowing in the cross-route rule, p / z_R overflowing
+    for method, k, zr, s, p in (
+            ("general", "2.3738800155595087e-198", "140545907.8826104",
+             "3.131905807565238e+173", "1.8110723848240263e+236"),
+            ("pipeline", "3.0881109969020816e-251", "4.242473674790555e+34",
+             "7.060573231617923e+258", "3.435905594367144e+117"),
+            ("all", "1", "1e-78", "0", "1"),
+            ("general", "4.170858320864619e+169", "2.8667426688795266e-97",
+             "4.7102269638616694e+104", "2.053445288830075e+259")):
+        cmds.append(["eval", "--k", k, "--zr", zr, "--s", s, "--p", p, "--method", method])
+    # budgets whose product nu * m * eps underflows or overflows, and a bound that overflows
+    for nu, m in (("1e-200", "1e-200"), ("1e200", "1e200")):
+        cmds.append(["crb", *PSF, "--s", "1", "--p", "2", "--nu", nu, "--m", m, "--eps", "0.5"])
+    cmds.append(["crb", "--k", "3.361379129910657e-89", "--zr", "1.6189050187068476e+91",
+                 "--s", "0", "--p", "0", "--method", "general", "--nu", "1",
+                 "--m", "8.6289390270983e-151", "--eps", "0.5"])
     cmds += [["-h"], *([command, "-h"] for command in COMMANDS), [], ["nonsense"],
              ["eval", *PSF, "--s", "1"],
              ["eval", *PSF, "--s", "1", "--p", "0", "--bogus", "1"],

@@ -10,13 +10,14 @@ entry as well.  The (s, p) pair satisfies both for every PSF.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidParameterError, ModelValidityWarning, SingularMatrixError
+from .errors import InvalidParameterError, ModelValidityWarning, SingularMatrixError, SrlocError
 from .sld import PARAMETERS
 
 __all__ = [
@@ -46,6 +47,9 @@ class EstimationBudget:
                 raise InvalidParameterError(
                     f"budget field {name} must be strictly positive, got {getattr(self, name)}"
                 )
+        if not 0.0 < self.total_photons < math.inf:
+            raise InvalidParameterError(f"the budget nu * m * eps must be finite and positive, "
+                                        f"got {self.total_photons}")
         if self.eps > 1.0:
             warnings.warn(
                 f"eps = {self.eps} exceeds 1: the weak-source model assumes "
@@ -113,10 +117,18 @@ def _checked_inverse(h: np.ndarray) -> np.ndarray:
     return np.linalg.inv(h)
 
 
+def _bound(h: np.ndarray, budget: EstimationBudget) -> float:
+    """Tr(h^-1) / (nu * M * eps); ``SrlocError`` where it overflows."""
+    bound = float(np.trace(_checked_inverse(h))) / budget.total_photons
+    if bound == math.inf:
+        raise SrlocError(f"Tr(H^-1) / (nu M eps) overflows for nu M eps = {budget.total_photons}")
+    return bound
+
+
 def qcrb_total(h, budget: EstimationBudget) -> float:
     """Lower bound on the summed variances of all four parameters,
     Tr(H^-1) / (nu * M * eps)."""
-    return float(np.trace(_checked_inverse(_as_4x4(h, "h", "H")))) / budget.total_photons
+    return _bound(_as_4x4(h, "h", "H"), budget)
 
 
 def qcrb_subset(h, subset: Iterable[str | int], budget: EstimationBudget) -> float:
@@ -139,7 +151,7 @@ def qcrb_subset(h, subset: Iterable[str | int], budget: EstimationBudget) -> flo
     if not indices or len(set(indices)) != len(indices):
         raise InvalidParameterError(f"subset must be non-empty without repeats, got {indices}")
     sub = _as_4x4(h, "h", "H")[np.ix_(indices, indices)]
-    return float(np.trace(_checked_inverse(sub))) / budget.total_photons
+    return _bound(sub, budget)
 
 
 def compatibility_report(h, gamma_mat, tol: float = 1e-8) -> CompatibilityReport:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, closed_forms, routes
 from .errors import InvalidParameterError, SmallSeparationError, SrlocError
-from .psf import GaussianPsf, gaussian_overlap
+from .psf import NATURAL, GaussianPsf, gaussian_overlap
 from .sld import PARAMETERS
 
 EXIT_OK = 0
@@ -145,8 +145,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         evs = {method: ev if method == "pipeline" else routes.evaluate(psf, [s], [p], method)
                for method in routes.METHODS}
     h, g = ev.h[0], ev.gamma_mat[0]
-    # after the route: every route refuses the points where gamma overflows
-    record["abs_gamma"] = ag = float(abs(gaussian_overlap(psf, s, p)))
+    # in natural units, as the routes take it: s * s can overflow in physical ones
+    record["abs_gamma"] = ag = float(abs(gaussian_overlap(NATURAL, *psf.natural(s, p))))
     if ev.rho_eigenvalues is not None:
         rho_eigs = ev.rho_eigenvalues[0].tolist()
     else:
@@ -251,12 +251,10 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     # points with fewer than two served routes read 0 here
     max_abs = float(dev.max_abs.max(initial=0.0))
     max_rel = float(dev.max_rel.max(initial=0.0))
-    per_entry_h = dev.rel_h.max(axis=0, initial=0.0)
-    per_entry_g = dev.rel_g.max(axis=0, initial=0.0)
     over = np.flatnonzero(counted & (dev.max_rel > args.tol))[:20]
     failures = [{"s": float(grid_s[i]), "p": float(grid_p[i]),
                  "max_rel_deviation": float(dev.max_rel[i])} for i in over]
-    sparsity_ok = bool(np.all(routes.sparsity_ok(evs, dev), where=counted))
+    sparsity_ok = bool(np.all(dev.sparsity_ok, where=counted))
 
     passed = max_rel <= args.tol and sparsity_ok and n_points > 0
     record = {
@@ -269,8 +267,8 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         "n_points_all_three_routes": n_full,
         "max_abs_deviation": max_abs,
         "max_rel_deviation": max_rel,
-        "per_entry_max_rel_deviation_h": per_entry_h.tolist(),
-        "per_entry_max_rel_deviation_gamma": per_entry_g.tolist(),
+        "per_entry_max_rel_deviation_h": dev.rel_h.tolist(),
+        "per_entry_max_rel_deviation_gamma": dev.rel_g.tolist(),
         "sparsity_pattern_ok": sparsity_ok,
         "failures": failures,
         "pass": passed,

@@ -33,8 +33,7 @@ from .errors import InvalidParameterError, SrlocError
 from .closed_forms import SMALL_SEPARATION
 from .psf import NATURAL, GaussianPsf, gaussian_constants, gaussian_overlap, gaussian_overlap_jet
 
-__all__ = ["METHODS", "Evaluation", "Deviations", "evaluate", "all_routes", "deviations",
-           "sparsity_ok"]
+__all__ = ["METHODS", "Evaluation", "Deviations", "evaluate", "all_routes", "deviations"]
 
 # Evaluation methods, in the order ``all_routes`` lists the routes of a point.
 METHODS = ("pipeline", "general", "gaussian-closed")
@@ -53,23 +52,24 @@ class Evaluation:
 
 @dataclass(frozen=True)
 class Deviations:
-    """Cross-route deviations at N points.
+    """Cross-route deviations and zero-pattern verdicts at N points.
 
     ``served[i, m]`` says whether ``METHODS[m]`` served point i by its own
-    route; only those routes are compared.  Over the pairs of served routes
-    of a point, ``rel_h`` and ``rel_g`` are the per-entry maxima of
-    |H_a - H_b| and |Gamma_a - Gamma_b| divided by ``scale`` = sqrt(|H_ii H_jj|)
-    of its first served route, ``max_rel`` is their largest entry and
-    ``max_abs`` the largest unscaled one.  A point with fewer than two
-    served routes reads 0.
+    route; only those routes are compared and checked.  Over the pairs of
+    served routes of a point, ``max_abs`` is the largest entry of |H_a - H_b|
+    and |Gamma_a - Gamma_b|, ``max_rel`` the largest divided by sqrt(|H_ii H_jj|)
+    of its first served route, and 0 with fewer than two served routes.
+    ``rel_h`` and ``rel_g`` are the per-entry maxima of the latter over all N
+    points.  ``sparsity_ok``: every served route keeps the entries ``_ZERO``
+    within 1e-10, so scaled, and Gamma antisymmetric within 1e-12.
     """
 
-    served: np.ndarray   # (N, 3) bool, in METHODS order
-    scale: np.ndarray    # (N, 4, 4)
-    max_abs: np.ndarray  # (N,)
-    rel_h: np.ndarray    # (N, 4, 4)
-    rel_g: np.ndarray    # (N, 4, 4)
-    max_rel: np.ndarray  # (N,)
+    served: np.ndarray       # (N, 3) bool, in METHODS order
+    max_abs: np.ndarray      # (N,)
+    max_rel: np.ndarray      # (N,)
+    sparsity_ok: np.ndarray  # (N,) bool
+    rel_h: np.ndarray        # (4, 4)
+    rel_g: np.ndarray        # (4, 4)
 
     @property
     def compared(self) -> np.ndarray:
@@ -184,12 +184,12 @@ def _evaluate(psf: GaussianPsf, s, p, methods) -> dict[str, Evaluation]:
     for method in methods:
         if method not in METHODS:
             raise InvalidParameterError(f"method must be one of {METHODS}, got {method!r}")
-    s_n, p_n = psf.natural(s, p)
     scale = psf.scale
     evs, general = {}, None
-    # Where the overlap, a closed form or the scale overflows or divides by
-    # zero it leaves a non-finite entry, which _require_finite reports.
+    # Where the natural (s, p), the overlap, a closed form or the scale overflows
+    # or divides by zero it leaves a non-finite entry, which _require_finite reports.
     with np.errstate(all="ignore"):
+        s_n, p_n = psf.natural(s, p)
         limit = _limit(s_n, p_n)
     for method in methods:
         route = np.empty(len(s), dtype=object)  # np.full fills objects one by one
@@ -237,10 +237,10 @@ def all_routes(psf: GaussianPsf, s: Sequence[float], p: Sequence[float]) -> dict
 
 # The route pairs (a, b) that ``deviations`` compares, by index in METHODS.
 _PAIR_A, _PAIR_B = np.array([0, 0, 1]), np.array([1, 2, 2])
-# The entries of H and of Gamma that vanish for two sources of equal brightness.
-_ZERO = np.zeros((2, 1, 4, 4), dtype=bool)
-_ZERO[0, 0, [0, 0, 0, 1, 2], [1, 2, 3, 2, 3]] = True
-_ZERO[1, 0, 0, 2] = True
+# The entries (0 for H or 1 for Gamma, row, column) that vanish for two sources
+# of equal brightness.
+_ZERO = tuple(np.array([(0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 2), (0, 2, 3), (1, 0, 2),
+                        (1, 1, 3)]).T)
 
 
 def _stacked(evs: dict[str, Evaluation], block: slice) -> np.ndarray:
@@ -254,45 +254,35 @@ def deviations(evs: dict[str, Evaluation]) -> Deviations:
     ``Deviations``), in blocks of ``BLOCK_POINTS`` points."""
     served = np.array([[r == method for r in evs[method].route] for method in METHODS])
     n = served.shape[1]
-    scale, rel_h, rel_g = np.empty((n, 4, 4)), np.empty((n, 4, 4)), np.empty((n, 4, 4))
-    max_abs, max_rel = np.empty(n), np.empty(n)
+    max_abs, max_rel, ok = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    rel = np.zeros((2, 4, 4))
     for block in _blocks(n):
-        scale[block], max_abs[block], rel_h[block], rel_g[block], max_rel[block] = (
+        max_abs[block], max_rel[block], ok[block], rel_block = (
             _deviations_block(_stacked(evs, block), served[:, block]))
-    return Deviations(served.T, scale, max_abs, rel_h, rel_g, max_rel)
+        np.maximum(rel, rel_block, out=rel)
+    return Deviations(served.T, max_abs, max_rel, ok, rel[0], rel[1])
 
 
 def _deviations_block(mats: np.ndarray, served: np.ndarray):
-    """``deviations`` on one block of ``_stacked`` matrices whose served mask
-    is the (3, n) ``served``; returns scale, max_abs, rel_h, rel_g, max_rel."""
+    """``deviations`` on one block of ``_stacked`` matrices served as the (3, n)
+    ``served``: max_abs, max_rel, sparsity_ok and the (2, 4, 4) maxima of rel."""
     first = np.argmax(served, axis=0)  # 0 where no route served: such points read 0
     n = len(first)
     diag = np.abs(np.diagonal(mats[first, 0, np.arange(n)], axis1=-2, axis2=-1))
-    product = diag[:, :, None] * diag[:, None, :]
-    # the product underflows where H's diagonal is below about 1e-154
-    tiny = product < np.finfo(float).tiny
-    scale = np.sqrt(product)
-    if np.count_nonzero(tiny):
-        root = np.sqrt(diag)
-        scale[tiny] = (root[:, :, None] * root[:, None, :])[tiny]
     pair = (served[_PAIR_A] & served[_PAIR_B])[:, None, :, None, None]
-    with np.errstate(all="ignore"):
+    g = mats[:, 1]
+    with np.errstate(all="ignore"):  # failed pipeline points hold NaN
+        product = diag[:, :, None] * diag[:, None, :]
+        scale = np.sqrt(product)
+        # the product underflows or overflows where H's diagonal is beyond about 1e-154 or 1e154
+        rough = (product < np.finfo(float).tiny) | (product == math.inf)
+        if np.count_nonzero(rough):
+            root = np.sqrt(diag)
+            scale[rough] = (root[:, :, None] * root[:, None, :])[rough]
         dev = np.where(pair, np.abs(mats[_PAIR_A] - mats[_PAIR_B]), 0.0)
         rel = np.where(pair, dev / scale, 0.0).max(axis=0)
-    return scale, dev.max(axis=(0, 1, 3, 4)), rel[0], rel[1], rel.max(axis=(0, 2, 3))
-
-
-def sparsity_ok(evs: dict[str, Evaluation], dev: Deviations) -> np.ndarray:
-    """(N,) bool: whether every served route of a point keeps the entries of
-    H and Gamma that vanish for two sources of equal brightness within 1e-10
-    of ``dev.scale``, and Gamma antisymmetric within 1e-12; in blocks of
-    ``BLOCK_POINTS`` points."""
-    ok = np.empty(len(dev.served), dtype=bool)
-    for block in _blocks(len(ok)):
-        mats = _stacked(evs, block)
-        g = mats[:, 1]
-        with np.errstate(all="ignore"):  # failed pipeline points hold NaN
-            bad = ((np.abs(mats) > 1e-10 * dev.scale[block]) & _ZERO).any(axis=(1, 3, 4))
-            bad |= (np.abs(g + g.swapaxes(-1, -2)) > 1e-12).any(axis=(-2, -1))
-        ok[block] = ~(bad & dev.served[block].T).any(axis=0)
-    return ok
+        zero = np.abs(mats[:, _ZERO[0], :, _ZERO[1], _ZERO[2]])  # (entry, route, point)
+        bad = (zero > 1e-10 * scale[:, _ZERO[1], _ZERO[2]].T[:, None]).any(axis=0)
+        bad |= (np.abs(g + g.swapaxes(-1, -2)) > 1e-12).any(axis=(-2, -1))
+    ok = ~(bad & served).any(axis=0)
+    return dev.max(axis=(0, 1, 3, 4)), rel.max(axis=(0, 2, 3)), ok, rel.max(axis=1)

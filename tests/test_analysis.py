@@ -10,7 +10,12 @@ from srloc.analysis import (
     qcrb_total,
 )
 from srloc.closed_forms import gaussian_matrices, small_separation_limit
-from srloc.errors import InvalidParameterError, ModelValidityWarning, SingularMatrixError
+from srloc.errors import (
+    InvalidParameterError,
+    ModelValidityWarning,
+    SingularMatrixError,
+    SrlocError,
+)
 
 UNIT_BUDGET = EstimationBudget(nu=1.0, m=1.0, eps=1.0)
 
@@ -19,8 +24,10 @@ UNIT_BUDGET = EstimationBudget(nu=1.0, m=1.0, eps=1.0)
 
 
 def test_budget_requires_positive_fields():
+    # the last two: every field is positive, but nu * m * eps underflows to 0 or overflows
     for bad in (dict(nu=0.0, m=1.0, eps=1.0), dict(nu=1.0, m=-2.0, eps=1.0),
-                dict(nu=1.0, m=1.0, eps=0.0)):
+                dict(nu=1.0, m=1.0, eps=0.0), dict(nu=1e-200, m=1e-200, eps=0.5),
+                dict(nu=1e200, m=1e200, eps=0.5)):
         with pytest.raises(InvalidParameterError):
             EstimationBudget(**bad)
 
@@ -75,6 +82,14 @@ def test_qcrb_budget_scaling_is_exact():
     assert qcrb_total(h, EstimationBudget(nu=1000.0, m=2.0, eps=1.0)) == one / 2.0
     half_eps = qcrb_total(h, EstimationBudget(nu=1000.0, m=1.0, eps=0.5))
     assert qcrb_total(h, EstimationBudget(nu=1000.0, m=1.0, eps=1.0)) == half_eps / 2.0
+
+
+def test_qcrb_raises_where_the_bound_overflows():
+    h = np.diag([1e-300, 2e-300, 1e-300, 1e-300])  # well conditioned, Tr(H^-1) = 3.5e300
+    budget = EstimationBudget(nu=1.0, m=1e-10, eps=1.0)
+    for bound in (lambda: qcrb_total(h, budget), lambda: qcrb_subset(h, ("s", "p"), budget)):
+        with pytest.raises(SrlocError, match="overflows"):
+            bound()
 
 
 def test_qcrb_accepts_qfim_result(psf):

@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import srloc.closed_forms
@@ -624,6 +626,7 @@ def _shift(matrix, entries, delta):
     ("gaussian_qfim", [((0, 1), 1), ((1, 0), 1)], 1e-9),          # an H zero pair
     ("gaussian_gamma_matrix", [((0, 2), 1), ((2, 0), -1)], 1e-9),  # Gamma[0, 2]
     ("gaussian_gamma_matrix", [((1, 0), 1)], 1e-11),               # Gamma + Gamma^T
+    ("gaussian_gamma_matrix", [((1, 3), 1), ((3, 1), -1)], 1e-9),  # Gamma[1, 3]
 ])
 def test_crossval_sparsity_check_flags_each_zero_entry(capsys, monkeypatch, matrix, entries,
                                                        delta):
@@ -680,6 +683,22 @@ def test_crb_invalid_budget(capsys):
     assert "eps" in err
 
 
+@pytest.mark.parametrize("nu, m", [("1e-200", "1e-200"), ("1e200", "1e200")])
+def test_crb_rejects_a_budget_whose_product_is_not_finite_and_positive(capsys, nu, m):
+    # every field is positive, but nu * m * eps underflows to 0 or overflows
+    code, out, err = run(capsys, "crb", *PSF, "--s", "1", "--p", "2", "--nu", nu, "--m", m,
+                         "--eps", "0.5")
+    assert code == 2 and out == "" and "nu * m * eps" in err
+
+
+def test_crb_fails_closed_where_the_bound_overflows(capsys):
+    code, out, err = run(capsys, "crb", "--k", "3.361379129910657e-89",
+                         "--zr", "1.6189050187068476e+91", "--s", "0", "--p", "0",
+                         "--method", "general", "--nu", "1", "--m", "8.6289390270983e-151",
+                         "--eps", "0.5")
+    assert code == 1 and out == "" and err.startswith("error: ") and "overflows" in err
+
+
 def test_crb_requires_point_or_limits(capsys):
     code, _, _ = run(
         capsys, "crb", "--k", "1", "--zr", "2", "--nu", "1", "--m", "1", "--eps", "1",
@@ -695,6 +714,49 @@ def test_crb_pipeline_refuses_where_eval_does(capsys, s, p):
     code, out, err = run(capsys, "crb", *point, "--nu", "1", "--m", "1", "--eps", "1")
     assert code == eval_code == 1 and out == ""
     assert err == eval_err and err.startswith("error: ") and err.count("\n") == 1
+
+
+# ------------------------------------------------------- physical extremes
+
+# Log-uniform finite magnitudes over nearly the whole double range.
+magnitudes = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("ignore::srloc.errors.ModelValidityWarning")  # eps > 1
+@settings(max_examples=60, deadline=None)
+@given(k=magnitudes, zr=magnitudes, s=st.just(0.0) | magnitudes, p=st.just(0.0) | magnitudes,
+       nu=magnitudes, m=magnitudes, eps=magnitudes)
+# eval --method general printed NaN for |gamma|: s * s overflowed in physical units
+@example(k=2.3738800155595087e-198, zr=140545907.8826104, s=3.131905807565238e+173,
+         p=1.8110723848240263e+236, nu=1.0, m=1.0, eps=0.5)
+# the same for eval --method pipeline
+@example(k=3.0881109969020816e-251, zr=4.242473674790555e+34, s=7.060573231617923e+258,
+         p=3.435905594367144e+117, nu=1.0, m=1.0, eps=0.5)
+# crb: nu * m * eps underflowed to 0, and Tr(H^-1) / (nu m eps) overflowed
+@example(k=1.0, zr=2.0, s=1.0, p=2.0, nu=1e-200, m=1e-200, eps=0.5)
+@example(k=3.361379129910657e-89, zr=1.6189050187068476e+91, s=0.0, p=0.0, nu=1.0,
+         m=8.6289390270983e-151, eps=0.5)
+# numpy overflow warnings: H_ii H_jj in the cross-route rule, and p / z_R
+@example(k=1.0, zr=1e-78, s=0.0, p=1.0, nu=1.0, m=1.0, eps=0.5)
+@example(k=4.170858320864619e+169, zr=2.8667426688795266e-97, s=4.7102269638616694e+104,
+         p=2.053445288830075e+259, nu=1.0, m=1.0, eps=0.5)
+def test_eval_and_crb_exit_cleanly_with_valid_json_at_physical_extremes(k, zr, s, p, nu, m, eps):
+    point = ["--k", repr(k), "--zr", repr(zr), "--s", repr(s), "--p", repr(p)]
+    budget = ["--nu", repr(nu), "--m", repr(m), "--eps", repr(eps)]
+    argvs = [["eval", *point, "--method", method] for method in (*srloc.routes.METHODS, "all")]
+    argvs += [["crb", *point, "--method", method, *budget] for method in srloc.routes.METHODS]
+    for argv in argvs:
+        out = io.StringIO()
+        # nothing may escape main: pytest also turns numpy's RuntimeWarning into an error
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_no_constant)
 
 
 # -------------------------------------------------------------------- parser

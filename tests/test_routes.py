@@ -12,7 +12,7 @@ from srloc.cli import main
 from srloc.closed_forms import OVERLAP_DEGENERACY_TOL, small_separation_limit
 from srloc.errors import DegenerateBasisError, InvalidParameterError, SrlocError
 from srloc.psf import NATURAL, GaussianPsf, gaussian_overlap
-from srloc.routes import METHODS, Evaluation, all_routes, deviations, evaluate, sparsity_ok
+from srloc.routes import METHODS, Evaluation, all_routes, deviations, evaluate
 
 from oracle import oracle
 
@@ -215,26 +215,55 @@ def test_deviations_scale_by_the_first_route():
     assert dev.served.tolist() == [[True, True, True], [False, True, True]]
     assert dev.compared.tolist() == [True, True]
     assert dev.max_abs == pytest.approx([0.04, 0.04])
-    assert dev.rel_h[0, 0, 0] == pytest.approx(0.01)   # 0.04 / sqrt(4 * 4), never 4.04
-    assert dev.rel_h[1, 0, 0] == pytest.approx(0.04 / 4.04)
-    assert np.array_equal(dev.max_rel, dev.rel_h[:, 0, 0])
+    # 0.04 / sqrt(4 * 4), never 0.04 / 4.04; then 0.04 / sqrt(4.04 * 4.04), bit for bit
+    diff = shifted[0, 0] - h[0, 0]
+    want = [diff / math.sqrt(h[0, 0] * h[0, 0]), diff / math.sqrt(shifted[0, 0] * shifted[0, 0])]
+    assert want == pytest.approx([0.01, 0.04 / 4.04])
+    assert dev.max_rel.tolist() == want
+    assert dev.rel_h[0, 0] == max(want) and np.count_nonzero(dev.rel_h) == 1
     assert not dev.rel_g.any()
-    assert np.array_equal(dev.scale[0], np.sqrt(np.outer(np.diag(h), np.diag(h))))
-    assert np.array_equal(dev.scale[1], np.sqrt(np.outer(np.diag(shifted), np.diag(shifted))))
 
 
 def test_deviations_scale_keeps_its_bits_and_survives_tiny_diagonals():
-    # H_ss H_pp = 1e-320 underflows: that scale is sqrt(H_ss) sqrt(H_pp), the
-    # other entries keep sqrt(H_ii H_jj) bit for bit
+    # H_ss H_ss and H_ss H_pp = 1e-320 underflow: those scales are sqrt(H_ss) sqrt(H_pp)
+    # = 1e-160; the other entries keep sqrt(H_ii H_jj) bit for bit.  Point i shifts
+    # one entry of the general route's H, and is scaled by the entry's own scale.
     h = np.diag([1e-160, 3.0, 1e-160, 7.0])
+    cases = [((0, 0), 4e-176, 1e-160), ((0, 2), 1e-176, 1e-160),
+             ((0, 1), 1e-96, math.sqrt(3e-160)), ((1, 3), 1e-15, math.sqrt(21.0))]
+    shifted = []
+    for (i, j), delta, _ in cases:
+        m = h.copy()
+        m[i, j] += delta
+        m[j, i] = m[i, j]
+        shifted.append(m)
+    n = len(cases)
+    dev = deviations({
+        "pipeline": _evaluation([h] * n, ("pipeline",) * n),
+        "general": _evaluation(shifted, ("general",) * n),
+        "gaussian-closed": _evaluation([h] * n, ("gaussian-closed",) * n),
+    })
+    want = [abs(m[i, j] - h[i, j]) / scale for m, ((i, j), _, scale) in zip(shifted, cases)]
+    assert dev.max_rel.tolist() == want and max(want) <= 1e-15
+    for ((i, j), _, _), rel in zip(cases, want):
+        assert dev.rel_h[i, j] == dev.rel_h[j, i] == rel
+    assert dev.sparsity_ok.tolist() == [True, True, True, True]
+
+
+def test_deviations_scale_survives_huge_diagonals():
+    # H_ss H_pp = 1e320 overflows: that scale is sqrt(H_ss) sqrt(H_pp) = 1e160, not inf,
+    # and no numpy warning escapes (pytest turns RuntimeWarning into an error)
+    h = np.diag([1e160, 3.0, 1e160, 7.0])
+    shifted = h.copy()
+    shifted[0, 2] = shifted[2, 0] = 1e145
     dev = deviations({
         "pipeline": _evaluation([h], ("pipeline",)),
-        "general": _evaluation([h * (1 + 2e-16)], ("general",)),
+        "general": _evaluation([shifted], ("general",)),
         "gaussian-closed": _evaluation([h], ("gaussian-closed",)),
     })
-    assert np.all(np.isfinite(dev.max_rel)) and dev.max_rel[0] <= 1e-15
-    assert dev.scale[0, 0, 2] == 1e-160 and dev.scale[0, 0, 0] == 1e-160
-    assert dev.scale[0, 1, 3] == math.sqrt(21.0) and dev.scale[0, 0, 1] == math.sqrt(3e-160)
+    assert dev.max_rel.tolist() == [1e145 / 1e160]
+    assert dev.rel_h[0, 2] == dev.rel_h[2, 0] == 1e145 / 1e160
+    assert dev.sparsity_ok.tolist() == [True]  # 1e-15, scaled: a zero
 
 
 def _pairwise_reference(evs, i):
@@ -253,7 +282,9 @@ def _pairwise_reference(evs, i):
     return max_abs, rel_h, rel_g
 
 
-DEVIATION_FIELDS = ("served", "scale", "max_abs", "rel_h", "rel_g", "max_rel")
+# The per-point fields of Deviations, and its grid maxima.
+POINT_FIELDS = ("served", "max_abs", "max_rel", "sparsity_ok")
+GRID_FIELDS = ("rel_h", "rel_g")
 
 
 def test_deviations_point_bits_independent_of_grid(psf, monkeypatch):
@@ -264,19 +295,23 @@ def test_deviations_point_bits_independent_of_grid(psf, monkeypatch):
     full = deviations(evs)
     assert set(np.count_nonzero(full.served, axis=1).tolist()) == {0, 1, 2, 3}
     assert {"failed", "limit"} <= set(evs["pipeline"].route)
-    assert sparsity_ok(evs, full).all()
+    assert full.sparsity_ok.all()
+    refs = [_pairwise_reference(evs, i) for i in range(len(s))]
+    for name, at in zip(GRID_FIELDS, (1, 2)):
+        assert getattr(full, name).tobytes() == np.max([ref[at] for ref in refs], axis=0).tobytes()
     monkeypatch.setattr("srloc.routes.BLOCK_POINTS", 3)  # blocks of 3, 3, 3 and 1 points
     blocked = deviations(evs)
-    for name in DEVIATION_FIELDS:
+    for name in POINT_FIELDS + GRID_FIELDS:
         assert getattr(blocked, name).tobytes() == getattr(full, name).tobytes(), name
-    for i in range(len(s)):
+    for i, (max_abs, rel_h, rel_g) in enumerate(refs):
         alone = deviations(all_routes(psf, s[i:i + 1], p[i:i + 1]))
-        for name in DEVIATION_FIELDS:
+        for name in POINT_FIELDS:
             assert getattr(alone, name).tobytes() == getattr(full, name)[i:i + 1].tobytes(), name
-        max_abs, rel_h, rel_g = _pairwise_reference(evs, i)
         assert full.max_abs[i] == max_abs
-        assert full.rel_h[i].tobytes() == rel_h.tobytes()
-        assert full.rel_g[i].tobytes() == rel_g.tobytes()
+        assert full.max_rel[i] == max(rel_h.max(), rel_g.max())
+        # the maxima over a one-point grid are that point's own
+        assert alone.rel_h.tobytes() == rel_h.tobytes()
+        assert alone.rel_g.tobytes() == rel_g.tobytes()
 
 
 def test_sparsity_ok_reads_only_served_routes(monkeypatch):
@@ -290,9 +325,9 @@ def test_sparsity_ok_reads_only_served_routes(monkeypatch):
         "general": _evaluation([leaky, h, h], ("general",) * 3),
         "gaussian-closed": _evaluation([h, leaky, h], ("gaussian-closed", "general", "gaussian-closed")),
     }
-    assert sparsity_ok(evs, deviations(evs)).tolist() == [False, True, True]
+    assert deviations(evs).sparsity_ok.tolist() == [False, True, True]
     monkeypatch.setattr("srloc.routes.BLOCK_POINTS", 2)
-    assert sparsity_ok(evs, deviations(evs)).tolist() == [False, True, True]
+    assert deviations(evs).sparsity_ok.tolist() == [False, True, True]
 
 
 separations = st.floats(min_value=0.0, max_value=1e3)
