@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InvalidParameterError, ModelValidityWarning, SingularMatrixError, SrlocError
-from .sld import PARAMETERS
+from .sld import PARAMETERS, pair_scale
 
 __all__ = [
     "EstimationBudget",
@@ -107,20 +107,28 @@ def _as_4x4(value, field: str, name: str) -> np.ndarray:
 
 
 def _checked_inverse(h: np.ndarray) -> np.ndarray:
+    """inv(h), where h is finite and its Jacobi scaling h_ij / sqrt(h_ii h_jj)
+    is positive definite with eigenvalues within ``_SINGULARITY_RATIO``: a test
+    that does not depend on the units of the parameters."""
     if not np.isfinite(h).all():
         raise InvalidParameterError(f"information matrix has non-finite entries: {h.tolist()}")
-    eigs = np.linalg.eigvalsh(h)
-    if eigs[0] <= _SINGULARITY_RATIO * eigs[-1] or eigs[-1] <= 0.0:
-        raise SingularMatrixError(
-            f"information matrix is numerically singular (eigenvalues {eigs})"
-        )
-    return np.linalg.inv(h)
+    diag = np.diagonal(h)
+    if (diag > 0.0).all():
+        with np.errstate(over="ignore"):  # |h_ij| > sqrt(h_ii h_jj): h is not definite
+            scaled = h / pair_scale(diag[:, None], diag[None, :])
+        if np.isfinite(scaled).all():
+            eigs = np.linalg.eigvalsh(scaled)
+            if eigs[0] > _SINGULARITY_RATIO * eigs[-1]:
+                return np.linalg.inv(h)
+    raise SingularMatrixError(
+        f"information matrix is numerically singular (eigenvalues {np.linalg.eigvalsh(h)})"
+    )
 
 
 def _bound(h: np.ndarray, budget: EstimationBudget) -> float:
     """Tr(h^-1) / (nu * M * eps); ``SrlocError`` where it overflows."""
     bound = float(np.trace(_checked_inverse(h))) / budget.total_photons
-    if bound == math.inf:
+    if not bound < math.inf:  # NaN where H^-1 itself overflows
         raise SrlocError(f"Tr(H^-1) / (nu M eps) overflows for nu M eps = {budget.total_photons}")
     return bound
 
@@ -157,16 +165,19 @@ def qcrb_subset(h, subset: Iterable[str | int], budget: EstimationBudget) -> flo
 def compatibility_report(h, gamma_mat, tol: float = 1e-8) -> CompatibilityReport:
     """Threshold the off-diagonal entries of H and Gamma pair by pair.
 
-    The zero test for pair (mu, nu) is scaled by sqrt(H_mumu * H_nunu),
-    since entries span orders of magnitude across PSF parameters.
+    The zero test for pair (mu, nu) is scaled by sqrt(H_mumu * H_nunu)
+    (``sld.pair_scale``), since entries span orders of magnitude across PSF
+    parameters.
     """
     h_arr = _as_4x4(h, "h", "H")
     g_arr = _as_4x4(gamma_mat, "gamma_mat", "Gamma")
+    diag = np.diagonal(h_arr)
+    scales = pair_scale(diag[:, None], diag[None, :])
 
     pairs: dict[tuple[str, str], PairCompatibility] = {}
     for i in range(4):
         for j in range(i + 1, 4):
-            scale = float(np.sqrt(h_arr[i, i] * h_arr[j, j]))
+            scale = float(scales[i, j])
             if not scale > 0.0:
                 scale = max(float(np.max(np.abs(h_arr))), 1.0)
             g_ratio = abs(float(g_arr[i, j])) / scale

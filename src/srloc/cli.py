@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, closed_forms, routes
 from .errors import InvalidParameterError, SmallSeparationError, SrlocError
 from .psf import NATURAL, GaussianPsf, gaussian_overlap
-from .sld import PARAMETERS
+from .sld import PARAMETERS, matrices
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -38,9 +38,6 @@ CSV_COLUMNS = (
     "G_sx", "G_pz", "G_sz", "G_xp",
     "norm_flag",
 )
-# (row, column) of the H and Gamma entries in the CSV value columns.
-_H_ENTRIES = ([0, 1, 2, 3, 1], [0, 1, 2, 3, 3])
-_G_ENTRIES = ([0, 2, 0, 1], [1, 3, 3, 2])
 # Rows formatted per write.  It bounds the temporaries of a long sweep, and
 # keeps each below 128 kB: the allocator reuses such blocks, where larger
 # ones are mapped afresh and page-faulted in on every block.
@@ -144,7 +141,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.method == "all":  # the other routes only once the pipeline has served
         evs = {method: ev if method == "pipeline" else routes.evaluate(psf, [s], [p], method)
                for method in routes.METHODS}
-    h, g = ev.h[0], ev.gamma_mat[0]
+    h, g = matrices(ev.table[0])
     # in natural units, as the routes take it: s * s can overflow in physical ones
     record["abs_gamma"] = ag = float(abs(gaussian_overlap(NATURAL, *psf.natural(s, p))))
     if ev.rho_eigenvalues is not None:
@@ -228,8 +225,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     table = np.empty((len(s), 11))
     table[:, 0] = s
     table[:, 1] = p
-    table[:, 2:7] = ev.h[:, _H_ENTRIES[0], _H_ENTRIES[1]] / norm
-    table[:, 7:] = ev.gamma_mat[:, _G_ENTRIES[0], _G_ENTRIES[1]]
+    table[:, 2:7] = ev.table[:, :5] / norm
+    table[:, 7:] = ev.table[:, 5:9]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         fh.writelines(_csv_rows(args.sweep, args.normalized, table))
@@ -305,6 +302,10 @@ def cmd_crb(args: argparse.Namespace) -> int:
         h, source = ev.h[0], ev.route[0]
     bound = analysis.qcrb_total(h, budget)
     h_inv = np.linalg.inv(h)
+    condition = float(np.linalg.cond(h))
+    if condition == math.inf:  # H is well-posed only once scaled (see analysis._checked_inverse)
+        raise SrlocError(
+            f"the condition number of H overflows (eigenvalues {np.linalg.eigvalsh(h)})")
     record = {
         "command": "crb",
         "k": psf.k,
@@ -317,7 +318,7 @@ def cmd_crb(args: argparse.Namespace) -> int:
             name: float(h_inv[i, i]) / budget.total_photons
             for i, name in enumerate(PARAMETERS)
         },
-        "condition_number": float(np.linalg.cond(h)),
+        "condition_number": condition,
     }
     _emit(record, args.out)
     return EXIT_OK

@@ -1,11 +1,11 @@
 """Closed-form information matrices.
 
-Three layers, each giving the pair (H, Gamma) from one call:
+Three layers, each giving H and Gamma from one call:
 
-* ``general_matrices``: exact expressions for any PSF in terms of the
+* ``general_table``: exact expressions for any PSF in terms of the
   overlap magnitude/phase derivatives and the PSF constants.  Valid
   wherever 1 - |gamma|^2 >= ``OVERLAP_DEGENERACY_TOL``.
-* ``natural_gaussian_matrices``: explicit Gaussian-beam expressions in the
+* ``natural_gaussian_table``: explicit Gaussian-beam expressions in the
   natural separations (s~, p~) and varsigma = s~^2 / (p~^2 + 4).  Powers of
   s in their denominators need |s~| >= ``SMALL_SEPARATION``; the s -> 0
   regime is covered by the general layer (regular for p != 0).
@@ -13,12 +13,10 @@ Three layers, each giving the pair (H, Gamma) from one call:
   diagonal and Gamma vanishes.  ``routes.evaluate`` serves it, for every
   method, exactly where the general layer's guard refuses a point.
 
-``gaussian_matrices`` scales the explicit forms to any beam by ``psf.scale``.
-Matrix layout is 4x4 in the parameter order (s, xbar, p, zbar); only the
-(xbar, zbar) off-diagonal of H and the (s,xbar), (p,zbar), (s,zbar),
-(xbar,p) entries of Gamma are ever nonzero.  Every form is elementwise in
-the points: scalar (s, p), or a jet of scalars, gives one 4x4 matrix, and N
-points give an (N, 4, 4) stack.
+The tables are rows in the ``sld.COLUMNS`` layout, one per point, of which
+the forms fill the nine columns that can be nonzero.  ``general_matrices``,
+``gaussian_matrices`` (the explicit forms scaled to any beam by
+``psf.scale``) and the limit return H and Gamma through ``sld.matrices``.
 """
 
 from __future__ import annotations
@@ -27,9 +25,10 @@ import numpy as np
 
 from .errors import DegenerateOverlapError, SmallSeparationError
 from .psf import GaussianPsf, OverlapJet, PsfConstants, _points
+from .sld import COL, COLUMNS, ROW, matrices
 
-__all__ = ["varsigma", "general_matrices", "natural_gaussian_matrices", "gaussian_matrices",
-           "small_separation_limit"]
+__all__ = ["varsigma", "general_table", "general_matrices", "natural_gaussian_table",
+           "gaussian_matrices", "small_separation_limit"]
 
 # 1 - |gamma|^2 below this is too degenerate for the 1/(1-|gamma|^2) terms;
 # every method serves the coincident-source limit there.
@@ -68,22 +67,16 @@ def _overlap_factors(jet: OverlapJet):
     return shape, ag2, one_minus, ls.real, ls.imag, lp.real, lp.imag
 
 
-def _matrices(shape) -> np.ndarray:
-    """Zero 4x4 matrices, one per point of ``shape``."""
-    return np.zeros(shape + (4, 4))
-
-
-def general_matrices(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray, np.ndarray]:
+def general_table(jet: OverlapJet, consts: PsfConstants) -> np.ndarray:
     """Quantum Fisher information matrix H and SLD-commutator matrix Gamma
-    for an arbitrary PSF, from the jet of its centered overlap.
+    for an arbitrary PSF, from the jet of its centered overlap, as a table.
 
     The separation blocks of H are constant: H_ss equals the transverse
     constant and H_pp the generator variance, independent of (s, p).  The
     centroid blocks involve the overlap magnitude/phase derivatives and
     1/(1 - |gamma|^2).  Only the (s,xbar), (p,zbar), (s,zbar) and (xbar,p)
-    pairs of Gamma are nonzero, with negated antisymmetric counterparts; its
-    (s, p) entry is identically zero: that parameter pair is always jointly
-    measurable.  A jet of N points gives two (N, 4, 4) stacks.
+    pairs of Gamma are nonzero; its (s, p) entry is identically zero: that
+    parameter pair is always jointly measurable.
     """
     shape, ag2, one_minus, ls_re, dsph, lp_re, dpph = _overlap_factors(jet)
     var = consts.g_variance
@@ -91,22 +84,26 @@ def general_matrices(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray,
     r = ag2 / one_minus
     r_dsph = r * dsph
 
-    h = _matrices(shape)
-    h[..., 0, 0] = consts.dpsi_norm_sq
-    h[..., 2, 2] = var
-    h[..., 1, 1] = 4.0 * (consts.dpsi_norm_sq - ag2 * ls_re * ls_re - r_dsph * dsph)
-    h[..., 3, 3] = 4.0 * (var - ag2 * lp_re * lp_re - r * dpph * dpph)
-    h[..., 1, 3] = h[..., 3, 1] = -4.0 * (r_dsph * dpph + ag2 * ls_re * lp_re)
+    t = np.zeros(shape + (len(COLUMNS),))
+    t[..., 0] = consts.dpsi_norm_sq
+    t[..., 1] = 4.0 * (consts.dpsi_norm_sq - ag2 * ls_re * ls_re - r_dsph * dsph)
+    t[..., 2] = var
+    t[..., 3] = 4.0 * (var - ag2 * lp_re * lp_re - r * dpph * dpph)
+    t[..., 4] = -4.0 * (r_dsph * dpph + ag2 * ls_re * lp_re)
 
     # 2 |gamma| dsa and 2 |gamma| dpa
     gs = 2.0 * ag2 * ls_re
     gp = 2.0 * ag2 * lp_re
-    g = _matrices(shape)
-    g[..., 0, 1] = -gs * dsph * ag2 / one_minus
-    g[..., 2, 3] = -gp * dpph * ag2 / one_minus
-    g[..., 0, 3] = gp * dsph - gs * dpph / one_minus
-    g[..., 1, 2] = gp * dsph / one_minus - gs * dpph
-    return h, g - g.swapaxes(-1, -2)
+    t[..., 5] = -gs * dsph * ag2 / one_minus
+    t[..., 6] = -gp * dpph * ag2 / one_minus
+    t[..., 7] = gp * dsph - gs * dpph / one_minus
+    t[..., 8] = gp * dsph / one_minus - gs * dpph
+    return t
+
+
+def general_matrices(jet: OverlapJet, consts: PsfConstants) -> tuple[np.ndarray, np.ndarray]:
+    """H and Gamma of ``general_table``: a jet of N points gives two (N, 4, 4) stacks."""
+    return matrices(general_table(jet, consts))
 
 
 def _explicit_terms(s, p):
@@ -127,46 +124,44 @@ def _explicit_terms(s, p):
     return shape, s, p, s2, q, vs, evs, np.exp(-vs), ks2, den
 
 
-def natural_gaussian_matrices(s, p) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit H and Gamma of ``psf.NATURAL`` at the natural separations (s, p).
-
-    Broadcasts over array ``s`` and ``p``: N points give two (N, 4, 4) stacks.
-    """
+def natural_gaussian_table(s, p) -> np.ndarray:
+    """Explicit H and Gamma of ``psf.NATURAL`` at the natural separations (s,
+    p), as a table.  Broadcasts over array ``s`` and ``p``."""
     shape, s, p, s2, q, vs, evs, emvs, ks2, den = _explicit_terms(s, p)
     vs2 = vs * vs
     kk = ks2 * ks2  # k^2 s^4
 
-    h = _matrices(shape)
-    h[..., 0, 0] = 0.25
-    h[..., 1, 1] = (vs / s2) * (q * (1.0 - 2.0 * vs2 / den) - 8.0 * emvs * vs2 / ks2 + 4.0)
-    h[..., 2, 2] = 0.25
-    h[..., 3, 3] = emvs * (
+    t = np.zeros(shape + (len(COLUMNS),))
+    t[..., 0] = 0.25
+    t[..., 1] = (vs / s2) * (q * (1.0 - 2.0 * vs2 / den) - 8.0 * emvs * vs2 / ks2 + 4.0)
+    t[..., 2] = 0.25
+    t[..., 3] = emvs * (
         4.0 * evs * evs * kk * kk
         - kk * evs * vs2 * (q * (vs2 - 4.0 * vs + 8.0) + 4.0 * (vs2 + 4.0))
         + 16.0 * q * (vs - 1.0) * (vs - 1.0) * vs2 * vs2
     ) / (4.0 * kk * ks2 * den)
-    h[..., 1, 3] = h[..., 3, 1] = (
-        p * emvs * vs2 * (kk * evs * (vs - 2.0) - 8.0 * (vs - 1.0) * vs2) / (kk * s * den)
-    )
+    t[..., 4] = p * emvs * vs2 * (kk * evs * (vs - 2.0) - 8.0 * (vs - 1.0) * vs2) / (kk * s * den)
 
     vs3 = vs * vs * vs
     em_den = emvs / den
     bq = q * (vs - 2.0) - 4.0 * vs
-    g = _matrices(shape)
-    g[..., 0, 1] = -4.0 * p * em_den * vs3 * vs / (ks2 * s2)
-    g[..., 2, 3] = -p * em_den * (vs - 1.0) * vs3 * vs * bq / (2.0 * kk * ks2)
-    g[..., 0, 3] = em_den * vs3 * (2.0 * q * (vs - 1.0) * vs - kk * evs) / (kk * s)
-    g[..., 1, 2] = -em_den * vs3 * (kk * evs + vs * bq) / (kk * s)
-    return h, g - g.swapaxes(-1, -2)
+    t[..., 5] = -4.0 * p * em_den * vs3 * vs / (ks2 * s2)
+    t[..., 6] = -p * em_den * (vs - 1.0) * vs3 * vs * bq / (2.0 * kk * ks2)
+    t[..., 7] = em_den * vs3 * (2.0 * q * (vs - 1.0) * vs - kk * evs) / (kk * s)
+    t[..., 8] = -em_den * vs3 * (kk * evs + vs * bq) / (kk * s)
+    return t
 
 
 def gaussian_matrices(psf: GaussianPsf, s, p) -> tuple[np.ndarray, np.ndarray]:
     """Explicit Gaussian-beam H and Gamma at separations (s, p): those of
-    ``natural_gaussian_matrices`` at ``psf.natural(s, p)``, times ``psf.scale``."""
-    h, g = natural_gaussian_matrices(*psf.natural(np.asarray(s, dtype=float),
-                                                  np.asarray(p, dtype=float)))
-    scale = psf.scale
-    return h * scale, g * scale
+    ``natural_gaussian_table`` at ``psf.natural(s, p)``, times ``psf.scale``."""
+    table = natural_gaussian_table(*psf.natural(np.asarray(s, dtype=float),
+                                                np.asarray(p, dtype=float)))
+    return matrices(table * psf.scale[ROW, COL])
+
+
+# The coincident-source limit of ``psf.NATURAL``, as a table.
+LIMIT_TABLE = np.array([0.25, 1.0, 0.25, 1.0] + [0.0] * 12)
 
 
 def small_separation_limit(psf: GaussianPsf) -> tuple[np.ndarray, np.ndarray]:
@@ -176,4 +171,4 @@ def small_separation_limit(psf: GaussianPsf) -> tuple[np.ndarray, np.ndarray]:
     zero: all four parameters decouple for infinitesimally separated
     sources, and the total error bound stays finite.
     """
-    return np.diag([0.25, 1.0, 0.25, 1.0]) * psf.scale, np.zeros((4, 4))
+    return matrices(LIMIT_TABLE * psf.scale[ROW, COL])

@@ -43,11 +43,13 @@ METHODS = ("pipeline", "general", "gaussian-closed")
 class Evaluation:
     """N points served by one method, in input order."""
 
-    h: np.ndarray                       # (N, 4, 4)
-    gamma_mat: np.ndarray               # (N, 4, 4)
+    table: np.ndarray                   # (N, 16), in the sld.COLUMNS layout
     route: tuple[str, ...]              # per point: the method, "general", "limit" or "failed"
     rho_eigenvalues: np.ndarray | None  # (N, 6), descending; pipeline only
     error: SrlocError | None            # the first failed point's error, naming its (s, p)
+
+    h = property(lambda self: sld.matrices(self.table)[0], doc="(N, 4, 4) H, from ``table``.")
+    gamma_mat = property(lambda self: sld.matrices(self.table)[1], doc="(N, 4, 4) Gamma.")
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ class Deviations:
     and |Gamma_a - Gamma_b|, ``max_rel`` the largest divided by sqrt(|H_ii H_jj|)
     of its first served route, and 0 with fewer than two served routes.
     ``rel_h`` and ``rel_g`` are the per-entry maxima of the latter over all N
-    points.  ``sparsity_ok``: every served route keeps the entries ``_ZERO``
-    within 1e-10, so scaled, and Gamma antisymmetric within 1e-12.
+    points.  ``sparsity_ok``: every served route keeps the entries of
+    ``sld.ZEROS`` within 1e-10, so scaled.
     """
 
     served: np.ndarray       # (N, 3) bool, in METHODS order
@@ -107,12 +109,12 @@ def _all(mask: np.ndarray) -> bool:
     return np.count_nonzero(mask) == mask.size
 
 
-def _require_finite(psf, method, h, g, route, s, p) -> None:
+def _require_finite(psf, method, table, route, s, p) -> None:
     """Raise for the first point served with a non-finite H or Gamma."""
-    if _all(np.isfinite(h)) and _all(np.isfinite(g)):
+    finite = np.isfinite(table)
+    if _all(finite):
         return
-    finite = np.isfinite(h).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2))
-    for i in np.flatnonzero(~finite):
+    for i in np.flatnonzero(~finite.all(axis=1)):
         if route[i] == "failed":
             continue
         where = f"(s={float(s[i])!r}, p={float(p[i])!r})"
@@ -128,8 +130,7 @@ def _where(mask: np.ndarray):
     return slice(None) if _all(mask) else np.flatnonzero(mask)
 
 
-# The natural-unit limit rows and the constants of NATURAL's general forms.
-_LIMIT = closed_forms.small_separation_limit(NATURAL)
+# The constants of NATURAL's general forms.
 _CONSTS = gaussian_constants(NATURAL)
 
 
@@ -148,30 +149,30 @@ def _limit(s: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _closed(s, p, limit, method, general):
-    """Natural-unit H and Gamma of a closed-form method off the ``limit``
+    """The natural-unit table of a closed-form method off the ``limit``
     points, and the mask of the points that the general forms serve, in
     blocks of ``BLOCK_POINTS``.  ``general`` is None, or the general method's
-    natural-unit (H, Gamma) at the same points, whose rows those points take.
+    natural-unit table at the same points, whose rows those points take.
     """
     n = len(s)
-    h, g = np.empty((n, 4, 4)), np.empty((n, 4, 4))
+    table = np.empty((n, len(sld.COLUMNS)))
     rest = ~limit
     for block in _blocks(n):
-        s_b, p_b, h_b, g_b = s[block], p[block], h[block], g[block]
+        s_b, p_b, t_b = s[block], p[block], table[block]
         if method == "gaussian-closed":
             explicit = rest[block] & (np.abs(s_b) >= SMALL_SEPARATION)
             if np.count_nonzero(explicit):
                 at = _where(explicit)
-                h_b[at], g_b[at] = closed_forms.natural_gaussian_matrices(s_b[at], p_b[at])
+                t_b[at] = closed_forms.natural_gaussian_table(s_b[at], p_b[at])
             rest[block] &= ~explicit
         if np.count_nonzero(rest[block]):
             at = _where(rest[block])
             if general is None:
                 jet = gaussian_overlap_jet(NATURAL, s_b[at], p_b[at])
-                h_b[at], g_b[at] = closed_forms.general_matrices(jet, _CONSTS)
+                t_b[at] = closed_forms.general_table(jet, _CONSTS)
             else:
-                h_b[at], g_b[at] = general[0][block][at], general[1][block][at]
-    return h, g, rest
+                t_b[at] = general[block][at]
+    return table, rest
 
 
 def _evaluate(psf: GaussianPsf, s, p, methods) -> dict[str, Evaluation]:
@@ -184,7 +185,7 @@ def _evaluate(psf: GaussianPsf, s, p, methods) -> dict[str, Evaluation]:
     for method in methods:
         if method not in METHODS:
             raise InvalidParameterError(f"method must be one of {METHODS}, got {method!r}")
-    scale = psf.scale
+    scale = psf.scale[sld.ROW, sld.COL]
     evs, general = {}, None
     # Where the natural (s, p), the overlap, a closed form or the scale overflows
     # or divides by zero it leaves a non-finite entry, which _require_finite reports.
@@ -196,24 +197,24 @@ def _evaluate(psf: GaussianPsf, s, p, methods) -> dict[str, Evaluation]:
         route[:] = method
         eigs = error = None
         if method == "pipeline":
-            h, g, eigs, failures = sld.pipeline(s_n, p_n, limit)
+            table, eigs, failures = sld.pipeline(s_n, p_n, limit)
             route[list(failures)] = "failed"
             if failures:
                 i, (kind, reason) = next(iter(failures.items()))
                 error = kind(f"pipeline fails at (s={float(s[i])!r}, p={float(p[i])!r}): {reason}")
         else:
             with np.errstate(all="ignore"):
-                h, g, rest = _closed(s_n, p_n, limit, method, general)
+                table, rest = _closed(s_n, p_n, limit, method, general)
             route[rest] = "general"
             if method == "general":
-                general = h, g
+                general = table
         if np.count_nonzero(limit):
-            h[limit], g[limit] = _LIMIT
+            table[limit] = closed_forms.LIMIT_TABLE
             route[limit] = "limit"
         with np.errstate(all="ignore"):
-            h, g, route = h * scale, g * scale, tuple(route.tolist())
-        _require_finite(psf, method, h, g, route, s, p)
-        evs[method] = Evaluation(h, g, route, eigs, error)
+            table, route = table * scale, tuple(route.tolist())
+        _require_finite(psf, method, table, route, s, p)
+        evs[method] = Evaluation(table, route, eigs, error)
     return evs
 
 
@@ -236,53 +237,39 @@ def all_routes(psf: GaussianPsf, s: Sequence[float], p: Sequence[float]) -> dict
 
 
 # The route pairs (a, b) that ``deviations`` compares, by index in METHODS.
-_PAIR_A, _PAIR_B = np.array([0, 0, 1]), np.array([1, 2, 2])
-# The entries (0 for H or 1 for Gamma, row, column) that vanish for two sources
-# of equal brightness.
-_ZERO = tuple(np.array([(0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 2), (0, 2, 3), (1, 0, 2),
-                        (1, 1, 3)]).T)
-
-
-def _stacked(evs: dict[str, Evaluation], block: slice) -> np.ndarray:
-    """(route, H or Gamma, point, 4, 4) of the points ``block``, routes in
-    METHODS order; failed pipeline points hold NaN."""
-    return np.array([(evs[method].h[block], evs[method].gamma_mat[block]) for method in METHODS])
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def deviations(evs: dict[str, Evaluation]) -> Deviations:
     """The cross-route rule on the evaluations of ``all_routes`` (see
     ``Deviations``), in blocks of ``BLOCK_POINTS`` points."""
-    served = np.array([[r == method for r in evs[method].route] for method in METHODS])
+    # one comparison per route, on its labels as objects: a str array costs a conversion
+    served = np.array([np.array(evs[method].route, dtype=object) == method for method in METHODS])
     n = served.shape[1]
     max_abs, max_rel, ok = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-    rel = np.zeros((2, 4, 4))
+    rel = np.zeros(len(sld.COLUMNS))
     for block in _blocks(n):
+        tables = np.array([evs[method].table[block] for method in METHODS])
         max_abs[block], max_rel[block], ok[block], rel_block = (
-            _deviations_block(_stacked(evs, block), served[:, block]))
+            _deviations_block(tables, served[:, block]))
         np.maximum(rel, rel_block, out=rel)
-    return Deviations(served.T, max_abs, max_rel, ok, rel[0], rel[1])
+    return Deviations(served.T, max_abs, max_rel, ok, *np.abs(sld.matrices(rel)))
 
 
-def _deviations_block(mats: np.ndarray, served: np.ndarray):
-    """``deviations`` on one block of ``_stacked`` matrices served as the (3, n)
-    ``served``: max_abs, max_rel, sparsity_ok and the (2, 4, 4) maxima of rel."""
+def _deviations_block(tables: np.ndarray, served: np.ndarray):
+    """``deviations`` on one block: the routes' (3, n, 16) tables, in METHODS
+    order (failed pipeline points hold NaN), served as the (3, n) ``served``.
+    Returns max_abs, max_rel, sparsity_ok and the (16,) maxima of rel."""
     first = np.argmax(served, axis=0)  # 0 where no route served: such points read 0
-    n = len(first)
-    diag = np.abs(np.diagonal(mats[first, 0, np.arange(n)], axis1=-2, axis2=-1))
-    pair = (served[_PAIR_A] & served[_PAIR_B])[:, None, :, None, None]
-    g = mats[:, 1]
+    diag = np.abs(tables[first, np.arange(len(first)), :4])  # H's diagonal: the first 4 columns
+    worst = np.zeros(tables.shape[1:])  # each entry's largest deviation over the served pairs
     with np.errstate(all="ignore"):  # failed pipeline points hold NaN
-        product = diag[:, :, None] * diag[:, None, :]
-        scale = np.sqrt(product)
-        # the product underflows or overflows where H's diagonal is beyond about 1e-154 or 1e154
-        rough = (product < np.finfo(float).tiny) | (product == math.inf)
-        if np.count_nonzero(rough):
-            root = np.sqrt(diag)
-            scale[rough] = (root[:, :, None] * root[:, None, :])[rough]
-        dev = np.where(pair, np.abs(mats[_PAIR_A] - mats[_PAIR_B]), 0.0)
-        rel = np.where(pair, dev / scale, 0.0).max(axis=0)
-        zero = np.abs(mats[:, _ZERO[0], :, _ZERO[1], _ZERO[2]])  # (entry, route, point)
-        bad = (zero > 1e-10 * scale[:, _ZERO[1], _ZERO[2]].T[:, None]).any(axis=0)
-        bad |= (np.abs(g + g.swapaxes(-1, -2)) > 1e-12).any(axis=(-2, -1))
+        scale = sld.pair_scale(diag[:, sld.ROW], diag[:, sld.COL])
+        for a, b in _PAIRS:
+            both = (served[a] & served[b])[:, None]
+            np.maximum(worst, np.where(both, np.abs(tables[a] - tables[b]), 0.0), out=worst)
+        # dividing by the same scale keeps the order: the pairs' largest dev / scale
+        rel = np.where((np.count_nonzero(served, axis=0) >= 2)[:, None], worst / scale, 0.0)
+        bad = (np.abs(tables[..., sld.ZEROS]) > 1e-10 * scale[:, sld.ZEROS]).any(axis=-1)
     ok = ~(bad & served).any(axis=0)
-    return dev.max(axis=(0, 1, 3, 4)), rel.max(axis=(0, 2, 3)), ok, rel.max(axis=1)
+    return worst.max(axis=1), rel.max(axis=1), ok, rel.max(axis=0)

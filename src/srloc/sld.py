@@ -36,12 +36,48 @@ from .errors import DegenerateBasisError, SrlocError
 from .gram import _DRHO_ROWS, COORDINATES, _abs2, factor
 from .psf import NATURAL, OverlapJet, PsfConstants, gaussian_constants, gaussian_overlap_jet
 
-__all__ = ["PARAMETERS", "pipeline"]
+__all__ = ["PARAMETERS", "COLUMNS", "matrices", "pair_scale", "pipeline"]
 
 logger = logging.getLogger(__name__)
 
 # Estimation parameters, fixed order used by every 4x4 matrix in the package.
 PARAMETERS = ("s", "xbar", "p", "zbar")
+
+# The result layout, a row of 16 entries (matrix, row, column) per point: H's upper
+# triangle and Gamma's strict upper one.  Only the first nine, the sweep CSV's value
+# columns, can be nonzero for two sources of equal brightness; the last seven vanish.
+COLUMNS = (("H", 0, 0), ("H", 1, 1), ("H", 2, 2), ("H", 3, 3), ("H", 1, 3),
+           ("Gamma", 0, 1), ("Gamma", 2, 3), ("Gamma", 0, 3), ("Gamma", 1, 2),
+           ("H", 0, 1), ("H", 0, 2), ("H", 0, 3), ("H", 1, 2), ("H", 2, 3),
+           ("Gamma", 0, 2), ("Gamma", 1, 3))
+ZEROS = slice(9, 16)
+# Per column: 1 for Gamma's, 0 for H's, and the row and column of its entry.
+GAMMA, ROW, COL = np.array([(int(m == "Gamma"), i, j) for m, i, j in COLUMNS]).T
+# The smallest normal double.
+_TINY = np.finfo(float).tiny
+
+
+def matrices(table) -> tuple[np.ndarray, np.ndarray]:
+    """H and Gamma, (..., 4, 4) each, of a (..., 16) array in the ``COLUMNS``
+    layout: H mirrored, Gamma's lower triangle ``0.0 -`` its upper one."""
+    out = np.zeros(table.shape[:-1] + (2, 4, 4))
+    out[..., GAMMA, ROW, COL] = table
+    out[..., GAMMA, COL, ROW] = np.where(GAMMA, 0.0 - table, table)
+    return out[..., 0, :, :], out[..., 1, :, :]
+
+
+def pair_scale(a, b):
+    """sqrt(a b) of H's diagonal entries a and b, elementwise, by which the
+    (i, j) entries are compared; sqrt(a) sqrt(b) where a b underflows or
+    overflows (H's diagonal beyond about 1e-154 or 1e154)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a * b
+        scale = np.sqrt(product)
+        rough = (product < _TINY) | (product == np.inf)
+        if np.count_nonzero(rough):
+            scale = np.where(rough, np.sqrt(a) * np.sqrt(b), scale)
+    return scale
+
 
 # Max tolerated asymmetry of Re/Im Tr(rho L L) before symmetrization.
 _ASYMMETRY_LIMIT = 1e-10
@@ -124,9 +160,9 @@ def _support_drho(t: dict, cos, sin, n: int) -> np.ndarray:
 
 
 def _pipeline_block(jet: OverlapJet, consts: PsfConstants):
-    """Run the pipeline on the n points of an overlap jet at once: H and
-    Gamma (n, 4, 4), rho's eigenvalues (n, 6), descending, and the
-    failures, index -> (error type, reason), in index order.
+    """Run the pipeline on the n points of an overlap jet at once: the (n, 16)
+    table of H and Gamma, every entry with its own roundoff, rho's eigenvalues
+    (n, 6), descending, and the failures, index -> (error type, reason).
 
     Every step but the traces is elementwise, with the points on the last
     axis: the Cholesky factor and the eigenframe of rho's support block in
@@ -162,12 +198,12 @@ def _pipeline_block(jet: OverlapJet, consts: PsfConstants):
         logger.debug("qfim pre-symmetrization residual, max over %d points: %.3e",
                      n, float(np.max(asym, initial=0.0)))
 
-    sym = (c + c_h) * 0.5
-    h, gamma_mat, eigs = sym.real, sym.imag, q.T
+    sym = ((c + c_h) * 0.5)[:, ROW, COL]
+    table, eigs = np.where(GAMMA, sym.imag, sym.real), q.T
     if failures:
         bad = list(failures)
-        h[bad] = gamma_mat[bad] = eigs[bad] = np.nan
-    return h, gamma_mat, eigs, dict(sorted(failures.items()))
+        table[bad] = eigs[bad] = np.nan
+    return table, eigs, dict(sorted(failures.items()))
 
 
 def _jet(s, p) -> OverlapJet:
@@ -181,20 +217,18 @@ def pipeline(s: np.ndarray, p: np.ndarray, skip: np.ndarray):
     """The stacked pipeline of ``NATURAL`` at the natural separations (s[i],
     p[i]) outside the mask ``skip``, in blocks of ``BLOCK_POINTS``.
 
-    Returns H and Gamma (N, 4, 4), rho's eigenvalues (N, 6), descending, and
-    the failures, index -> (error type, reason), in index order; skipped and
-    failed points hold NaN.
+    Returns the (N, 16) table of H and Gamma, rho's eigenvalues (N, 6),
+    descending, and the failures, index -> (error type, reason), in index
+    order; skipped and failed points hold NaN.
     """
     n = len(s)
-    h = np.full((n, 4, 4), np.nan)
-    gamma_mat = np.full((n, 4, 4), np.nan)
+    table = np.full((n, len(COLUMNS)), np.nan)
     eigs = np.full((n, 6), np.nan)
     failures = {}
     consts = gaussian_constants(NATURAL)
     todo = np.flatnonzero(~skip)
     for start in range(0, len(todo), BLOCK_POINTS):
         idx = todo[start:start + BLOCK_POINTS]
-        h[idx], gamma_mat[idx], eigs[idx], block_failures = _pipeline_block(
-            _jet(s[idx], p[idx]), consts)
+        table[idx], eigs[idx], block_failures = _pipeline_block(_jet(s[idx], p[idx]), consts)
         failures.update((int(idx[i]), failure) for i, failure in block_failures.items())
-    return h, gamma_mat, eigs, failures
+    return table, eigs, failures

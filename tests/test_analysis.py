@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from srloc import GaussianPsf, evaluate
 from srloc.analysis import (
     EstimationBudget,
     compatibility_report,
@@ -59,6 +61,19 @@ def test_qcrb_limit_matrix():
 def test_qcrb_singular_matrix():
     with pytest.raises(SingularMatrixError):
         qcrb_total(np.diag([1.0, 1.0, 1.0, 0.0]), UNIT_BUDGET)
+
+
+def test_qcrb_singularity_test_does_not_depend_on_units():
+    # rank 3 with a positive diagonal, at three scales: always singular; and a
+    # well-posed H whose raw eigenvalues span about 1e-23 to 1e-6 is not
+    rank_3 = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                       [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    for unit in (1e-30, 1.0, 1e30):
+        with pytest.raises(SingularMatrixError):
+            qcrb_total(rank_3 * unit, UNIT_BUDGET)
+    h = np.diag([1e-23, 1e-23, 1e-6, 1e-6])
+    h[1, 3] = h[3, 1] = 0.5 * math.sqrt(1e-23 * 1e-6)
+    assert qcrb_total(h, UNIT_BUDGET) == np.trace(np.linalg.inv(h))
 
 
 def test_qcrb_rejects_non_finite_h():
@@ -162,6 +177,27 @@ def test_reference_point_pair_flags(psf):
     # nonzero Gamma_{s,xbar} at p != 0 breaks joint measurability there
     assert not report.pairs[("s", "xbar")].measurement_compatible
     assert not report.fully_compatible
+
+
+def test_compatibility_flags_agree_across_units():
+    # the natural point (1, 1) at four (k, z_R): H's diagonal products underflow
+    # at k = 1e-170 and overflow at k = 1e160, and no warning escapes
+    reports = []
+    for k, zr in ((1.0, 2.0), (1e-170, 1e-3), (1e-3, 1e3), (1e160, 1.0)):
+        ev = evaluate(GaussianPsf(k=k, z_r=zr), [math.sqrt(zr / (2.0 * k))], [zr],
+                      "gaussian-closed")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports.append(compatibility_report(ev.h, ev.gamma_mat))
+    reference = reports[0]
+    assert reference.pairs[("s", "xbar")].gamma_over_scale == pytest.approx(0.11, abs=0.01)
+    for report in reports[1:]:
+        for pair, want in reference.pairs.items():
+            got = report.pairs[pair]
+            assert (got.measurement_compatible, got.statistically_independent) == (
+                want.measurement_compatible, want.statistically_independent), pair
+            assert got.gamma_over_scale == pytest.approx(want.gamma_over_scale, rel=1e-12)
+            assert got.h_over_scale == pytest.approx(want.h_over_scale, rel=1e-12)
 
 
 def test_compatibility_respects_tolerance():

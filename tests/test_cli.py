@@ -14,8 +14,9 @@ import srloc.routes
 import srloc.sld
 from srloc.cli import _CSV_BLOCK_ROWS, _CSV_KERNEL_ROWS, _csv_rows, main
 from srloc.closed_forms import small_separation_limit
-from srloc.psf import GaussianPsf
+from srloc.psf import NATURAL, GaussianPsf
 from srloc.routes import evaluate
+from srloc.sld import COLUMNS
 
 
 def run(capsys, *argv):
@@ -89,14 +90,14 @@ def test_eval_pipeline_refuses_coincident_sources(capsys):
 
 
 def test_eval_all_fails_where_the_routes_disagree(capsys, monkeypatch):
-    true_fn = srloc.closed_forms.natural_gaussian_matrices
+    true_fn = srloc.closed_forms.natural_gaussian_table
 
     def corrupted(s, p):
-        h, g = true_fn(s, p)
-        h[..., 1, 1] *= 1.001
-        return h, g
+        table = true_fn(s, p)
+        table[..., 1] *= 1.001  # H_xx
+        return table
 
-    monkeypatch.setattr("srloc.closed_forms.natural_gaussian_matrices", corrupted)
+    monkeypatch.setattr("srloc.closed_forms.natural_gaussian_table", corrupted)
     code, out, err = run(capsys, "eval", *PSF, "--s", "1", "--p", "2", "--method", "all")
     assert code == 1
     record = json.loads(out)
@@ -481,14 +482,14 @@ def test_sweep_pipeline_linalg_calls_independent_of_length(capsys, tmp_path, mon
 
 
 def test_sweep_all_names_the_first_deviating_point(capsys, monkeypatch, tmp_path):
-    true_fn = srloc.closed_forms.natural_gaussian_matrices
+    true_fn = srloc.closed_forms.natural_gaussian_table
 
     def corrupted(s, p):  # H_xx off by 1e-3 from s = 1.2 on (s~ = s at k = 1, z_R = 2)
-        h, g = true_fn(s, p)
-        h[..., 1, 1] *= np.where(np.asarray(s) >= 1.2, 1.001, 1.0)
-        return h, g
+        table = true_fn(s, p)
+        table[..., 1] *= np.where(np.asarray(s) >= 1.2, 1.001, 1.0)
+        return table
 
-    monkeypatch.setattr("srloc.closed_forms.natural_gaussian_matrices", corrupted)
+    monkeypatch.setattr("srloc.closed_forms.natural_gaussian_table", corrupted)
     code, _, err = run(
         capsys, "sweep", "--k", "1", "--zr", "2", "--sweep", "s", "--range", "0.5:2:0.25",
         "--fixed", "1", "--method", "all", "--out", str(tmp_path / "x.csv"),
@@ -590,14 +591,14 @@ def test_crossval_drops_pipeline_route_exactly_where_it_fails():
 
 
 def test_crossval_detects_corrupted_formula(capsys, monkeypatch):
-    true_fn = srloc.closed_forms.natural_gaussian_matrices
+    true_fn = srloc.closed_forms.natural_gaussian_table
 
     def corrupted(s, p):
-        h, g = true_fn(s, p)
-        h[..., 1, 1] *= 1.001
-        return h, g
+        table = true_fn(s, p)
+        table[..., 1] *= 1.001  # H_xx
+        return table
 
-    monkeypatch.setattr("srloc.closed_forms.natural_gaussian_matrices", corrupted)
+    monkeypatch.setattr("srloc.closed_forms.natural_gaussian_table", corrupted)
     code, out, _ = run(capsys, "crossval", "--k", "1", "--zr", "2", "--range", "0.5:1.5:0.5")
     assert code == 1
     record = json.loads(out)
@@ -606,18 +607,22 @@ def test_crossval_detects_corrupted_formula(capsys, monkeypatch):
     assert record["per_entry_max_rel_deviation_h"][1][1] > 1e-8
 
 
-# The matrix of natural_gaussian_matrices' (H, Gamma) that a case shifts.
-_MATRIX = {"gaussian_qfim": 0, "gaussian_gamma_matrix": 1}
+# The matrix of sld.COLUMNS that a case shifts.
+_MATRIX = {"gaussian_qfim": "H", "gaussian_gamma_matrix": "Gamma"}
 
 
 def _shift(matrix, entries, delta):
-    true_fn = srloc.closed_forms.natural_gaussian_matrices
+    """natural_gaussian_table with ``entries`` of one matrix shifted by their
+    sign times ``delta``.  An entry below the diagonal is the mirror image of a
+    column above it, which sld.matrices writes."""
+    true_fn = srloc.closed_forms.natural_gaussian_table
 
     def shifted(s, p):
-        mats = true_fn(s, p)
+        table = true_fn(s, p)
         for (i, j), sign in entries:
-            mats[_MATRIX[matrix]][..., i, j] += sign * delta
-        return mats
+            if i <= j:
+                table[..., COLUMNS.index((_MATRIX[matrix], i, j))] += sign * delta
+        return table
 
     return shifted
 
@@ -625,12 +630,12 @@ def _shift(matrix, entries, delta):
 @pytest.mark.parametrize("matrix, entries, delta", [
     ("gaussian_qfim", [((0, 1), 1), ((1, 0), 1)], 1e-9),          # an H zero pair
     ("gaussian_gamma_matrix", [((0, 2), 1), ((2, 0), -1)], 1e-9),  # Gamma[0, 2]
-    ("gaussian_gamma_matrix", [((1, 0), 1)], 1e-11),               # Gamma + Gamma^T
-    ("gaussian_gamma_matrix", [((1, 3), 1), ((3, 1), -1)], 1e-9),  # Gamma[1, 3]
+    pytest.param("gaussian_gamma_matrix", [((1, 3), 1), ((3, 1), -1)], 1e-9,  # Gamma[1, 3]
+                 id="gaussian_gamma_matrix-entries3-1e-09"),
 ])
 def test_crossval_sparsity_check_flags_each_zero_entry(capsys, monkeypatch, matrix, entries,
                                                        delta):
-    monkeypatch.setattr("srloc.closed_forms.natural_gaussian_matrices",
+    monkeypatch.setattr("srloc.closed_forms.natural_gaussian_table",
                         _shift(matrix, entries, delta))
     code, out, _ = run(capsys, "crossval", "--k", "1", "--zr", "2", "--range", "0:2:0.5",
                        "--tol", "1")
@@ -697,6 +702,40 @@ def test_crb_fails_closed_where_the_bound_overflows(capsys):
                          "--method", "general", "--nu", "1", "--m", "8.6289390270983e-151",
                          "--eps", "0.5")
     assert code == 1 and out == "" and err.startswith("error: ") and "overflows" in err
+
+
+def test_crb_serves_a_well_posed_h_at_extreme_units(capsys):
+    # H's raw eigenvalues span 5e-24 to 6.5e-7, its Jacobi scaling's only 0.82 to 1:
+    # the bound is that of the natural-unit H, scaled
+    k, zr, s, p = 1e-20, 1e3, 1e11, 2e3
+    record = run_json(capsys, "crb", "--k", repr(k), "--zr", repr(zr), "--s", repr(s),
+                      "--p", repr(p), "--nu", "1000", "--m", "1", "--eps", "1")
+    psf = GaussianPsf(k=k, z_r=zr)
+    natural = evaluate(NATURAL, *([x] for x in psf.natural(s, p)), "gaussian-closed")
+    d2 = np.array([2.0 * k / zr, 2.0 * k / zr, 1.0 / zr**2, 1.0 / zr**2])
+    want = np.diag(np.linalg.inv(natural.h[0])) / d2 / 1000.0
+    assert record["h_source"] == "gaussian-closed"
+    assert record["bound"] == pytest.approx(want.sum(), rel=1e-12)
+    assert [record["per_parameter_bounds"][name] for name in ("s", "xbar", "p", "zbar")] == (
+        pytest.approx(want, rel=1e-12))
+
+
+def test_crb_fails_closed_where_the_condition_number_overflows(capsys):
+    # the limit H at k = 1e155, z_R = 1e153 is diagonal, so well-posed once
+    # scaled, but its eigenvalues span 2.5e-307 to 200
+    code, out, err = run(capsys, "crb", "--k", "1e155", "--zr", "1e153", "--s", "0", "--p", "0",
+                         "--nu", "1", "--m", "1", "--eps", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the condition number of H overflows")
+
+
+def test_crb_fails_closed_where_the_inverse_overflows(capsys):
+    # the limit H there is diagonal with entries near 1e-312: well-posed once
+    # scaled, but 1 / H_ii overflows
+    code, out, err = run(capsys, "crb", "--k", "9.81e-231", "--zr", "5.15e81", "--s", "0",
+                         "--p", "0", "--nu", "1", "--m", "1", "--eps", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: Tr(H^-1) / (nu M eps) overflows")
 
 
 def test_crb_requires_point_or_limits(capsys):

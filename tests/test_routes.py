@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import srloc.closed_forms
@@ -13,6 +13,7 @@ from srloc.closed_forms import OVERLAP_DEGENERACY_TOL, small_separation_limit
 from srloc.errors import DegenerateBasisError, InvalidParameterError, SrlocError
 from srloc.psf import NATURAL, GaussianPsf, gaussian_overlap
 from srloc.routes import METHODS, Evaluation, all_routes, deviations, evaluate
+from srloc.sld import COLUMNS, ZEROS
 
 from oracle import oracle
 
@@ -198,8 +199,14 @@ def test_routes_agree_on_the_default_grid_in_natural_units(k, zr):
 
 
 def _evaluation(h, routes):
-    return Evaluation(h=np.array(h), gamma_mat=np.zeros((len(h), 4, 4)), route=routes,
-                      rho_eigenvalues=None, error=None)
+    """An evaluation with the H stack ``h``, read at the columns of its upper
+    triangle, and Gamma zero."""
+    h = np.array(h)
+    table = np.zeros((len(h), len(COLUMNS)))
+    for col, (matrix, i, j) in enumerate(COLUMNS):
+        if matrix == "H":
+            table[:, col] = h[:, i, j]
+    return Evaluation(table=table, route=routes, rho_eigenvalues=None, error=None)
 
 
 def test_deviations_scale_by_the_first_route():
@@ -351,3 +358,37 @@ def test_every_finite_point_gives_finite_matrices_or_a_typed_error(method, s, p)
                      "--method", method])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# Log-uniform finite magnitudes in [1e-300, 1e300].
+magnitudes = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(method=st.sampled_from(METHODS), k=magnitudes, zr=magnitudes,
+       s=st.one_of(st.just(0.0), magnitudes), p=st.one_of(st.just(0.0), magnitudes))
+def test_every_method_gives_finite_layout_rows_or_a_typed_error_at_physical_extremes(
+        method, k, zr, s, p):
+    try:
+        psf = GaussianPsf(k=k, z_r=zr)
+    except InvalidParameterError:
+        assume(False)
+    try:
+        ev = evaluate(psf, [s], [p], method)
+    except SrlocError:
+        return
+    served = [i for i, route in enumerate(ev.route) if route != "failed"]
+    assert np.isfinite(ev.table[served]).all()
+    h, g = ev.h[served], ev.gamma_mat[served]
+    assert np.array_equal(h, h.swapaxes(-1, -2))
+    assert np.array_equal(g, -g.swapaxes(-1, -2))
+    assert not np.diagonal(g, axis1=-2, axis2=-1).any()
+
+
+def test_pipeline_zero_columns_hold_its_roundoff(psf):
+    # acceptance criteria 3 and 4 read the pipeline's vanishing entries on this
+    # grid: they are its own roundoff, not zeros that the layout writes
+    grid = np.linspace(0.1, 5.0, 20)
+    ev = evaluate(psf, np.repeat(grid, 20), np.tile(grid, 20), "pipeline")
+    assert set(ev.route) == {"pipeline"}
+    assert np.count_nonzero(ev.table[:, ZEROS], axis=0).all()
