@@ -84,20 +84,23 @@ def general_table(jet: OverlapJet, consts: PsfConstants) -> np.ndarray:
     r = ag2 / one_minus
     r_dsph = r * dsph
 
+    ag2_ls = ag2 * ls_re
+
     t = np.zeros(shape + (len(COLUMNS),))
     t[..., 0] = consts.dpsi_norm_sq
-    t[..., 1] = 4.0 * (consts.dpsi_norm_sq - ag2 * ls_re * ls_re - r_dsph * dsph)
+    t[..., 1] = 4.0 * (consts.dpsi_norm_sq - ag2_ls * ls_re - r_dsph * dsph)
     t[..., 2] = var
     t[..., 3] = 4.0 * (var - ag2 * lp_re * lp_re - r * dpph * dpph)
-    t[..., 4] = -4.0 * (r_dsph * dpph + ag2 * ls_re * lp_re)
+    t[..., 4] = -4.0 * (r_dsph * dpph + ag2_ls * lp_re)
 
     # 2 |gamma| dsa and 2 |gamma| dpa
     gs = 2.0 * ag2 * ls_re
     gp = 2.0 * ag2 * lp_re
+    gp_dsph, gs_dpph = gp * dsph, gs * dpph
     t[..., 5] = -gs * dsph * ag2 / one_minus
     t[..., 6] = -gp * dpph * ag2 / one_minus
-    t[..., 7] = gp * dsph - gs * dpph / one_minus
-    t[..., 8] = gp * dsph / one_minus - gs * dpph
+    t[..., 7] = gp_dsph - gs_dpph / one_minus
+    t[..., 8] = gp_dsph / one_minus - gs_dpph
     return t
 
 
@@ -130,6 +133,8 @@ def natural_gaussian_table(s, p) -> np.ndarray:
     shape, s, p, s2, q, vs, evs, emvs, ks2, den = _explicit_terms(s, p)
     vs2 = vs * vs
     kk = ks2 * ks2  # k^2 s^4
+    # subexpressions that recur, each computed once, as the products group
+    kk_evs, kk_s, vs_1, vs_2, vs_4 = kk * evs, kk * s, vs - 1.0, vs - 2.0, 4.0 * vs
 
     t = np.zeros(shape + (len(COLUMNS),))
     t[..., 0] = 0.25
@@ -137,18 +142,18 @@ def natural_gaussian_table(s, p) -> np.ndarray:
     t[..., 2] = 0.25
     t[..., 3] = emvs * (
         4.0 * evs * evs * kk * kk
-        - kk * evs * vs2 * (q * (vs2 - 4.0 * vs + 8.0) + 4.0 * (vs2 + 4.0))
-        + 16.0 * q * (vs - 1.0) * (vs - 1.0) * vs2 * vs2
+        - kk_evs * vs2 * (q * (vs2 - vs_4 + 8.0) + 4.0 * (vs2 + 4.0))
+        + 16.0 * q * vs_1 * vs_1 * vs2 * vs2
     ) / (4.0 * kk * ks2 * den)
-    t[..., 4] = p * emvs * vs2 * (kk * evs * (vs - 2.0) - 8.0 * (vs - 1.0) * vs2) / (kk * s * den)
+    t[..., 4] = p * emvs * vs2 * (kk_evs * vs_2 - 8.0 * vs_1 * vs2) / (kk_s * den)
 
     vs3 = vs * vs * vs
     em_den = emvs / den
-    bq = q * (vs - 2.0) - 4.0 * vs
+    bq = q * vs_2 - vs_4
     t[..., 5] = -4.0 * p * em_den * vs3 * vs / (ks2 * s2)
-    t[..., 6] = -p * em_den * (vs - 1.0) * vs3 * vs * bq / (2.0 * kk * ks2)
-    t[..., 7] = em_den * vs3 * (2.0 * q * (vs - 1.0) * vs - kk * evs) / (kk * s)
-    t[..., 8] = -em_den * vs3 * (kk * evs + vs * bq) / (kk * s)
+    t[..., 6] = -p * em_den * vs_1 * vs3 * vs * bq / (2.0 * kk * ks2)
+    t[..., 7] = em_den * vs3 * (2.0 * q * vs_1 * vs - kk_evs) / kk_s
+    t[..., 8] = -em_den * vs3 * (kk_evs + vs * bq) / kk_s
     return t
 
 

@@ -83,7 +83,8 @@ def factor(jet: OverlapJet, consts: PsfConstants):
         t11 = np.sqrt(piv[0])
         inv = -1.0 / t11
         u12, u13 = ds * inv, dp * inv  # conj(T[1, 2]), conj(T[1, 3])
-        t14, t15 = _mul(_conj(g), ds) * inv, _mul(_conj(g), dp) * inv
+        g_conj = _conj(g)
+        t14, t15 = _mul(g_conj, ds) * inv, _mul(g_conj, dp) * inv
         piv.append(n - _abs2(u12))
         t22 = np.sqrt(piv[1])
         inv = -1.0 / t22

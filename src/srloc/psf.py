@@ -137,9 +137,11 @@ class GaussianPsf:
             raise InvalidParameterError(f"wavenumber k must be positive, got {k}")
         if not zr > 0.0:
             raise InvalidParameterError(f"length z_r must be positive, got {zr}")
-        zr2 = zr * zr
+        # as Python floats, which overflow to inf where a numpy scalar would also warn
+        fk, fzr = float(k), float(zr)
+        zr2 = fzr * fzr
         if not (zr2 > 0.0 and all(0.0 < scale < math.inf for scale in (
-                k / (2.0 * zr), 2.0 * k / zr, 1.0 / (4.0 * zr2), 1.0 / zr2))):
+                fk / (2.0 * fzr), 2.0 * fk / fzr, 1.0 / (4.0 * zr2), 1.0 / zr2))):
             raise InvalidParameterError(
                 f"k={k!r}, z_r={zr!r} are out of floating-point range: k/(2 z_r), 2k/z_r, "
                 "1/(4 z_r^2) and 1/z_r^2 must be finite and nonzero"

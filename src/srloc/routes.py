@@ -16,7 +16,9 @@ problem of ``psf.NATURAL``:
   labelled ``"general"``.
 
 Each method serves the whole grid at once, by masks over elementwise array
-code.  This is the only place that checks the inputs and decides the routes.
+code, in blocks of points in which the pipeline and the general forms read
+one overlap jet.  This is the only place that checks the inputs and decides
+the routes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from . import closed_forms, sld
 from .errors import InvalidParameterError, SrlocError
 from .closed_forms import SMALL_SEPARATION
-from .psf import NATURAL, GaussianPsf, gaussian_constants, gaussian_overlap, gaussian_overlap_jet
+from .psf import NATURAL, GaussianPsf, gaussian_overlap
 
 __all__ = ["METHODS", "Evaluation", "Deviations", "evaluate", "all_routes", "deviations"]
 
@@ -76,11 +78,12 @@ class Deviations:
     @property
     def compared(self) -> np.ndarray:
         """(N,) bool: the points served by two or more routes."""
-        return np.count_nonzero(self.served, axis=1) >= 2
+        return self.served.sum(axis=1) >= 2
 
 
-# Points per pass of the closed forms and of the cross-route rule: their
-# temporaries stay in cache, and their size does not grow with the grid.
+# Points per pass of the routes (one overlap jet, the closed forms) and of the
+# cross-route rule: their temporaries stay in cache, and their size does not
+# grow with the grid.
 BLOCK_POINTS = 4096
 
 
@@ -130,10 +133,6 @@ def _where(mask: np.ndarray):
     return slice(None) if _all(mask) else np.flatnonzero(mask)
 
 
-# The constants of NATURAL's general forms.
-_CONSTS = gaussian_constants(NATURAL)
-
-
 def _limit(s: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The coincident-source points at the natural (s, p): 1 - |gamma|^2 below
     the general forms' guard, from the bits of gamma that the guard reads.
@@ -148,31 +147,55 @@ def _limit(s: np.ndarray, p: np.ndarray) -> np.ndarray:
     return limit
 
 
-def _closed(s, p, limit, method, general):
-    """The natural-unit table of a closed-form method off the ``limit``
-    points, and the mask of the points that the general forms serve, in
-    blocks of ``BLOCK_POINTS``.  ``general`` is None, or the general method's
-    natural-unit table at the same points, whose rows those points take.
+def _serve(s, p, limit, methods):
+    """The natural-unit tables of ``methods`` off the ``limit`` points, in
+    blocks of ``BLOCK_POINTS``: one (len(methods), N, 16) array, in the order
+    of ``methods``, whose limit rows are left unset.  Also the pipeline's rho
+    eigenvalues and failures, index -> (error type, reason), and the
+    gaussian-closed points that the general forms serve, each None where its
+    method is not asked for.
+
+    The pipeline and the general forms read one overlap jet per block, that
+    of its points off the limit; gaussian-closed takes the general method's
+    rows, or else the jet of its rerouted points alone.
     """
     n = len(s)
-    table = np.empty((n, len(sld.COLUMNS)))
-    rest = ~limit
+    stack = np.empty((len(methods), n, len(sld.COLUMNS)))
+    tables = dict(zip(methods, stack))
+    pipeline, general = tables.get("pipeline"), tables.get("general")
+    closed = tables.get("gaussian-closed")
+    eigs = failures = rerouted = None
+    if pipeline is not None:
+        eigs, failures = np.empty((n, 6)), {}
+    if closed is not None:
+        rerouted = np.zeros(n, dtype=bool)
     for block in _blocks(n):
-        s_b, p_b, t_b = s[block], p[block], table[block]
-        if method == "gaussian-closed":
-            explicit = rest[block] & (np.abs(s_b) >= SMALL_SEPARATION)
+        off = ~limit[block]
+        if not np.count_nonzero(off):
+            continue
+        s_b, p_b, at = s[block], p[block], _where(off)
+        if pipeline is not None or general is not None:
+            jet = sld._jet(s_b[at], p_b[at])
+        if pipeline is not None:
+            pipeline[block][at], eigs[block][at], block_failures = sld.pipeline(jet)
+            if block_failures:
+                index = np.arange(block.start, block.start + len(off))[at]
+                failures.update((int(index[i]), failure) for i, failure in block_failures.items())
+        if general is not None:
+            general[block][at] = closed_forms.general_table(jet, sld._CONSTS)
+        if closed is not None:
+            explicit = off & (np.abs(s_b) >= SMALL_SEPARATION)
+            rest = rerouted[block]
+            rest[:] = off ^ explicit
             if np.count_nonzero(explicit):
                 at = _where(explicit)
-                t_b[at] = closed_forms.natural_gaussian_table(s_b[at], p_b[at])
-            rest[block] &= ~explicit
-        if np.count_nonzero(rest[block]):
-            at = _where(rest[block])
-            if general is None:
-                jet = gaussian_overlap_jet(NATURAL, s_b[at], p_b[at])
-                t_b[at] = closed_forms.general_table(jet, _CONSTS)
-            else:
-                t_b[at] = general[block][at]
-    return table, rest
+                closed[block][at] = closed_forms.natural_gaussian_table(s_b[at], p_b[at])
+            if np.count_nonzero(rest):
+                at = _where(rest)
+                closed[block][at] = (general[block][at] if general is not None else
+                                     closed_forms.general_table(sld._jet(s_b[at], p_b[at]),
+                                                                sld._CONSTS))
+    return stack, eigs, failures, rerouted
 
 
 def _evaluate(psf: GaussianPsf, s, p, methods) -> dict[str, Evaluation]:
@@ -186,36 +209,47 @@ def _evaluate(psf: GaussianPsf, s, p, methods) -> dict[str, Evaluation]:
         if method not in METHODS:
             raise InvalidParameterError(f"method must be one of {METHODS}, got {method!r}")
     scale = psf.scale[sld.ROW, sld.COL]
-    evs, general = {}, None
     # Where the natural (s, p), the overlap, a closed form or the scale overflows
     # or divides by zero it leaves a non-finite entry, which _require_finite reports.
     with np.errstate(all="ignore"):
         s_n, p_n = psf.natural(s, p)
         limit = _limit(s_n, p_n)
-    for method in methods:
-        route = np.empty(len(s), dtype=object)  # np.full fills objects one by one
-        route[:] = method
-        eigs = error = None
-        if method == "pipeline":
-            table, eigs, failures = sld.pipeline(s_n, p_n, limit)
-            route[list(failures)] = "failed"
-            if failures:
-                i, (kind, reason) = next(iter(failures.items()))
-                error = kind(f"pipeline fails at (s={float(s[i])!r}, p={float(p[i])!r}): {reason}")
-        else:
-            with np.errstate(all="ignore"):
-                table, rest = _closed(s_n, p_n, limit, method, general)
-            route[rest] = "general"
-            if method == "general":
-                general = table
-        if np.count_nonzero(limit):
-            table[limit] = closed_forms.LIMIT_TABLE
-            route[limit] = "limit"
-        with np.errstate(all="ignore"):
-            table, route = table * scale, tuple(route.tolist())
-        _require_finite(psf, method, table, route, s, p)
-        evs[method] = Evaluation(table, route, eigs, error)
+        stack, eigs, failures, rerouted = _serve(s_n, p_n, limit, methods)
+        at_limit = np.count_nonzero(limit) > 0
+        if at_limit:
+            stack[:, limit] = closed_forms.LIMIT_TABLE
+        stack *= scale
+    if at_limit and eigs is not None:
+        eigs[limit] = np.nan
+    finite = _all(np.isfinite(stack))
+    evs = {}
+    for method, table in zip(methods, stack):
+        marks, error = [], None
+        if method == "pipeline" and failures:
+            marks.append((list(failures), "failed"))
+            i, (kind, reason) = next(iter(failures.items()))
+            error = kind(f"pipeline fails at (s={float(s[i])!r}, p={float(p[i])!r}): {reason}")
+        if method == "gaussian-closed" and np.count_nonzero(rerouted):
+            marks.append((rerouted, "general"))
+        if at_limit:
+            marks.append((limit, "limit"))
+        route = _labels(method, len(s), marks)
+        if not finite:
+            _require_finite(psf, method, table, route, s, p)
+        evs[method] = Evaluation(table, route, eigs if method == "pipeline" else None, error)
     return evs
+
+
+def _labels(method: str, n: int, marks) -> tuple[str, ...]:
+    """``method`` at each of n points, but for each (where, label) of
+    ``marks``, in order, ``label`` at the points ``where``."""
+    if not marks:
+        return (method,) * n
+    route = np.empty(n, dtype=object)  # np.full fills objects one by one
+    route[:] = method
+    for where, label in marks:
+        route[where] = label
+    return tuple(route.tolist())
 
 
 def evaluate(psf: GaussianPsf, s: Sequence[float], p: Sequence[float], method: str) -> Evaluation:
@@ -236,16 +270,15 @@ def all_routes(psf: GaussianPsf, s: Sequence[float], p: Sequence[float]) -> dict
     return _evaluate(psf, s, p, METHODS)
 
 
-# The route pairs (a, b) that ``deviations`` compares, by index in METHODS.
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
 def deviations(evs: dict[str, Evaluation]) -> Deviations:
     """The cross-route rule on the evaluations of ``all_routes`` (see
     ``Deviations``), in blocks of ``BLOCK_POINTS`` points."""
-    # one comparison per route, on its labels as objects: a str array costs a conversion
-    served = np.array([np.array(evs[method].route, dtype=object) == method for method in METHODS])
-    n = served.shape[1]
+    n = len(evs[METHODS[0]].route)
+    served = np.empty((len(METHODS), n), dtype=bool)
+    for row, method in zip(served, METHODS):
+        route = evs[method].route
+        # a tuple counts by identity first, cheaper than comparing its labels as an array
+        row[:] = route.count(method) == n or np.array(route, dtype=object) == method
     max_abs, max_rel, ok = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     rel = np.zeros(len(sld.COLUMNS))
     for block in _blocks(n):
@@ -253,23 +286,30 @@ def deviations(evs: dict[str, Evaluation]) -> Deviations:
         max_abs[block], max_rel[block], ok[block], rel_block = (
             _deviations_block(tables, served[:, block]))
         np.maximum(rel, rel_block, out=rel)
-    return Deviations(served.T, max_abs, max_rel, ok, *np.abs(sld.matrices(rel)))
+    # rel >= 0 mirrored into both triangles: the per-entry maxima of H and Gamma
+    out = np.zeros((2, 4, 4))
+    out[sld.GAMMA, sld.ROW, sld.COL] = out[sld.GAMMA, sld.COL, sld.ROW] = rel
+    return Deviations(served.T, max_abs, max_rel, ok, *out)
 
 
 def _deviations_block(tables: np.ndarray, served: np.ndarray):
     """``deviations`` on one block: the routes' (3, n, 16) tables, in METHODS
     order (failed pipeline points hold NaN), served as the (3, n) ``served``.
-    Returns max_abs, max_rel, sparsity_ok and the (16,) maxima of rel."""
-    first = np.argmax(served, axis=0)  # 0 where no route served: such points read 0
+    Returns max_abs, max_rel, sparsity_ok and the (16,) maxima of rel.
+
+    Over the served routes of an entry, the largest |a - b| of a pair is
+    hi - lo, its largest value less its smallest, and so rounds: rounding
+    is monotone.  hi and lo skip the other routes, NaN here.
+    """
+    compared = (served.sum(axis=0) >= 2)[:, None]
+    first = served.argmax(axis=0)  # 0 where no route served: such points read 0
     diag = np.abs(tables[first, np.arange(len(first)), :4])  # H's diagonal: the first 4 columns
-    worst = np.zeros(tables.shape[1:])  # each entry's largest deviation over the served pairs
-    with np.errstate(all="ignore"):  # failed pipeline points hold NaN
+    with np.errstate(all="ignore"):  # NaN where no route serves a point
+        masked = np.where(served[..., None], tables, np.nan)
+        hi, lo = np.fmax.reduce(masked), np.fmin.reduce(masked)
         scale = sld.pair_scale(diag[:, sld.ROW], diag[:, sld.COL])
-        for a, b in _PAIRS:
-            both = (served[a] & served[b])[:, None]
-            np.maximum(worst, np.where(both, np.abs(tables[a] - tables[b]), 0.0), out=worst)
-        # dividing by the same scale keeps the order: the pairs' largest dev / scale
-        rel = np.where((np.count_nonzero(served, axis=0) >= 2)[:, None], worst / scale, 0.0)
-        bad = (np.abs(tables[..., sld.ZEROS]) > 1e-10 * scale[:, sld.ZEROS]).any(axis=-1)
-    ok = ~(bad & served).any(axis=0)
-    return worst.max(axis=1), rel.max(axis=1), ok, rel.max(axis=0)
+        worst = np.where(compared, np.abs(hi - lo), 0.0)
+        rel = np.where(compared, worst / scale, 0.0)
+        # the largest |entry| of a served route: a NaN (none served) is no excess
+        bad = np.maximum(hi[:, sld.ZEROS], -lo[:, sld.ZEROS]) > 1e-10 * scale[:, sld.ZEROS]
+    return worst.max(axis=1), rel.max(axis=1), ~bad.any(axis=1), rel.max(axis=0)

@@ -20,10 +20,10 @@ gives L[i, j] = 2 drho[i, j] / (q_i + q_j) for the four physical parameters
 
 All results are independent of the centroid coordinates by construction
 (the Gram data only sees the separations).  ``pipeline`` runs the blocks on
-the beam ``NATURAL`` at natural separations and returns natural-unit
-results; ``routes.evaluate(..., "pipeline")`` checks the inputs, converts
-them, sends the points outside the coincident-source limit to it, scales
-the results and labels every point.
+the overlap jet of the beam ``NATURAL`` and returns natural-unit results;
+``routes.evaluate(..., "pipeline")`` checks the inputs, converts them,
+sends the jet of the points outside the coincident-source limit to it,
+scales the results and labels every point.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DegenerateBasisError, SrlocError
 from .gram import _DRHO_ROWS, COORDINATES, _abs2, factor
-from .psf import NATURAL, OverlapJet, PsfConstants, gaussian_constants, gaussian_overlap_jet
+from .psf import NATURAL, OverlapJet, gaussian_constants, gaussian_overlap_jet
 
 __all__ = ["PARAMETERS", "COLUMNS", "matrices", "pair_scale", "pipeline"]
 
@@ -53,6 +53,9 @@ COLUMNS = (("H", 0, 0), ("H", 1, 1), ("H", 2, 2), ("H", 3, 3), ("H", 1, 3),
 ZEROS = slice(9, 16)
 # Per column: 1 for Gamma's, 0 for H's, and the row and column of its entry.
 GAMMA, ROW, COL = np.array([(int(m == "Gamma"), i, j) for m, i, j in COLUMNS]).T
+# Per column, its entry's place in a row of complex entries viewed as floats:
+# real part for H, imaginary part for Gamma.
+_PART = 2 * COL + GAMMA
 # The smallest normal double.
 _TINY = np.finfo(float).tiny
 
@@ -88,6 +91,9 @@ _UP = 2.0 ** 600
 # Points per pass of the stacked core.  Bounds the working set of a long
 # sweep: the largest array of a pass holds 4 x 12 complex SLD entries per point.
 BLOCK_POINTS = 512
+
+# The constants of NATURAL, which the pipeline and the general forms take.
+_CONSTS = gaussian_constants(NATURAL)
 
 # State column of each coordinate derivative of rho; the derivative columns
 # are 2..5 in COORDINATES order.
@@ -159,7 +165,7 @@ def _support_drho(t: dict, cos, sin, n: int) -> np.ndarray:
     return drho
 
 
-def _pipeline_block(jet: OverlapJet, consts: PsfConstants):
+def _pipeline_block(jet: OverlapJet):
     """Run the pipeline on the n points of an overlap jet at once: the (n, 16)
     table of H and Gamma, every entry with its own roundoff, rho's eigenvalues
     (n, 6), descending, and the failures, index -> (error type, reason).
@@ -172,7 +178,7 @@ def _pipeline_block(jet: OverlapJet, consts: PsfConstants):
     outputs are NaN and its failure is recorded.
     """
     n = len(jet.gamma)
-    t, refused = factor(jet[0] if n == 1 else jet, consts)
+    t, refused = factor(jet[0] if n == 1 else jet, _CONSTS)
     failures = {i: (DegenerateBasisError, reason) for i, reason in refused.items()}
     with np.errstate(all="ignore"):  # the refused points' entries may be NaN
         q = np.zeros((6, n))
@@ -187,7 +193,7 @@ def _pipeline_block(jet: OverlapJet, consts: PsfConstants):
         c = rho_l @ np.conjugate(l_rows, out=l_rows).reshape(4, 12, n).transpose(2, 1, 0)
         c_h = c.conj().swapaxes(-1, -2)
         # max(|H - H^T|, |Gamma + Gamma^T|) before symmetrization, per point
-        asym = np.max(np.abs((c - c_h).view(float)), axis=(-2, -1))
+        asym = np.abs((c - c_h).view(float)).reshape(n, -1).max(axis=1)
     for i in np.flatnonzero(asym >= _ASYMMETRY_LIMIT):
         failures.setdefault(int(i), (
             SrlocError,
@@ -198,8 +204,8 @@ def _pipeline_block(jet: OverlapJet, consts: PsfConstants):
         logger.debug("qfim pre-symmetrization residual, max over %d points: %.3e",
                      n, float(np.max(asym, initial=0.0)))
 
-    sym = ((c + c_h) * 0.5)[:, ROW, COL]
-    table, eigs = np.where(GAMMA, sym.imag, sym.real), q.T
+    # H's entries are the real parts, Gamma's the imaginary ones
+    table, eigs = ((c + c_h) * 0.5).view(float)[:, ROW, _PART], q.T
     if failures:
         bad = list(failures)
         table[bad] = eigs[bad] = np.nan
@@ -207,28 +213,26 @@ def _pipeline_block(jet: OverlapJet, consts: PsfConstants):
 
 
 def _jet(s, p) -> OverlapJet:
-    """The overlap jet of ``NATURAL`` at (s, p); where it overflows it holds
-    inf or NaN, which ``gram.factor`` reports as a refused point."""
+    """The overlap jet of ``NATURAL`` at (s, p), which the pipeline and the
+    general forms read; where it overflows it holds inf or NaN, which
+    ``gram.factor`` reports as a refused point."""
     with np.errstate(over="ignore", invalid="ignore"):
         return gaussian_overlap_jet(NATURAL, s, p)
 
 
-def pipeline(s: np.ndarray, p: np.ndarray, skip: np.ndarray):
-    """The stacked pipeline of ``NATURAL`` at the natural separations (s[i],
-    p[i]) outside the mask ``skip``, in blocks of ``BLOCK_POINTS``.
+def pipeline(jet: OverlapJet):
+    """The stacked pipeline of ``NATURAL`` on the N points of its overlap jet
+    (``_jet``), in blocks of ``BLOCK_POINTS``.
 
     Returns the (N, 16) table of H and Gamma, rho's eigenvalues (N, 6),
     descending, and the failures, index -> (error type, reason), in index
-    order; skipped and failed points hold NaN.
+    order; failed points hold NaN.
     """
-    n = len(s)
-    table = np.full((n, len(COLUMNS)), np.nan)
-    eigs = np.full((n, 6), np.nan)
-    failures = {}
-    consts = gaussian_constants(NATURAL)
-    todo = np.flatnonzero(~skip)
-    for start in range(0, len(todo), BLOCK_POINTS):
-        idx = todo[start:start + BLOCK_POINTS]
-        table[idx], eigs[idx], block_failures = _pipeline_block(_jet(s[idx], p[idx]), consts)
-        failures.update((int(idx[i]), failure) for i, failure in block_failures.items())
-    return table, eigs, failures
+    n = len(jet.gamma)
+    if n <= BLOCK_POINTS:
+        return _pipeline_block(jet)
+    starts = range(0, n, BLOCK_POINTS)
+    tables, eigs, failures = zip(*(_pipeline_block(jet[start:start + BLOCK_POINTS])
+                                   for start in starts))
+    return np.concatenate(tables), np.concatenate(eigs), {
+        start + i: failure for start, block in zip(starts, failures) for i, failure in block.items()}

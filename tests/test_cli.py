@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import tempfile
 from collections import Counter
 
 import numpy as np
@@ -796,6 +798,30 @@ def test_eval_and_crb_exit_cleanly_with_valid_json_at_physical_extremes(k, zr, s
         assert code in (0, 1, 2), argv
         if code == 0:
             json.loads(out.getvalue(), parse_constant=_no_constant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=magnitudes, zr=magnitudes, step=magnitudes, offset=st.integers(min_value=0, max_value=5),
+       count=st.integers(min_value=2, max_value=4), swept=st.sampled_from("sp"),
+       fixed=st.just(0.0) | magnitudes)
+def test_crossval_and_sweep_all_exit_cleanly_at_physical_extremes(k, zr, step, offset, count,
+                                                                   swept, fixed):
+    # grids of 2 to 4 values a side from offset * step: crossval runs all three
+    # routes on up to 16 points
+    start = offset * step
+    grid = f"{start!r}:{start + (count - 1) * step!r}:{step!r}"
+    psf = ["--k", repr(k), "--zr", repr(zr), "--range", grid]
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in (["crossval", *psf],
+                     ["sweep", *psf, "--sweep", swept, "--fixed", repr(fixed), "--method", "all",
+                      "--out", os.path.join(tmp, "sweep.csv")]):
+            out = io.StringIO()
+            # nothing may escape main: pytest also turns numpy's RuntimeWarning into an error
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            if code == 0 and argv[0] == "crossval":
+                json.loads(out.getvalue(), parse_constant=_no_constant)
 
 
 # -------------------------------------------------------------------- parser

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from srloc.errors import InvalidParameterError, NonFiniteSampleError
@@ -73,6 +74,35 @@ def test_gaussian_constants_variance_closed_form(k, zr):
 def test_gaussian_psf_rejects_nonpositive_parameters(k, zr):
     with pytest.raises(InvalidParameterError):
         GaussianPsf(k=k, z_r=zr)
+
+
+# Log-uniform finite magnitudes in [1e-300, 1e300].
+magnitudes = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)
+
+
+def _accepts(k, zr) -> bool:
+    try:
+        GaussianPsf(k=k, z_r=zr)
+    except InvalidParameterError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=magnitudes, zr=magnitudes)
+def test_gaussian_psf_checks_numpy_scalars_without_a_warning(k, zr):
+    # z_r * z_r on a numpy scalar above about 1e154 warns of an overflow;
+    # the check must raise its typed error instead, as for Python floats
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _accepts(np.float64(k), np.float64(zr)) == _accepts(k, zr)
+
+
+def test_gaussian_psf_refuses_a_numpy_z_r_whose_square_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="out of floating-point range"):
+            GaussianPsf(k=np.float64(1.0), z_r=np.float64(1e200))
 
 
 def test_constants_validated():

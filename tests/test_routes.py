@@ -8,6 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import srloc.closed_forms
+import srloc.gram
+import srloc.psf
+import srloc.routes
+import srloc.sld
 from srloc.cli import main
 from srloc.closed_forms import OVERLAP_DEGENERACY_TOL, small_separation_limit
 from srloc.errors import DegenerateBasisError, InvalidParameterError, SrlocError
@@ -124,6 +128,41 @@ def test_all_routes_runs_the_general_forms_once_per_block(psf, monkeypatch):
     seen.clear()
     all_routes(psf, s, p)
     assert seen == [2, 2]
+
+
+def test_all_routes_computes_the_overlap_jet_once_per_block(psf, monkeypatch):
+    # (0, 0) a limit point, (0.001, 0) one the pipeline refuses, s = 0 rerouted by
+    # gaussian-closed, and ordinary points
+    s = np.array([0.0, 0.001, 0.0, 1.0, 2.5, 0.0, 0.1, 3.7, 0.001])
+    p = np.array([0.0, 0.0, 2.0, 2.0, 0.0, 0.3, 4.9, 1.1, 0.0])
+    alone = {method: evaluate(psf, s, p, method) for method in METHODS}
+    assert alone["pipeline"].route == ("limit", "failed") + ("pipeline",) * 6 + ("failed",)
+    assert alone["gaussian-closed"].route[2] == alone["gaussian-closed"].route[5] == "general"
+    true_jet = srloc.psf.gaussian_overlap_jet
+    seen = []
+
+    def counted(beam, s_b, p_b):
+        seen.append(np.size(s_b))
+        return true_jet(beam, s_b, p_b)
+
+    # in every module that binds it
+    for module in (srloc.psf, srloc.gram, srloc.sld, srloc.closed_forms, srloc.routes):
+        if hasattr(module, "gaussian_overlap_jet"):
+            monkeypatch.setattr(module, "gaussian_overlap_jet", counted)
+    # route blocks of 4, 4 and 1 points, and pipeline blocks of 3 that cross them
+    monkeypatch.setattr(srloc.routes, "BLOCK_POINTS", 4)
+    monkeypatch.setattr(srloc.sld, "BLOCK_POINTS", 3)
+    evs = all_routes(psf, s, p)
+    assert seen == [3, 4, 1]  # one jet per block, at its points off the limit
+    for method, ev in evs.items():
+        assert ev.route == alone[method].route
+        assert ev.table.tobytes() == alone[method].table.tobytes()
+        eigs = alone[method].rho_eigenvalues
+        assert (ev.rho_eigenvalues is None) == (eigs is None)
+        if eigs is not None:
+            assert ev.rho_eigenvalues.tobytes() == eigs.tobytes()
+        assert type(ev.error) is type(alone[method].error)
+        assert str(ev.error) == str(alone[method].error)
 
 
 def test_gaussian_closed_matches_the_oracle_at_coincident_centroids_on_axis(psf):
