@@ -212,6 +212,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if ev.error is not None:
             raise ev.error
 
+    norm = psf.k / (2.0 * psf.z_r) if args.normalized else 1.0
+    table = np.empty((len(s), 11))
+    table[:, 0] = s
+    table[:, 1] = p
+    with np.errstate(over="ignore"):  # H / N beyond the double range is refused below
+        table[:, 2:7] = ev.table[:, :5] / norm
+    finite = np.isfinite(table[:, 2:7]).all(axis=1)
+    if not finite.all():
+        i = np.flatnonzero(~finite)[0]
+        raise SrlocError(f"--normalized H / (k / (2 z_R)) overflows at (s={float(s[i])!r}, "
+                         f"p={float(p[i])!r})")
+    table[:, 7:] = ev.table[:, 5:9]
+
     if "limit" in ev.route:
         print(
             f"note: {ev.route.count('limit')} grid point(s) below the degeneracy threshold "
@@ -221,12 +234,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.method == "all" and evs["pipeline"].error is not None:
         print(f"note: the pipeline refused {evs['pipeline'].route.count('failed')} grid "
               f"point(s), first: {evs['pipeline'].error}", file=sys.stderr)
-    norm = psf.k / (2.0 * psf.z_r) if args.normalized else 1.0
-    table = np.empty((len(s), 11))
-    table[:, 0] = s
-    table[:, 1] = p
-    table[:, 2:7] = ev.table[:, :5] / norm
-    table[:, 7:] = ev.table[:, 5:9]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         fh.writelines(_csv_rows(args.sweep, args.normalized, table))

@@ -803,18 +803,23 @@ def test_eval_and_crb_exit_cleanly_with_valid_json_at_physical_extremes(k, zr, s
 @settings(max_examples=60, deadline=None)
 @given(k=magnitudes, zr=magnitudes, step=magnitudes, offset=st.integers(min_value=0, max_value=5),
        count=st.integers(min_value=2, max_value=4), swept=st.sampled_from("sp"),
-       fixed=st.just(0.0) | magnitudes)
-def test_crossval_and_sweep_all_exit_cleanly_at_physical_extremes(k, zr, step, offset, count,
-                                                                   swept, fixed):
+       fixed=st.just(0.0) | magnitudes, method=st.sampled_from((*srloc.routes.METHODS, "all")),
+       normalized=st.booleans())
+# --normalized divided H by k / (2 z_R) into inf cells, with a numpy overflow warning
+@example(k=1e-200, zr=1e-150, step=1.0, offset=0, count=3, swept="s", fixed=0.0,
+         method="general", normalized=True)
+def test_crossval_and_sweep_exit_cleanly_at_physical_extremes(k, zr, step, offset, count, swept,
+                                                               fixed, method, normalized):
     # grids of 2 to 4 values a side from offset * step: crossval runs all three
     # routes on up to 16 points
     start = offset * step
     grid = f"{start!r}:{start + (count - 1) * step!r}:{step!r}"
     psf = ["--k", repr(k), "--zr", repr(zr), "--range", grid]
     with tempfile.TemporaryDirectory() as tmp:
-        for argv in (["crossval", *psf],
-                     ["sweep", *psf, "--sweep", swept, "--fixed", repr(fixed), "--method", "all",
-                      "--out", os.path.join(tmp, "sweep.csv")]):
+        csv_path = os.path.join(tmp, "sweep.csv")
+        sweep = ["sweep", *psf, "--sweep", swept, "--fixed", repr(fixed), "--method", method,
+                 "--out", csv_path] + (["--normalized"] if normalized else [])
+        for argv in (["crossval", *psf], sweep):
             out = io.StringIO()
             # nothing may escape main: pytest also turns numpy's RuntimeWarning into an error
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -822,6 +827,10 @@ def test_crossval_and_sweep_all_exit_cleanly_at_physical_extremes(k, zr, step, o
             assert code in (0, 1, 2), argv
             if code == 0 and argv[0] == "crossval":
                 json.loads(out.getvalue(), parse_constant=_no_constant)
+            if code == 0 and argv[0] == "sweep":
+                with open(csv_path, encoding="utf-8") as fh:
+                    rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+                assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:12]), argv
 
 
 # -------------------------------------------------------------------- parser
