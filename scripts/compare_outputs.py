@@ -41,7 +41,10 @@ budget ``nu * m * eps`` that underflows or overflows and with a bound that
 overflows.  Then the parser's own output: ``-h`` and ``<command> -h``
 for each of the five subcommands, no arguments, ``nonsense``, ``eval``
 without ``--p``, ``eval ... --bogus 1``, ``--bogus eval ...`` and
-``sweep ... --method magic``.
+``sweep ... --method magic``.  Last, ``eval --p -1e-3`` for every method
+and ``sweep --fixed -1e-3`` (a negative value in e-notation), and ``crb
+--eps 2`` with and without ``--from-limits`` (the weak-source model's
+warning on stderr).
 """
 
 from __future__ import annotations
@@ -147,6 +150,13 @@ def commands() -> list[list[str]]:
              ["eval", *PSF, "--s", "1", "--p", "0", "--bogus", "1"],
              ["--bogus", "eval", *PSF, "--s", "1", "--p", "0"],
              ["sweep", *PSF, "--sweep", "s", "--method", "magic", "--out", CSV]]
+    # a negative value in e-notation, and the weak-source model's warning
+    for method in METHODS:
+        cmds.append(["eval", *PSF, "--s", "1", "--p", "-1e-3", "--method", method])
+    cmds.append(["sweep", *PSF, "--sweep", "s", "--range", "0:1:0.25", "--fixed", "-1e-3",
+                 "--out", CSV])
+    for point in (["--from-limits"], ["--s", "1", "--p", "2"]):
+        cmds.append(["crb", *PSF, *point, "--nu", "1000", "--m", "1", "--eps", "2"])
     return cmds
 
 

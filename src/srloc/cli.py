@@ -16,13 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+import warnings
 from typing import Iterator
 
 import numpy as np
 
 from . import analysis, closed_forms, routes
-from .errors import InvalidParameterError, SmallSeparationError, SrlocError
+from .errors import InvalidParameterError, ModelValidityWarning, SmallSeparationError, SrlocError
 from .psf import NATURAL, GaussianPsf, gaussian_overlap
 from .sld import PARAMETERS, matrices
 
@@ -336,6 +338,16 @@ def _add_psf_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--zr", type=_finite, required=True, help="Rayleigh-type length z_R")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads ``-1e-3`` as a negative number, not as
+    an option; ``add_subparsers`` gives the subcommands the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # private to argparse, whose pattern has no exponent (^-\d+$|^-\d*\.\d+$ on 3.11)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser(command: str | None) -> argparse.ArgumentParser:
     """The ``srloc`` parser, with the arguments of subcommand ``command`` only.
 
@@ -347,7 +359,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     added.  Where ``command`` names no subcommand, none gets arguments, and
     the top-level parser exits with its help or a usage error on its own.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="srloc",
         description="Quantum estimation limits for the angular and axial "
         "separations of two incoherent point sources.",
@@ -425,17 +437,19 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits with 2 on usage errors
         return int(exc.code or 0)
+    # a ModelValidityWarning prints as one "warning:" line, as the "note:" and
+    # "error:" lines do; other warnings keep their format
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, category, *where: (
+        f"warning: {message}\n" if issubclass(category, ModelValidityWarning)
+        else format_warning(message, category, *where))
     try:
         return args.func(args)
-    except InvalidParameterError as exc:
+    except (SrlocError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SrlocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_USAGE if isinstance(exc, InvalidParameterError) else EXIT_NUMERICAL
+    finally:
+        warnings.formatwarning = format_warning
 
 
 def entrypoint() -> None:

@@ -38,15 +38,6 @@ __all__ = ["COORDINATES", "factor"]
 # Coordinate labels for the derivative operators, in basis-row order.
 COORDINATES = ("x1", "z1", "x2", "z2")
 
-# A point whose smallest normalized pivot T_jj^2 / S_jj falls below this
-# counts as numerically degenerate.  Each normalized pivot is at least the
-# ratio of the extreme eigenvalues of S.  Near (0, 0) the pipeline's error
-# grows as the pivots shrink; at this bound each point of the grid
-# [0, 0.12]^2 (k = 1, z_R = 2) that it serves and the eigenvalue-ratio test
-# at 1e-12 refused is closer to the 50-digit oracle than the worst point
-# that test served.
-DEGENERACY_THRESHOLD = 5e-8
-
 # (state row, derivative-vector row) populated by each coordinate derivative.
 _DRHO_ROWS = {"x1": (0, 2), "z1": (0, 3), "x2": (1, 4), "z2": (1, 5)}
 
@@ -65,16 +56,14 @@ _mul, _conj = np.multiply, np.conjugate
 
 def factor(jet: OverlapJet, consts: PsfConstants):
     """The upper Cholesky factor T of the Gram matrix at each point of a jet,
-    and the points it refuses.
+    and its pivots.
 
     Works elementwise on the jet's fields, numpy scalars or 1-D arrays, and
-    rounds alike on both, so a point gives the same bits alone as among
-    others.  Returns T as a dict (row, col) -> entry of its nonzero entries,
-    the diagonal real, and the refused points, index -> reason: the jet is
-    not finite (it overflows at far separations), or a normalized pivot
-    T_jj^2 / S_jj is not at least ``DEGENERACY_THRESHOLD`` (happens as (s, p)
-    -> (0, 0)); the reason names the first such pivot.  A refused point's
-    entries may be NaN or infinite.
+    rounds alike on both, so a point's entries take the same bits alone as
+    among others.  Returns T as a dict (row, col) -> entry of its nonzero
+    entries, the diagonal real, and the five pivots T_jj^2 of rows 1..5 (row
+    0's is 1), which ``sld`` judges.  Where a pivot is not positive, or the
+    jet is not finite, a point's entries may be NaN or infinite.
     """
     g, ds, dp, dss, dpp, dsp = jet.gamma, jet.d_s, jet.d_p, jet.d_ss, jet.d_pp, jet.d_sp
     n, v = consts.dpsi_norm_sq, consts.g_variance
@@ -103,28 +92,8 @@ def factor(jet: OverlapJet, consts: PsfConstants):
                 + _mul(_conj(t34), t35)) * (-1.0 / t44))
         piv.append(v - _abs2(dp) - _abs2(t15) - _abs2(t25) - _abs2(t35) - _abs2(t45))
         t55 = np.sqrt(piv[4])
-        ok = ((piv[0] >= DEGENERACY_THRESHOLD) & (piv[1] >= DEGENERACY_THRESHOLD * n)
-              & (piv[2] >= DEGENERACY_THRESHOLD * v) & (piv[3] >= DEGENERACY_THRESHOLD * n)
-              & (piv[4] >= DEGENERACY_THRESHOLD * v))
-        refused = {} if np.count_nonzero(ok) == np.size(ok) else _refused(
-            jet, ~np.atleast_1d(ok), np.array(piv).reshape(5, -1) / [[1.0], [n], [v], [n], [v]])
     t = {(0, 0): 1.0, (0, 1): g, (0, 4): ds, (0, 5): dp,
          (1, 1): t11, (1, 2): _conj(u12), (1, 3): _conj(u13), (1, 4): t14, (1, 5): t15,
          (2, 2): t22, (2, 3): t23, (2, 4): t24, (2, 5): t25,
          (3, 3): t33, (3, 4): t34, (3, 5): t35, (4, 4): t44, (4, 5): t45, (5, 5): t55}
-    return t, refused
-
-
-def _refused(jet: OverlapJet, bad: np.ndarray, pivots: np.ndarray) -> dict[int, str]:
-    """index -> reason of the points ``bad`` that ``factor`` refuses, given
-    the normalized pivots (5, N)."""
-    finite = np.atleast_1d(np.isfinite(jet.gamma) & np.isfinite(jet.d_s) & np.isfinite(jet.d_p)
-                           & np.isfinite(jet.d_ss) & np.isfinite(jet.d_pp) & np.isfinite(jet.d_sp))
-    first = pivots[np.argmax(~(pivots >= DEGENERACY_THRESHOLD), axis=0), np.arange(len(bad))]
-    return {
-        int(i): "overlap jet is not finite (it overflows at this separation)" if not finite[i]
-        else "basis is numerically degenerate "
-        f"(normalized Cholesky pivot {first[i]:.3e} below threshold {DEGENERACY_THRESHOLD:.1e}); "
-        "the sources are too close for the numerical route -- use the coincident-source limit"
-        for i in np.flatnonzero(bad)
-    }
+    return t, piv

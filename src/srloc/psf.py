@@ -179,8 +179,9 @@ def _points(*values, dtype=float):
 
     One point comes back as numpy scalars, which cost about a tenth of
     one-element arrays per operation and round as the array loops do, except
-    in complex products (see ``_cmul``).  So a point gives the same bits
-    alone as among others.
+    in complex products (see ``_cmul``).  So a point gives the same values
+    alone as among others, and the same bits but for the sign of a zero or a
+    NaN where a product underflows or overflows.
     """
     arrays = [np.asarray(v, dtype=dtype) for v in values]
     shapes = {a.shape for a in arrays}

@@ -33,7 +33,7 @@ import numpy as np
 from . import closed_forms, sld
 from .errors import InvalidParameterError, SrlocError
 from .closed_forms import SMALL_SEPARATION
-from .psf import NATURAL, GaussianPsf, gaussian_overlap
+from .psf import NATURAL, GaussianPsf, gaussian_overlap, gaussian_overlap_jet
 
 __all__ = ["METHODS", "Evaluation", "Deviations", "evaluate", "all_routes", "deviations"]
 
@@ -151,9 +151,9 @@ def _serve(s, p, limit, methods):
     """The natural-unit tables of ``methods`` off the ``limit`` points, in
     blocks of ``BLOCK_POINTS``: one (len(methods), N, 16) array, in the order
     of ``methods``, whose limit rows are left unset.  Also the pipeline's rho
-    eigenvalues and failures, index -> (error type, reason), and the
-    gaussian-closed points that the general forms serve, each None where its
-    method is not asked for.
+    eigenvalues, the mask of its refused points and the first one's failure,
+    (error type, reason) or None, and the gaussian-closed points that the
+    general forms serve, each None where its method is not asked for.
 
     The pipeline and the general forms read one overlap jet per block, that
     of its points off the limit; gaussian-closed takes the general method's
@@ -164,9 +164,9 @@ def _serve(s, p, limit, methods):
     tables = dict(zip(methods, stack))
     pipeline, general = tables.get("pipeline"), tables.get("general")
     closed = tables.get("gaussian-closed")
-    eigs = failures = rerouted = None
+    eigs = failed = failure = rerouted = None
     if pipeline is not None:
-        eigs, failures = np.empty((n, 6)), {}
+        eigs, failed = np.empty((n, 6)), np.zeros(n, dtype=bool)
     if closed is not None:
         rerouted = np.zeros(n, dtype=bool)
     for block in _blocks(n):
@@ -175,12 +175,11 @@ def _serve(s, p, limit, methods):
             continue
         s_b, p_b, at = s[block], p[block], _where(off)
         if pipeline is not None or general is not None:
-            jet = sld._jet(s_b[at], p_b[at])
+            jet = gaussian_overlap_jet(NATURAL, s_b[at], p_b[at])
         if pipeline is not None:
-            pipeline[block][at], eigs[block][at], block_failures = sld.pipeline(jet)
-            if block_failures:
-                index = np.arange(block.start, block.start + len(off))[at]
-                failures.update((int(index[i]), failure) for i, failure in block_failures.items())
+            pipeline[block][at], eigs[block][at], failed[block][at], block_failure = (
+                sld.pipeline(jet))
+            failure = failure or block_failure
         if general is not None:
             general[block][at] = closed_forms.general_table(jet, sld._CONSTS)
         if closed is not None:
@@ -193,9 +192,10 @@ def _serve(s, p, limit, methods):
             if np.count_nonzero(rest):
                 at = _where(rest)
                 closed[block][at] = (general[block][at] if general is not None else
-                                     closed_forms.general_table(sld._jet(s_b[at], p_b[at]),
-                                                                sld._CONSTS))
-    return stack, eigs, failures, rerouted
+                                     closed_forms.general_table(
+                                         gaussian_overlap_jet(NATURAL, s_b[at], p_b[at]),
+                                         sld._CONSTS))
+    return stack, eigs, failed, failure, rerouted
 
 
 def _evaluate(psf: GaussianPsf, s, p, methods) -> dict[str, Evaluation]:
@@ -209,12 +209,13 @@ def _evaluate(psf: GaussianPsf, s, p, methods) -> dict[str, Evaluation]:
         if method not in METHODS:
             raise InvalidParameterError(f"method must be one of {METHODS}, got {method!r}")
     scale = psf.scale[sld.ROW, sld.COL]
-    # Where the natural (s, p), the overlap, a closed form or the scale overflows
-    # or divides by zero it leaves a non-finite entry, which _require_finite reports.
+    # Where the natural (s, p), the overlap, its jet, a closed form or the scale
+    # overflows or divides by zero it leaves a non-finite entry, which
+    # _require_finite reports, or a pipeline failure.
     with np.errstate(all="ignore"):
         s_n, p_n = psf.natural(s, p)
         limit = _limit(s_n, p_n)
-        stack, eigs, failures, rerouted = _serve(s_n, p_n, limit, methods)
+        stack, eigs, failed, failure, rerouted = _serve(s_n, p_n, limit, methods)
         at_limit = np.count_nonzero(limit) > 0
         if at_limit:
             stack[:, limit] = closed_forms.LIMIT_TABLE
@@ -225,9 +226,9 @@ def _evaluate(psf: GaussianPsf, s, p, methods) -> dict[str, Evaluation]:
     evs = {}
     for method, table in zip(methods, stack):
         marks, error = [], None
-        if method == "pipeline" and failures:
-            marks.append((list(failures), "failed"))
-            i, (kind, reason) = next(iter(failures.items()))
+        if method == "pipeline" and failure:
+            marks.append((failed, "failed"))
+            (kind, reason), i = failure, np.argmax(failed)
             error = kind(f"pipeline fails at (s={float(s[i])!r}, p={float(p[i])!r}): {reason}")
         if method == "gaussian-closed" and np.count_nonzero(rerouted):
             marks.append((rerouted, "general"))

@@ -28,17 +28,13 @@ scales the results and labels every point.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .errors import DegenerateBasisError, SrlocError
 from .gram import _DRHO_ROWS, COORDINATES, _abs2, factor
-from .psf import NATURAL, OverlapJet, gaussian_constants, gaussian_overlap_jet
+from .psf import NATURAL, OverlapJet, gaussian_constants
 
 __all__ = ["PARAMETERS", "COLUMNS", "matrices", "pair_scale", "pipeline"]
-
-logger = logging.getLogger(__name__)
 
 # Estimation parameters, fixed order used by every 4x4 matrix in the package.
 PARAMETERS = ("s", "xbar", "p", "zbar")
@@ -82,6 +78,15 @@ def pair_scale(a, b):
     return scale
 
 
+# A point whose smallest normalized pivot T_jj^2 / S_jj falls below this
+# counts as numerically degenerate.  Each normalized pivot is at least the
+# ratio of the extreme eigenvalues of S.  Near (0, 0) the pipeline's error
+# grows as the pivots shrink; at this bound each point of the grid
+# [0, 0.12]^2 (k = 1, z_R = 2) that it serves and the eigenvalue-ratio test
+# at 1e-12 refused is closer to the 50-digit oracle than the worst point
+# that test served.
+DEGENERACY_THRESHOLD = 5e-8
+
 # Max tolerated asymmetry of Re/Im Tr(rho L L) before symmetrization.
 _ASYMMETRY_LIMIT = 1e-10
 
@@ -94,6 +99,9 @@ BLOCK_POINTS = 512
 
 # The constants of NATURAL, which the pipeline and the general forms take.
 _CONSTS = gaussian_constants(NATURAL)
+# S_jj of the rows of gram.factor's five pivots, as a column.
+_PIVOT_NORMS = np.array([[1.0], [_CONSTS.dpsi_norm_sq], [_CONSTS.g_variance],
+                         [_CONSTS.dpsi_norm_sq], [_CONSTS.g_variance]])
 
 # State column of each coordinate derivative of rho; the derivative columns
 # are 2..5 in COORDINATES order.
@@ -168,18 +176,20 @@ def _support_drho(t: dict, cos, sin, n: int) -> np.ndarray:
 def _pipeline_block(jet: OverlapJet):
     """Run the pipeline on the n points of an overlap jet at once: the (n, 16)
     table of H and Gamma, every entry with its own roundoff, rho's eigenvalues
-    (n, 6), descending, and the failures, index -> (error type, reason).
+    (n, 6), descending, the (n,) mask of the points it refuses and, where it
+    refuses any, the failure of the first, (error type, reason); else None.
 
     Every step but the traces is elementwise, with the points on the last
     axis: the Cholesky factor and the eigenframe of rho's support block in
     closed form, the SLD rows as broadcast products.  No step calls LAPACK,
     and a point gives the same bits alone as inside a stack; for one point
-    the factor and the frame run on numpy scalars.  A refused point's
-    outputs are NaN and its failure is recorded.
+    the factor and the frame run on numpy scalars.  A point is refused, its
+    outputs NaN, where a normalized pivot T_jj^2 / S_jj is not at least
+    ``DEGENERACY_THRESHOLD`` (as (s, p) -> (0, 0), or where the jet is not
+    finite) or where the traces' asymmetry is ``_ASYMMETRY_LIMIT`` or more.
     """
     n = len(jet.gamma)
-    t, refused = factor(jet[0] if n == 1 else jet, _CONSTS)
-    failures = {i: (DegenerateBasisError, reason) for i, reason in refused.items()}
+    t, pivots = factor(jet[0] if n == 1 else jet, _CONSTS)
     with np.errstate(all="ignore"):  # the refused points' entries may be NaN
         q = np.zeros((6, n))
         q[0], q[1], cos, sin = _support_frame(t[0, 0], t[0, 1], t[1, 1])
@@ -194,45 +204,44 @@ def _pipeline_block(jet: OverlapJet):
         c_h = c.conj().swapaxes(-1, -2)
         # max(|H - H^T|, |Gamma + Gamma^T|) before symmetrization, per point
         asym = np.abs((c - c_h).view(float)).reshape(n, -1).max(axis=1)
-    for i in np.flatnonzero(asym >= _ASYMMETRY_LIMIT):
-        failures.setdefault(int(i), (
-            SrlocError,
-            f"information-matrix asymmetry {asym[i]:.3e} exceeds "
-            f"{_ASYMMETRY_LIMIT:.1e}; inputs are inconsistent or ill-conditioned",
-        ))
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("qfim pre-symmetrization residual, max over %d points: %.3e",
-                     n, float(np.max(asym, initial=0.0)))
+    # a jet that is not finite leaves a NaN pivot, which is low
+    pivots = np.reshape(pivots, (5, n))
+    low = ~(pivots >= DEGENERACY_THRESHOLD * _PIVOT_NORMS)
+    failed = low.any(axis=0) | (asym >= _ASYMMETRY_LIMIT)
 
     # H's entries are the real parts, Gamma's the imaginary ones
     table, eigs = ((c + c_h) * 0.5).view(float)[:, ROW, _PART], q.T
-    if failures:
-        bad = list(failures)
-        table[bad] = eigs[bad] = np.nan
-    return table, eigs, dict(sorted(failures.items()))
-
-
-def _jet(s, p) -> OverlapJet:
-    """The overlap jet of ``NATURAL`` at (s, p), which the pipeline and the
-    general forms read; where it overflows it holds inf or NaN, which
-    ``gram.factor`` reports as a refused point."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return gaussian_overlap_jet(NATURAL, s, p)
+    if not np.count_nonzero(failed):
+        return table, eigs, failed, None
+    table[failed] = eigs[failed] = np.nan
+    i = int(np.argmax(failed))
+    at = jet[i]
+    if not np.isfinite([at.gamma, at.d_s, at.d_p, at.d_ss, at.d_pp, at.d_sp]).all():
+        failure = DegenerateBasisError, "overlap jet is not finite (it overflows at this separation)"
+    elif low[:, i].any():
+        j = int(np.argmax(low[:, i]))
+        failure = DegenerateBasisError, (
+            "basis is numerically degenerate (normalized Cholesky pivot "
+            f"{pivots[j, i] / _PIVOT_NORMS[j, 0]:.3e} below threshold {DEGENERACY_THRESHOLD:.1e}); "
+            "the sources are too close for the numerical route -- use the coincident-source limit")
+    else:
+        failure = SrlocError, (f"information-matrix asymmetry {asym[i]:.3e} exceeds "
+                               f"{_ASYMMETRY_LIMIT:.1e}; inputs are inconsistent or ill-conditioned")
+    return table, eigs, failed, failure
 
 
 def pipeline(jet: OverlapJet):
-    """The stacked pipeline of ``NATURAL`` on the N points of its overlap jet
-    (``_jet``), in blocks of ``BLOCK_POINTS``.
+    """The stacked pipeline of ``NATURAL`` on the N points of its overlap jet,
+    in blocks of ``BLOCK_POINTS``.
 
     Returns the (N, 16) table of H and Gamma, rho's eigenvalues (N, 6),
-    descending, and the failures, index -> (error type, reason), in index
-    order; failed points hold NaN.
+    descending, the (N,) mask of the refused points, which hold NaN, and the
+    failure of the first, (error type, reason), or None.
     """
     n = len(jet.gamma)
     if n <= BLOCK_POINTS:
         return _pipeline_block(jet)
-    starts = range(0, n, BLOCK_POINTS)
-    tables, eigs, failures = zip(*(_pipeline_block(jet[start:start + BLOCK_POINTS])
-                                   for start in starts))
-    return np.concatenate(tables), np.concatenate(eigs), {
-        start + i: failure for start, block in zip(starts, failures) for i, failure in block.items()}
+    tables, eigs, failed, failures = zip(*(_pipeline_block(jet[start:start + BLOCK_POINTS])
+                                           for start in range(0, n, BLOCK_POINTS)))
+    return (np.concatenate(tables), np.concatenate(eigs), np.concatenate(failed),
+            next((failure for failure in failures if failure), None))

@@ -38,10 +38,12 @@ def build_gram_stack(jet, consts):
 
 def factor_stack(jet, consts):
     """``factor`` of a jet of N points as an (N, 6, 6) stack of upper
-    triangular matrices, and its refused points."""
-    t, refused = factor(jet, consts)
+    triangular matrices, and its five pivots normalized, T_jj^2 / S_jj, as
+    a (5, N) array."""
+    t, pivots = factor(jet, consts)
     n = np.size(jet.gamma)
     stack = np.zeros((n, 6, 6), dtype=complex)
     for (row, col), entry in t.items():
         stack[:, row, col] = entry
-    return stack, refused
+    n_sq, v = consts.dpsi_norm_sq, consts.g_variance
+    return stack, np.reshape(pivots, (5, n)) / [[1.0], [n_sq], [v], [n_sq], [v]]

@@ -153,6 +153,11 @@ def test_qcrb_subset_validates_input():
             qcrb_subset(h, bad, UNIT_BUDGET)
 
 
+def test_qcrb_rejects_a_matrix_that_is_not_4x4():
+    with pytest.raises(InvalidParameterError, match=r"H must be 4x4, got shape \(3, 3\)"):
+        qcrb_total(np.eye(3), UNIT_BUDGET)
+
+
 # ----------------------------------------------------------- compatibility
 
 
@@ -206,3 +211,12 @@ def test_compatibility_respects_tolerance():
     g[0, 1], g[1, 0] = 1e-6, -1e-6
     assert not compatibility_report(h, g, tol=1e-8).pairs[("s", "xbar")].measurement_compatible
     assert compatibility_report(h, g, tol=1e-3).pairs[("s", "xbar")].measurement_compatible
+
+
+def test_compatibility_scale_falls_back_where_a_diagonal_entry_is_zero():
+    # sqrt(H_ss H_xx) = 0: the pair is scaled by max(max |H|, 1) = 1 instead
+    h = np.diag([1.0, 0.0, 1.0, 1.0])
+    h[0, 1] = h[1, 0] = 0.5
+    pair = compatibility_report(h, np.zeros((4, 4))).pairs[("s", "xbar")]
+    assert pair.h_over_scale == 0.5 and pair.gamma_over_scale == 0.0
+    assert pair.measurement_compatible and not pair.statistically_independent

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 
@@ -199,6 +201,52 @@ def test_negative_tolerance_is_a_usage_error(capsys, tmp_path, monkeypatch, argv
     assert code == 2
     assert err.startswith("usage:") and "error: argument --tol:" in err
     assert out == "" and not (tmp_path / "x.csv").exists()
+
+
+def test_negative_numbers_in_e_notation_are_values(capsys, tmp_path, monkeypatch):
+    # argparse's own pattern for a negative number has no exponent: it read
+    # "-1e-3" as an unknown option, and --p as missing its value
+    monkeypatch.chdir(tmp_path)
+    for option, other in (("--s", "--p"), ("--p", "--s")):
+        for method in (*srloc.routes.METHODS, "all"):
+            point = [*PSF, other, "1", "--method", method]
+            spaced = run_json(capsys, "eval", *point, option, "-1e-3")
+            assert spaced == run_json(capsys, "eval", *point, f"{option}=-1e-3")
+            assert spaced[option[2:]] == -0.001
+        budget = ["--nu", "1", "--m", "1", "--eps", "1"]
+        assert (run_json(capsys, "crb", *PSF, other, "1", option, "-1E-3", *budget)
+                == run_json(capsys, "crb", *PSF, other, "1", option, "-0.001", *budget))
+    sweep = ["sweep", *PSF, "--sweep", "s", "--range", "0:1:0.5"]
+    for fixed, out in (["--fixed", "-1e-3"], "a.csv"), (["--fixed=-1e-3"], "b.csv"):
+        assert run(capsys, *sweep, *fixed, "--out", out) == (0, "", "")
+    rows = (tmp_path / "a.csv").read_text().splitlines()
+    assert (tmp_path / "b.csv").read_text().splitlines() == rows
+    assert [row.split(",")[2] for row in rows[1:]] == ["-0.001"] * 3
+    # a negative value reaches the typed check of its own field
+    for command in (["eval", "--s", "1", "--p", "0"], ["crossval"], ["limits"]):
+        code, out, err = run(capsys, command[0], "--k", "-1e3", "--zr", "2", *command[1:])
+        assert (code, out, err) == (2, "", "error: wavenumber k must be positive, got -1000.0\n")
+
+
+def test_a_non_numeric_value_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "--k", "abc", "--zr", "2", "--s", "1", "--p", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("usage:")
+    assert err.endswith("error: argument --k: expected a finite number, got 'abc'\n")
+
+
+def test_crb_prints_a_model_validity_warning_as_one_line(tmp_path):
+    # run as a command: pytest records warnings in process, so none reaches stderr
+    src = os.path.dirname(os.path.dirname(srloc.routes.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    budget = ["--nu", "1", "--m", "1", "--eps", "2"]
+    for point in (["--from-limits"], ["--s", "1", "--p", "2"]):
+        done = subprocess.run([sys.executable, "-m", "srloc.cli", "crb", *PSF, *point, *budget],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, check=False)
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["budget"]["eps"] == 2.0
+        assert done.stderr == ("warning: eps = 2.0 exceeds 1: the weak-source model assumes "
+                               "at most one photon per coherence interval\n")
 
 
 JET_OVERFLOWS = "pipeline fails at {}: overlap jet is not finite"

@@ -5,21 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import srloc.gram
+import srloc.sld
+from srloc import evaluate
+from srloc.errors import DegenerateBasisError
 from srloc.gram import _DRHO_ROWS, COORDINATES, factor
 from srloc.psf import (NATURAL, OverlapJet, SourceGeometry, gaussian_constants,
                        gaussian_overlap_jet)
+from srloc.sld import DEGENERACY_THRESHOLD
 
 from gram_reference import build_gram_stack, factor_stack
 
 
 def gram_at(psf, s, p):
-    """The reference Gram matrix at (s, p) and the reason ``factor`` refuses
-    the point, or None."""
+    """The reference Gram matrix at (s, p) and the five normalized pivots
+    T_jj^2 / S_jj of ``factor`` there."""
     jet = gaussian_overlap_jet(psf, s, p)
     stack = build_gram_stack(jet, gaussian_constants(psf))
     assert stack.shape == (1, 6, 6)
-    return stack[0], factor(jet, gaussian_constants(psf))[1].get(0)
+    return stack[0], factor_stack(jet, gaussian_constants(psf))[1][:, 0]
 
 
 # ------------------------------------------------------------- structure
@@ -65,22 +68,24 @@ def test_first_derivative_entries_signs(psf):
 def test_positive_definite_on_grid(psf, consts):
     s, p = (a.ravel() for a in np.meshgrid(np.linspace(0.1, 5.0, 8), np.linspace(0.1, 5.0, 8)))
     jet = gaussian_overlap_jet(psf, s, p)
-    assert factor(jet, consts)[1] == {}
+    assert np.all(factor_stack(jet, consts)[1] >= DEGENERACY_THRESHOLD)
     stack = build_gram_stack(jet, consts)
     np.linalg.cholesky(stack)  # raises if any matrix is not PD
     assert np.all(np.linalg.eigvalsh(stack)[:, 0] > 0.0)
 
 
 def test_degenerate_at_coincident_sources(psf):
-    _, reason = gram_at(psf, 0.0, 0.0)
-    assert "numerically degenerate" in reason
+    _, pivots = gram_at(psf, 0.0, 0.0)
+    assert pivots[0] == 0.0  # 1 - |gamma|^2
+    failure = srloc.sld.pipeline(gaussian_overlap_jet(NATURAL, np.zeros(1), np.zeros(1)))[3]
+    assert failure[0] is DegenerateBasisError and "numerically degenerate" in failure[1]
 
 
-def test_degeneracy_threshold_configurable(psf, consts, monkeypatch):
-    jet = gaussian_overlap_jet(psf, 0.05, 0.05)
-    assert factor(jet, consts)[1] == {}  # fine at the default threshold
-    monkeypatch.setattr(srloc.gram, "DEGENERACY_THRESHOLD", 1e-2)
-    assert "numerically degenerate" in factor(jet, consts)[1][0]
+def test_degeneracy_threshold_configurable(psf, monkeypatch):
+    assert evaluate(psf, [0.05], [0.05], "pipeline").route == ("pipeline",)  # fine at the default
+    monkeypatch.setattr(srloc.sld, "DEGENERACY_THRESHOLD", 1e-2)
+    ev = evaluate(psf, [0.05], [0.05], "pipeline")
+    assert ev.route == ("failed",) and "numerically degenerate" in str(ev.error)
 
 
 def test_gram_entries_depend_only_on_separations(psf, consts):
@@ -110,12 +115,12 @@ def test_factor_matches_the_reference_gram_and_lapack(s, p):
     consts = gaussian_constants(NATURAL)
     jet = gaussian_overlap_jet(NATURAL, np.array([s, s]), np.array([p, -p]))
     gram = build_gram_stack(jet, consts)
-    t, refused = factor_stack(jet, consts)
+    t, pivots = factor_stack(jet, consts)
     assert np.array_equal(t, np.triu(t))
     root = np.sqrt(np.diagonal(gram, axis1=1, axis2=2).real)
     scale = root[:, :, None] * root[:, None, :]
     assert np.max(np.abs(t.conj().swapaxes(-1, -2) @ t - gram) / scale) <= 1e-14
-    for i in set(range(2)) - set(refused):
+    for i in np.flatnonzero(np.all(pivots >= DEGENERACY_THRESHOLD, axis=0)):
         diag = np.diagonal(t[i])
         assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
         # LAPACK's factor is exact to about eps times the condition of the
@@ -127,8 +132,8 @@ def test_factor_matches_the_reference_gram_and_lapack(s, p):
 
 def test_factor_far_apart_is_diagonal(consts):
     # at s = 80 the jet underflows to 0: S and T are diagonal, exactly
-    t, refused = factor_stack(gaussian_overlap_jet(NATURAL, 80.0, 0.0), consts)
-    assert refused == {}
+    t, pivots = factor_stack(gaussian_overlap_jet(NATURAL, 80.0, 0.0), consts)
+    assert np.array_equal(pivots[:, 0], np.ones(5))
     assert np.array_equal(t[0], np.diag([1.0, 1.0, 0.5, 0.25, 0.5, 0.25]))
 
 
@@ -137,17 +142,27 @@ def test_factor_refuses_a_non_positive_pivot(consts):
     # 1 - |gamma|^2 is negative, or 0
     zero = np.zeros(3, dtype=complex)
     jet = OverlapJet(np.array([0.5, 1.5, 1.0]), zero, zero, zero, zero, zero)
-    refused = factor(jet, consts)[1]
-    assert list(refused) == [1, 2]
-    assert "normalized Cholesky pivot -1.250e+00 below" in refused[1]
-    assert "normalized Cholesky pivot 0.000e+00 below" in refused[2]
+    assert np.array_equal(factor(jet, consts)[1][0], [0.75, -1.25, 0.0])
+    # sld refuses each point with a pivot below its threshold, naming the
+    # first pivot of the first such point
+    _, _, failed, failure = srloc.sld.pipeline(jet)
+    assert failed.tolist() == [False, True, True]
+    assert "normalized Cholesky pivot -1.250e+00 below" in failure[1]
+    _, _, failed, failure = srloc.sld.pipeline(jet[2:])
+    assert failed.tolist() == [True]
+    assert "normalized Cholesky pivot 0.000e+00 below" in failure[1]
 
 
 def test_factor_refuses_a_non_finite_jet(psf, consts):
     with np.errstate(all="ignore"):
         jet = gaussian_overlap_jet(psf, np.array([1.0, 1e200]), np.array([0.0, 0.0]))
-    assert factor(jet, consts)[1] == {
-        1: "overlap jet is not finite (it overflows at this separation)"}
+    pivots = factor_stack(jet, consts)[1]
+    assert np.all(pivots[:, 0] >= DEGENERACY_THRESHOLD)
+    assert not np.all(pivots[:, 1] >= DEGENERACY_THRESHOLD)
+    _, _, failed, failure = srloc.sld.pipeline(jet)
+    assert failed.tolist() == [False, True]
+    assert failure == (DegenerateBasisError,
+                       "overlap jet is not finite (it overflows at this separation)")
 
 
 def test_factor_point_bits_independent_of_stack(psf, consts):

@@ -165,6 +165,24 @@ def test_all_routes_computes_the_overlap_jet_once_per_block(psf, monkeypatch):
         assert str(ev.error) == str(alone[method].error)
 
 
+def test_tables_keep_their_bits_where_the_one_point_jet_differs_in_a_signed_zero():
+    # the jet's products underflow here: its d_ss is 0j alone and -0j among
+    # others (psf._points), yet the tables of both jet routes take the same bits
+    psf = GaussianPsf(k=4.801877830709896, z_r=2.0540411173779022e-05)
+    s, p = 5.81127931, -1.54733487e+226
+    with np.errstate(all="ignore"):
+        one = srloc.psf.gaussian_overlap_jet(NATURAL, *psf.natural(s, p))
+        two = srloc.psf.gaussian_overlap_jet(NATURAL, *psf.natural(np.array([s, 1.0]),
+                                                                   np.array([p, 1.0])))
+    for field in ("gamma", "d_s", "d_p", "d_ss", "d_pp", "d_sp"):
+        assert getattr(one, field) == getattr(two, field)[0], field
+    for method in ("pipeline", "general"):
+        alone = evaluate(psf, [s], [p], method)
+        among = evaluate(psf, [s, 1.0], [p, 1.0], method)
+        assert alone.route == (method,) and among.route == (method, method)
+        assert alone.table[0].tobytes() == among.table[0].tobytes(), method
+
+
 def test_gaussian_closed_matches_the_oracle_at_coincident_centroids_on_axis(psf):
     # s = 0 with 1 - |gamma|^2 from just above the general forms' guard (1e-10)
     # to 2e-8: the general forms serve these points, the limit is 1e-4 off

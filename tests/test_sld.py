@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import srloc.psf
+import srloc.routes
 import srloc.sld
 from srloc import evaluate
 from srloc.closed_forms import gaussian_matrices, small_separation_limit
 from srloc.errors import DegenerateBasisError, InvalidParameterError, SrlocError
-from srloc.gram import COORDINATES, DEGENERACY_THRESHOLD
-from srloc.psf import SourceGeometry, gaussian_overlap_jet
-from srloc.sld import PARAMETERS, _support_frame, _to_physical
+from srloc.gram import COORDINATES
+from srloc.psf import NATURAL, SourceGeometry, gaussian_overlap_jet
+from srloc.sld import DEGENERACY_THRESHOLD, PARAMETERS, _support_frame, _to_physical
 
 from one_point import pipeline_point
 from oracle import oracle, row_scaled_error
@@ -368,15 +369,14 @@ def test_stack_reports_failures_per_point(psf):
 
 def test_stack_isolates_cholesky_failure(psf, monkeypatch):
     # a non-positive pivot at the victim point only: 1 - |gamma|^2 < 0 there
-    victim = srloc.sld._jet(*psf.natural(2.0, 1.0)).gamma
-    jet = srloc.sld._jet
+    victim = gaussian_overlap_jet(NATURAL, *psf.natural(2.0, 1.0)).gamma
 
-    def bad_pivot_at_victim(s, p):
-        out = jet(s, p)
+    def bad_pivot_at_victim(beam, s, p):
+        out = gaussian_overlap_jet(beam, s, p)
         return srloc.psf.OverlapJet(np.where(out.gamma == victim, 2.0, out.gamma), out.d_s,
                                     out.d_p, out.d_ss, out.d_pp, out.d_sp)
 
-    monkeypatch.setattr(srloc.sld, "_jet", bad_pivot_at_victim)
+    monkeypatch.setattr(srloc.routes, "gaussian_overlap_jet", bad_pivot_at_victim)
     stack = evaluate(psf, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], "pipeline")
     assert stack.route == ("pipeline", "failed", "pipeline")
     assert isinstance(stack.error, DegenerateBasisError)
@@ -393,6 +393,36 @@ def test_stack_asymmetry_limit_names_first_point(psf, monkeypatch):
     assert "asymmetry" in str(stack.error) and "(s=1.5, p=0.5)" in str(stack.error)
     with pytest.raises(SrlocError, match="asymmetry"):
         raise evaluate(psf, [1.5], [0.5], "pipeline").error
+
+
+def test_stack_refusals_across_blocks_name_the_first_refused_point(psf, monkeypatch):
+    # blocks of 4 points in routes and 2 in sld; at this asymmetry limit the far
+    # points (asymmetry 0) pass, (1, 0) and (2, 0) fail it alone, (1e-3, 0) fails
+    # a pivot alone (its traces are NaN), (0.01, 0) fails a pivot and the limit
+    monkeypatch.setattr(srloc.routes, "BLOCK_POINTS", 4)
+    monkeypatch.setattr(srloc.sld, "BLOCK_POINTS", 2)
+    monkeypatch.setattr(srloc.sld, "_ASYMMETRY_LIMIT", 1e-19)
+    s = np.array([40.0, 0.0, 30.0, 80.0, 0.01, 1.0, 1e-3, 50.0, 1e200, 2.0])
+    p = np.zeros_like(s)
+    stack = evaluate(psf, s, p, "pipeline")
+    failed = [4, 5, 6, 8, 9]
+    assert [i for i, route in enumerate(stack.route) if route == "failed"] == failed
+    assert stack.route[:4] == ("pipeline", "limit", "pipeline", "pipeline")
+    assert np.all(np.isnan(stack.table[failed])) and np.all(np.isnan(stack.rho_eigenvalues[failed]))
+    for i in (0, 2, 3, 7):
+        assert stack.table[i].tobytes() == evaluate(psf, [s[i]], [0.0], "pipeline").table[0].tobytes()
+    # the first refused point, in input order, whatever the block
+    assert type(stack.error) is DegenerateBasisError
+    assert "(s=0.01, p=0.0)" in str(stack.error) and "Cholesky pivot" in str(stack.error)
+    for start, kind, where, why in ((5, SrlocError, "(s=1.0, p=0.0)", "asymmetry"),
+                                    (6, DegenerateBasisError, "(s=0.001, p=0.0)", "Cholesky pivot"),
+                                    (8, DegenerateBasisError, "(s=1e+200, p=0.0)", "not finite")):
+        error = evaluate(psf, s[start:], p[start:], "pipeline").error
+        assert type(error) is kind and where in str(error) and why in str(error)
+    # (0.01, 0) fails the asymmetry limit too: it is what refuses it without the pivot rule
+    monkeypatch.setattr(srloc.sld, "DEGENERACY_THRESHOLD", 0.0)
+    error = evaluate(psf, [0.01], [0.0], "pipeline").error
+    assert type(error) is SrlocError and "asymmetry" in str(error)
 
 
 def test_stack_rejects_mismatched_coordinates(psf):
