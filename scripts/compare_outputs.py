@@ -42,9 +42,10 @@ overflows.  Then the parser's own output: ``-h`` and ``<command> -h``
 for each of the five subcommands, no arguments, ``nonsense``, ``eval``
 without ``--p``, ``eval ... --bogus 1``, ``--bogus eval ...`` and
 ``sweep ... --method magic``.  Last, ``eval --p -1e-3`` for every method
-and ``sweep --fixed -1e-3`` (a negative value in e-notation), and ``crb
+and ``sweep --fixed -1e-3`` (a negative value in e-notation), ``crb
 --eps 2`` with and without ``--from-limits`` (the weak-source model's
-warning on stderr).
+warning on stderr), and ``eval --p -inf`` and ``sweep --fixed -nan`` (a
+negative non-finite value, a usage error).
 """
 
 from __future__ import annotations
@@ -157,6 +158,10 @@ def commands() -> list[list[str]]:
                  "--out", CSV])
     for point in (["--from-limits"], ["--s", "1", "--p", "2"]):
         cmds.append(["crb", *PSF, *point, "--nu", "1000", "--m", "1", "--eps", "2"])
+    # a negative non-finite value reaches the finite-number check
+    cmds.append(["eval", *PSF, "--s", "1", "--p", "-inf"])
+    cmds.append(["sweep", *PSF, "--sweep", "s", "--range", "0:1:0.25", "--fixed", "-nan",
+                 "--out", CSV])
     return cmds
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "CompatibilityReport",
     "qcrb_total",
     "qcrb_subset",
+    "cramer_rao",
     "compatibility_report",
 ]
 
@@ -125,18 +126,35 @@ def _checked_inverse(h: np.ndarray) -> np.ndarray:
     )
 
 
-def _bound(h: np.ndarray, budget: EstimationBudget) -> float:
-    """Tr(h^-1) / (nu * M * eps); ``SrlocError`` where it overflows."""
-    bound = float(np.trace(_checked_inverse(h))) / budget.total_photons
+def _bound(h: np.ndarray, budget: EstimationBudget) -> tuple[float, np.ndarray]:
+    """Tr(h^-1) / (nu * M * eps) and h^-1; ``SrlocError`` where the bound overflows."""
+    h_inv = _checked_inverse(h)
+    bound = float(np.trace(h_inv)) / budget.total_photons
     if not bound < math.inf:  # NaN where H^-1 itself overflows
         raise SrlocError(f"Tr(H^-1) / (nu M eps) overflows for nu M eps = {budget.total_photons}")
-    return bound
+    return bound, h_inv
 
 
 def qcrb_total(h, budget: EstimationBudget) -> float:
     """Lower bound on the summed variances of all four parameters,
     Tr(H^-1) / (nu * M * eps)."""
-    return _bound(_as_4x4(h, "h", "H"), budget)
+    return _bound(_as_4x4(h, "h", "H"), budget)[0]
+
+
+def cramer_rao(h, budget: EstimationBudget) -> dict:
+    """What ``crb`` reports, from one checked inverse of H: the ``qcrb_total``
+    "bound", "tr_h_inv", the "per_parameter_bounds" (H^-1)_ii / (nu * M * eps)
+    by parameter and H's 2-norm "condition_number", ``SrlocError`` where that
+    overflows, as it can where H is well-posed only once scaled."""
+    h = _as_4x4(h, "h", "H")
+    bound, h_inv = _bound(h, budget)
+    condition = float(np.linalg.cond(h))
+    if condition == math.inf:
+        raise SrlocError(
+            f"the condition number of H overflows (eigenvalues {np.linalg.eigvalsh(h)})")
+    per_parameter = (np.diagonal(h_inv) / budget.total_photons).tolist()
+    return {"bound": bound, "tr_h_inv": float(np.trace(h_inv)), "condition_number": condition,
+            "per_parameter_bounds": dict(zip(PARAMETERS, per_parameter))}
 
 
 def qcrb_subset(h, subset: Iterable[str | int], budget: EstimationBudget) -> float:
@@ -159,7 +177,7 @@ def qcrb_subset(h, subset: Iterable[str | int], budget: EstimationBudget) -> flo
     if not indices or len(set(indices)) != len(indices):
         raise InvalidParameterError(f"subset must be non-empty without repeats, got {indices}")
     sub = _as_4x4(h, "h", "H")[np.ix_(indices, indices)]
-    return _bound(sub, budget)
+    return _bound(sub, budget)[0]
 
 
 def compatibility_report(h, gamma_mat, tol: float = 1e-8) -> CompatibilityReport:

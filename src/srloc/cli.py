@@ -72,7 +72,11 @@ def _nonnegative(text: str) -> float:
     return value
 
 
-def _parse_range(text: str) -> tuple[float, float, float]:
+def _grid(text: str, dims: int = 1) -> np.ndarray:
+    """The values start + i * step up to stop of ``--range`` start:stop:step,
+    for a grid of ``dims`` axes.  Raises ``InvalidParameterError`` where the
+    text is malformed and, before allocating them, where the grid would have
+    more than ``MAX_GRID_POINTS`` points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidParameterError(f"--range must be start:stop:step, got {text!r}")
@@ -84,15 +88,6 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         raise InvalidParameterError(
             f"--range needs finite start >= 0, step > 0, stop > start; got {text!r}"
         )
-    return start, stop, step
-
-
-def _grid(start: float, stop: float, step: float, dims: int = 1) -> np.ndarray:
-    """The values start + i * step up to stop, for a grid of ``dims`` axes.
-
-    Raises ``InvalidParameterError``, before allocating them, where the
-    grid would have more than ``MAX_GRID_POINTS`` points.
-    """
     span = (stop - start) / step + 1e-6  # overflows to inf for 0:1e300:1e-300
     count = math.floor(span) + 1 if math.isfinite(span) else math.inf
     if count ** dims > MAX_GRID_POINTS:
@@ -111,23 +106,39 @@ def _emit(record: dict, out: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _evaluate_point(psf: GaussianPsf, s: float, p: float, method: str) -> routes.Evaluation:
-    """``routes.evaluate`` at one point.  The pipeline method must serve the
-    point itself: ``eval`` and ``crb`` report its own matrices, never the
-    limit in their place, and raise its refusal instead."""
-    ev = routes.evaluate(psf, [s], [p], method)
-    if method == "pipeline" and ev.route[0] != "pipeline":
+def _evaluate_point(psf: GaussianPsf, s: float, p: float, method: str) -> dict:
+    """The evaluations of ``method`` at one point, of every route for ``all``.
+    The pipeline must serve the point itself: ``eval`` and ``crb`` raise its
+    refusal, before any other route's failure, and never report the limit."""
+    try:
+        evs = (routes.all_routes(psf, [s], [p]) if method == "all"
+               else {method: routes.evaluate(psf, [s], [p], method)})
+    except SrlocError:
+        if method == "all":  # a closed route fails: the pipeline's refusal, if any, first
+            _evaluate_point(psf, s, p, "pipeline")
+        raise
+    ev = evs.get("pipeline")
+    if ev is not None and ev.route[0] != "pipeline":
         raise ev.error or SmallSeparationError(
             f"the pipeline does not serve the coincident-source limit at (s={s!r}, p={p!r}), "
             f"where 1 - |gamma|^2 < {closed_forms.OVERLAP_DEGENERACY_TOL:.0e}; "
-            "use the `limits` command"
-        )
-    return ev
+            "use the `limits` command")
+    return evs
+
+
+def _first(mask: np.ndarray, s, p) -> str:
+    """The text " at (s=..., p=...)" of the first point in ``mask``, or "" for none."""
+    return "".join(f" at (s={float(s[i])!r}, p={float(p[i])!r})" for i in np.flatnonzero(mask)[:1])
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     psf = GaussianPsf(k=args.k, z_r=args.zr)
     s, p = args.s, args.p
+    evs = _evaluate_point(psf, s, p, args.method)
+    ev = evs["pipeline" if args.method == "all" else args.method]
+    h, g = matrices(ev.table[0])
+    # in natural units, as the routes take it: s * s can overflow in physical ones
+    ag = float(abs(gaussian_overlap(NATURAL, *psf.natural(s, p))))
     record: dict = {
         "command": "eval",
         "method": args.method,
@@ -137,36 +148,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "p": p,
         "parameters": list(PARAMETERS),
         "varsigma": closed_forms.varsigma(psf.k, psf.z_r, s, p),
+        "abs_gamma": ag,
+        "route": ev.route[0],
+        "h": h.tolist(),
+        "gamma_matrix": g.tolist(),
+        "rho_eigenvalues": (ev.rho_eigenvalues[0].tolist() if ev.rho_eigenvalues is not None
+                            else [0.5 * (1.0 + ag), 0.5 * (1.0 - ag), 0.0, 0.0, 0.0, 0.0]),
     }
-    ev = _evaluate_point(psf, s, p, "pipeline" if args.method == "all" else args.method)
-    route = ev.route[0]
-    if args.method == "all":  # the other routes only once the pipeline has served
-        evs = {method: ev if method == "pipeline" else routes.evaluate(psf, [s], [p], method)
-               for method in routes.METHODS}
-    h, g = matrices(ev.table[0])
-    # in natural units, as the routes take it: s * s can overflow in physical ones
-    record["abs_gamma"] = ag = float(abs(gaussian_overlap(NATURAL, *psf.natural(s, p))))
-    if ev.rho_eigenvalues is not None:
-        rho_eigs = ev.rho_eigenvalues[0].tolist()
-    else:
-        rho_eigs = [0.5 * (1.0 + ag), 0.5 * (1.0 - ag), 0.0, 0.0, 0.0, 0.0]
     if args.method == "all":
-        dev = routes.deviations(evs)
-        max_rel = float(dev.max_rel[0])
+        check = routes.deviations(evs, args.tol)
         record["cross_check"] = {
-            "routes": sorted(m for m, served in zip(routes.METHODS, dev.served[0]) if served),
-            "max_abs_deviation": float(dev.max_abs[0]),
-            "max_rel_deviation": max_rel,
+            "routes": sorted(m for m, served in zip(routes.METHODS, check.served[0]) if served),
+            "max_abs_deviation": float(check.max_abs[0]),
+            "max_rel_deviation": float(check.max_rel[0]),
             "tol": args.tol,
-            "pass": max_rel <= args.tol,
+            "pass": check.passed,
         }
-    record["route"] = route
-    record["h"] = h.tolist()
-    record["gamma_matrix"] = g.tolist()
-    record["rho_eigenvalues"] = rho_eigs
     _emit(record, args.out)
-    if "cross_check" in record and not record["cross_check"]["pass"]:
-        print("error: cross-method deviation exceeds tolerance", file=sys.stderr)
+    if args.method == "all" and not check.passed:
+        print(f"error: {check.reason} at (s={s!r}, p={p!r})", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -195,19 +195,15 @@ def _csv_rows(swept: str, normalized: bool, table: np.ndarray) -> Iterator[str]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Evaluate a sweep and write the CSV, rows in grid order."""
-    start, stop, step = _parse_range(args.range)
+    values = _grid(args.range)
     psf = GaussianPsf(k=args.k, z_r=args.zr)
-    values = _grid(start, stop, step)
     fixed = np.full_like(values, args.fixed)
     s, p = (values, fixed) if args.sweep == "s" else (fixed, values)
     if args.method == "all":
         evs = routes.all_routes(psf, s, p)
-        dev = routes.deviations(evs)
-        over = np.flatnonzero(dev.compared & (dev.max_rel > args.tol))
-        if len(over):
-            i = over[0]
-            raise SrlocError(f"cross-method deviation {float(dev.max_rel[i]):.3e} > "
-                             f"{args.tol:.1e} at (s={float(s[i])!r}, p={float(p[i])!r})")
+        check = routes.deviations(evs, args.tol)
+        if not check.passed:
+            raise SrlocError(check.reason + _first(check.failed, s, p))
         ev = evs["gaussian-closed"]
     else:
         ev = routes.evaluate(psf, s, p, args.method)
@@ -222,9 +218,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         table[:, 2:7] = ev.table[:, :5] / norm
     finite = np.isfinite(table[:, 2:7]).all(axis=1)
     if not finite.all():
-        i = np.flatnonzero(~finite)[0]
-        raise SrlocError(f"--normalized H / (k / (2 z_R)) overflows at (s={float(s[i])!r}, "
-                         f"p={float(p[i])!r})")
+        raise SrlocError(f"--normalized H / (k / (2 z_R)) overflows{_first(~finite, s, p)}")
     table[:, 7:] = ev.table[:, 5:9]
 
     if "limit" in ev.route:
@@ -244,43 +238,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_crossval(args: argparse.Namespace) -> int:
     psf = GaussianPsf(k=args.k, z_r=args.zr)
-    start, stop, step = _parse_range(args.range)
-    values = _grid(start, stop, step, dims=2)
-
-    grid_s = np.repeat(values, len(values))
-    grid_p = np.tile(values, len(values))
-    evs = routes.all_routes(psf, grid_s, grid_p)
-    dev = routes.deviations(evs)
-    counted = dev.compared
-    n_points = int(np.count_nonzero(counted))
-    n_full = int(np.count_nonzero(dev.served.all(axis=1)))
-    # points with fewer than two served routes read 0 here
-    max_abs = float(dev.max_abs.max(initial=0.0))
-    max_rel = float(dev.max_rel.max(initial=0.0))
-    over = np.flatnonzero(counted & (dev.max_rel > args.tol))[:20]
-    failures = [{"s": float(grid_s[i]), "p": float(grid_p[i]),
-                 "max_rel_deviation": float(dev.max_rel[i])} for i in over]
-    sparsity_ok = bool(np.all(dev.sparsity_ok, where=counted))
-
-    passed = max_rel <= args.tol and sparsity_ok and n_points > 0
+    values = _grid(args.range, dims=2)
+    grid_s, grid_p = np.repeat(values, len(values)), np.tile(values, len(values))
+    check = routes.deviations(routes.all_routes(psf, grid_s, grid_p), args.tol)
     record = {
         "command": "crossval",
         "k": psf.k,
         "zr": psf.z_r,
         "range": args.range,
         "tol": args.tol,
-        "n_points": n_points,
-        "n_points_all_three_routes": n_full,
-        "max_abs_deviation": max_abs,
-        "max_rel_deviation": max_rel,
-        "per_entry_max_rel_deviation_h": dev.rel_h.tolist(),
-        "per_entry_max_rel_deviation_gamma": dev.rel_g.tolist(),
-        "sparsity_pattern_ok": sparsity_ok,
-        "failures": failures,
-        "pass": passed,
+        "n_points": check.n_points,
+        "n_points_all_three_routes": check.n_full,
+        # points with fewer than two served routes read 0 here
+        "max_abs_deviation": float(check.max_abs.max(initial=0.0)),
+        "max_rel_deviation": float(check.max_rel.max(initial=0.0)),
+        "per_entry_max_rel_deviation_h": check.rel_h.tolist(),
+        "per_entry_max_rel_deviation_gamma": check.rel_g.tolist(),
+        "sparsity_pattern_ok": bool(np.all(check.sparsity_ok, where=check.compared)),
+        "failures": [{"s": float(grid_s[i]), "p": float(grid_p[i]),
+                      "max_rel_deviation": float(check.max_rel[i])}
+                     for i in np.flatnonzero(check.failed)[:20]],
+        "pass": check.passed,
     }
     _emit(record, args.out)
-    return EXIT_OK if passed else EXIT_NUMERICAL
+    return EXIT_OK if check.passed else EXIT_NUMERICAL
 
 
 def cmd_limits(args: argparse.Namespace) -> int:
@@ -307,27 +288,15 @@ def cmd_crb(args: argparse.Namespace) -> int:
     else:
         if args.s is None or args.p is None:
             raise InvalidParameterError("crb needs either --from-limits or both --s and --p")
-        ev = _evaluate_point(psf, args.s, args.p, args.method)
+        ev = _evaluate_point(psf, args.s, args.p, args.method)[args.method]
         h, source = ev.h[0], ev.route[0]
-    bound = analysis.qcrb_total(h, budget)
-    h_inv = np.linalg.inv(h)
-    condition = float(np.linalg.cond(h))
-    if condition == math.inf:  # H is well-posed only once scaled (see analysis._checked_inverse)
-        raise SrlocError(
-            f"the condition number of H overflows (eigenvalues {np.linalg.eigvalsh(h)})")
     record = {
         "command": "crb",
         "k": psf.k,
         "zr": psf.z_r,
         "h_source": source,
         "budget": {"nu": budget.nu, "m": budget.m, "eps": budget.eps},
-        "tr_h_inv": float(np.trace(h_inv)),
-        "bound": bound,
-        "per_parameter_bounds": {
-            name: float(h_inv[i, i]) / budget.total_photons
-            for i, name in enumerate(PARAMETERS)
-        },
-        "condition_number": condition,
+        **analysis.cramer_rao(h, budget),
     }
     _emit(record, args.out)
     return EXIT_OK
@@ -344,8 +313,10 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # private to argparse, whose pattern has no exponent (^-\d+$|^-\d*\.\d+$ on 3.11)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # private to argparse, whose pattern has no exponent (^-\d+$|^-\d*\.\d+$ on 3.11);
+        # -inf and -nan read as values too, which _finite then refuses
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:

@@ -56,29 +56,32 @@ class Evaluation:
 
 @dataclass(frozen=True)
 class Deviations:
-    """Cross-route deviations and zero-pattern verdicts at N points.
+    """The cross-route verdict at N points, and the deviations it reads.
 
-    ``served[i, m]`` says whether ``METHODS[m]`` served point i by its own
-    route; only those routes are compared and checked.  Over the pairs of
-    served routes of a point, ``max_abs`` is the largest entry of |H_a - H_b|
-    and |Gamma_a - Gamma_b|, ``max_rel`` the largest divided by sqrt(|H_ii H_jj|)
-    of its first served route, and 0 with fewer than two served routes.
-    ``rel_h`` and ``rel_g`` are the per-entry maxima of the latter over all N
-    points.  ``sparsity_ok``: every served route keeps the entries of
-    ``sld.ZEROS`` within 1e-10, so scaled.
+    Only the routes that served a point by their own route (``served``) are
+    compared and checked there.  Over their pairs, ``max_abs`` is the largest
+    entry of |H_a - H_b| and |Gamma_a - Gamma_b|, ``max_rel`` the largest
+    divided by sqrt(|H_ii H_jj|) of the first served route, and 0 with fewer
+    than two served routes.  ``sparsity_ok``: every served route keeps the
+    entries of ``sld.ZEROS`` within 1e-10, so scaled.  A compared point (two
+    or more served routes) fails where ``max_rel`` is not within ``tol`` or
+    ``sparsity_ok`` is False.  The grid passes where a point is compared and
+    none fails; else ``reason`` says why, for the first failed point.
     """
 
     served: np.ndarray       # (N, 3) bool, in METHODS order
     max_abs: np.ndarray      # (N,)
     max_rel: np.ndarray      # (N,)
     sparsity_ok: np.ndarray  # (N,) bool
-    rel_h: np.ndarray        # (4, 4)
-    rel_g: np.ndarray        # (4, 4)
+    rel_h: np.ndarray        # (4, 4): per-entry maxima of the relative deviations of H
+    rel_g: np.ndarray        # (4, 4): the same of Gamma, over all N points
+    compared: np.ndarray     # (N,) bool: the points served by two or more routes
+    failed: np.ndarray       # (N,) bool: the compared points that fail
+    reason: str
 
-    @property
-    def compared(self) -> np.ndarray:
-        """(N,) bool: the points served by two or more routes."""
-        return self.served.sum(axis=1) >= 2
+    passed = property(lambda self: not self.reason)
+    n_points = property(lambda self: int(np.count_nonzero(self.compared)))  # compared points
+    n_full = property(lambda self: int(np.count_nonzero(self.served.all(axis=1))))  # all three
 
 
 # Points per pass of the routes (one overlap jet, the closed forms) and of the
@@ -271,9 +274,9 @@ def all_routes(psf: GaussianPsf, s: Sequence[float], p: Sequence[float]) -> dict
     return _evaluate(psf, s, p, METHODS)
 
 
-def deviations(evs: dict[str, Evaluation]) -> Deviations:
-    """The cross-route rule on the evaluations of ``all_routes`` (see
-    ``Deviations``), in blocks of ``BLOCK_POINTS`` points."""
+def deviations(evs: dict[str, Evaluation], tol: float) -> Deviations:
+    """The cross-route verdict at tolerance ``tol`` on the evaluations of
+    ``all_routes`` (see ``Deviations``), in blocks of ``BLOCK_POINTS`` points."""
     n = len(evs[METHODS[0]].route)
     served = np.empty((len(METHODS), n), dtype=bool)
     for row, method in zip(served, METHODS):
@@ -290,7 +293,14 @@ def deviations(evs: dict[str, Evaluation]) -> Deviations:
     # rel >= 0 mirrored into both triangles: the per-entry maxima of H and Gamma
     out = np.zeros((2, 4, 4))
     out[sld.GAMMA, sld.ROW, sld.COL] = out[sld.GAMMA, sld.COL, sld.ROW] = rel
-    return Deviations(served.T, max_abs, max_rel, ok, *out)
+    compared = served.sum(axis=0) >= 2
+    within = max_rel <= tol  # False where max_rel is NaN
+    failed = compared & ~(within & ok)
+    reason = "" if np.count_nonzero(compared) else "no point is served by two routes"
+    for i in np.flatnonzero(failed)[:1]:
+        reason = (f"cross-method deviation exceeds tolerance: {float(max_rel[i]):.3e} > {tol:.1e}"
+                  if not within[i] else "a served route breaks the zero pattern of H and Gamma")
+    return Deviations(served.T, max_abs, max_rel, ok, *out, compared, failed, reason)
 
 
 def _deviations_block(tables: np.ndarray, served: np.ndarray):

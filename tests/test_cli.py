@@ -228,6 +228,22 @@ def test_negative_numbers_in_e_notation_are_values(capsys, tmp_path, monkeypatch
         assert (code, out, err) == (2, "", "error: wavenumber k must be positive, got -1000.0\n")
 
 
+@pytest.mark.parametrize("spelling", ["-inf", "-nan", "-Infinity"])
+def test_negative_non_finite_values_reach_the_finite_check(capsys, tmp_path, monkeypatch,
+                                                           spelling):
+    # argparse read these as options, so the value was missing instead of refused
+    monkeypatch.chdir(tmp_path)
+    for option, argv in (
+            ("--p", ["eval", *PSF, "--s", "1", "--p", spelling]),
+            ("--s", ["eval", *PSF, "--s", spelling, "--p", "1"]),
+            ("--fixed", ["sweep", *PSF, "--sweep", "s", "--fixed", spelling, "--out", "x.csv"])):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: expected a finite number, "
+                            f"got {spelling!r}\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_a_non_numeric_value_is_a_usage_error(capsys):
     code, out, err = run(capsys, "eval", "--k", "abc", "--zr", "2", "--s", "1", "--p", "0")
     assert code == 2 and out == ""
@@ -468,6 +484,16 @@ def test_sweep_all_notes_the_pipeline_refusals(capsys, tmp_path):
     assert code == 0 and "pipeline" not in err
 
 
+def test_sweep_all_fails_where_no_point_is_compared(capsys, tmp_path):
+    # near the coincident sources at s = 0 the pipeline refuses every point off the
+    # limit and gaussian-closed reroutes each to the general forms: nothing is checked
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "sweep", *PSF, "--sweep", "p", "--fixed", "0",
+                       "--range", "0:0.0008:0.00002", "--method", "all", "--out", str(out))
+    assert (code, err) == (1, "error: no point is served by two routes\n")
+    assert not out.exists()
+
+
 def test_sweep_pipeline_matches_per_point_pipeline(capsys, tmp_path):
     psf = GaussianPsf(k=1.0, z_r=2.0)
     out = tmp_path / "pipeline.csv"
@@ -631,7 +657,7 @@ def test_crossval_drops_pipeline_route_exactly_where_it_fails():
     psf = GaussianPsf(k=1.0, z_r=2.0)
     grid = [(s, p) for s in (0.0, 0.01, 0.04, 0.5) for p in (0.0, 0.02, 1.0)]
     evs = srloc.routes.all_routes(psf, *zip(*grid))
-    served = srloc.routes.deviations(evs).served
+    served = srloc.routes.deviations(evs, 1e-8).served
     accepted = []
     for (s, p), routes in zip(grid, served):
         accepted.append(evaluate(psf, [s], [p], "pipeline").route == ("pipeline",))
@@ -683,15 +709,28 @@ def _shift(matrix, entries, delta):
     pytest.param("gaussian_gamma_matrix", [((1, 3), 1), ((3, 1), -1)], 1e-9,  # Gamma[1, 3]
                  id="gaussian_gamma_matrix-entries3-1e-09"),
 ])
-def test_crossval_sparsity_check_flags_each_zero_entry(capsys, monkeypatch, matrix, entries,
-                                                       delta):
+def test_crossval_sparsity_check_flags_each_zero_entry(capsys, monkeypatch, tmp_path, matrix,
+                                                       entries, delta):
+    # one verdict for the three commands that compare the routes
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("srloc.closed_forms.natural_gaussian_table",
                         _shift(matrix, entries, delta))
-    code, out, _ = run(capsys, "crossval", "--k", "1", "--zr", "2", "--range", "0:2:0.5",
-                       "--tol", "1")
-    record = json.loads(out)
-    assert code == 1
-    assert record["sparsity_pattern_ok"] is False and record["max_rel_deviation"] <= 1
+    for command in (["crossval", "--range", "0:2:0.5"],
+                    ["eval", "--s", "1", "--p", "1", "--method", "all"],
+                    ["sweep", "--sweep", "s", "--range", "0:2:0.5", "--fixed", "1",
+                     "--method", "all", "--out", "x.csv"]):
+        code, out, err = run(capsys, command[0], "--k", "1", "--zr", "2", *command[1:],
+                             "--tol", "1")
+        assert code == 1, command
+        if command[0] == "crossval":
+            record = json.loads(out)
+            assert record["sparsity_pattern_ok"] is False and record["max_rel_deviation"] <= 1
+        if command[0] == "eval":
+            check = json.loads(out)["cross_check"]
+            assert check["pass"] is False and check["max_rel_deviation"] <= 1
+        if command[0] != "crossval":
+            assert "zero pattern" in err and "at (s=" in err, command
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ------------------------------------------------------------- limits, crb
@@ -727,6 +766,22 @@ def test_crb_point_evaluation(capsys):
     )
     assert record["h_source"] == "gaussian-closed"
     assert record["per_parameter_bounds"]["s"] == pytest.approx(4.0, rel=1e-12)
+
+
+def test_crb_inverts_h_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(a, _inv=np.linalg.inv):
+        calls.append(np.shape(a))
+        return _inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    record = run_json(capsys, "crb", *PSF, "--s", "1", "--p", "2", "--nu", "1000", "--m", "1",
+                      "--eps", "1")
+    assert calls == [(4, 4)]
+    assert record["tr_h_inv"] / 1000.0 == pytest.approx(record["bound"], rel=1e-15)
+    assert sum(record["per_parameter_bounds"].values()) == pytest.approx(record["bound"],
+                                                                         rel=1e-12)
 
 
 def test_crb_invalid_budget(capsys):

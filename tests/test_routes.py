@@ -96,7 +96,7 @@ def test_evaluate_names_the_failure_where_s_squared_overflows(psf, method):
 def test_all_routes_keeps_each_method_on_its_own_route(psf):
     evs = all_routes(psf, [1.0, 0.0, 0.0], [2.0, 2.0, 0.0])
     assert list(evs) == list(METHODS)
-    served = deviations(evs).served
+    served = deviations(evs, 1e-8).served
     assert [[m for m, ok in zip(METHODS, row) if ok] for row in served] == [
         list(METHODS), ["pipeline", "general"], []]
     assert evs["gaussian-closed"].route == ("gaussian-closed", "general", "limit")
@@ -250,7 +250,7 @@ def test_routes_agree_on_the_default_grid_in_natural_units(k, zr):
     # crossval's default 20x20 grid 0.1:5:0.25, in units of w across and z_R along the axis
     v = 0.1 + 0.25 * np.arange(20)
     s, p = np.repeat(v, 20) * math.sqrt(zr / k), np.tile(v, 20) * zr
-    dev = deviations(all_routes(GaussianPsf(k=k, z_r=zr), s, p))
+    dev = deviations(all_routes(GaussianPsf(k=k, z_r=zr), s, p), 1e-8)
     assert dev.served.all()
     assert dev.max_rel.max() <= 1e-8
 
@@ -275,7 +275,7 @@ def test_deviations_scale_by_the_first_route():
         "pipeline": _evaluation([h, np.full((4, 4), np.nan)], ("pipeline", "failed")),
         "general": _evaluation([shifted, shifted], ("general", "general")),
         "gaussian-closed": _evaluation([h, h], ("gaussian-closed", "gaussian-closed")),
-    })
+    }, 1e-8)
     assert dev.served.tolist() == [[True, True, True], [False, True, True]]
     assert dev.compared.tolist() == [True, True]
     assert dev.max_abs == pytest.approx([0.04, 0.04])
@@ -306,7 +306,7 @@ def test_deviations_scale_keeps_its_bits_and_survives_tiny_diagonals():
         "pipeline": _evaluation([h] * n, ("pipeline",) * n),
         "general": _evaluation(shifted, ("general",) * n),
         "gaussian-closed": _evaluation([h] * n, ("gaussian-closed",) * n),
-    })
+    }, 1e-8)
     want = [abs(m[i, j] - h[i, j]) / scale for m, ((i, j), _, scale) in zip(shifted, cases)]
     assert dev.max_rel.tolist() == want and max(want) <= 1e-15
     for ((i, j), _, _), rel in zip(cases, want):
@@ -324,7 +324,7 @@ def test_deviations_scale_survives_huge_diagonals():
         "pipeline": _evaluation([h], ("pipeline",)),
         "general": _evaluation([shifted], ("general",)),
         "gaussian-closed": _evaluation([h], ("gaussian-closed",)),
-    })
+    }, 1e-8)
     assert dev.max_rel.tolist() == [1e145 / 1e160]
     assert dev.rel_h[0, 2] == dev.rel_h[2, 0] == 1e145 / 1e160
     assert dev.sparsity_ok.tolist() == [True]  # 1e-15, scaled: a zero
@@ -356,7 +356,7 @@ def test_deviations_point_bits_independent_of_grid(psf, monkeypatch):
     s = np.array([0.1, 0.0, 1.3, 0.0, 0.01, 2.5, 0.0, 1e-7, 3.7, 0.0])
     p = np.array([0.0, 2.0, 2.2, 0.0, 0.0, 0.0, 0.3, 1e-5, 1.1, 0.01])
     evs = all_routes(psf, s, p)
-    full = deviations(evs)
+    full = deviations(evs, 1e-8)
     assert set(np.count_nonzero(full.served, axis=1).tolist()) == {0, 1, 2, 3}
     assert {"failed", "limit"} <= set(evs["pipeline"].route)
     assert full.sparsity_ok.all()
@@ -364,11 +364,11 @@ def test_deviations_point_bits_independent_of_grid(psf, monkeypatch):
     for name, at in zip(GRID_FIELDS, (1, 2)):
         assert getattr(full, name).tobytes() == np.max([ref[at] for ref in refs], axis=0).tobytes()
     monkeypatch.setattr("srloc.routes.BLOCK_POINTS", 3)  # blocks of 3, 3, 3 and 1 points
-    blocked = deviations(evs)
+    blocked = deviations(evs, 1e-8)
     for name in POINT_FIELDS + GRID_FIELDS:
         assert getattr(blocked, name).tobytes() == getattr(full, name).tobytes(), name
     for i, (max_abs, rel_h, rel_g) in enumerate(refs):
-        alone = deviations(all_routes(psf, s[i:i + 1], p[i:i + 1]))
+        alone = deviations(all_routes(psf, s[i:i + 1], p[i:i + 1]), 1e-8)
         for name in POINT_FIELDS:
             assert getattr(alone, name).tobytes() == getattr(full, name)[i:i + 1].tobytes(), name
         assert full.max_abs[i] == max_abs
@@ -389,9 +389,36 @@ def test_sparsity_ok_reads_only_served_routes(monkeypatch):
         "general": _evaluation([leaky, h, h], ("general",) * 3),
         "gaussian-closed": _evaluation([h, leaky, h], ("gaussian-closed", "general", "gaussian-closed")),
     }
-    assert deviations(evs).sparsity_ok.tolist() == [False, True, True]
+    assert deviations(evs, 1e-8).sparsity_ok.tolist() == [False, True, True]
     monkeypatch.setattr("srloc.routes.BLOCK_POINTS", 2)
-    assert deviations(evs).sparsity_ok.tolist() == [False, True, True]
+    assert deviations(evs, 1e-8).sparsity_ok.tolist() == [False, True, True]
+
+
+def test_deviations_verdict_fails_a_point_over_tol_or_off_the_zero_pattern():
+    h = np.diag([4.0, 1.0, 1.0, 1.0])
+    shifted, leaky = h.copy(), h.copy()
+    shifted[0, 0] += 0.04  # max_rel 0.01
+    leaky[0, 1] = leaky[1, 0] = 1e-6  # above 1e-10 * sqrt(4 * 1), max_rel 5e-7
+    # point 1 is within any tol here; point 2 deviates; point 3 breaks the zero pattern;
+    # point 4 has one served route only, so it is not compared
+    evs = {
+        "pipeline": _evaluation([h, h, h, np.full((4, 4), np.nan)],
+                                ("pipeline", "pipeline", "pipeline", "failed")),
+        "general": _evaluation([h, shifted, leaky, h], ("general",) * 4),
+        "gaussian-closed": _evaluation([h] * 4, ("gaussian-closed",) * 3 + ("general",)),
+    }
+    loose = deviations(evs, 0.1)
+    assert loose.failed.tolist() == [False, False, True, False] and not loose.passed
+    assert loose.reason == "a served route breaks the zero pattern of H and Gamma"
+    assert (loose.n_points, loose.n_full) == (3, 3)
+    tight = deviations(evs, 1e-8)
+    assert tight.failed.tolist() == [False, True, True, False]
+    assert tight.reason == "cross-method deviation exceeds tolerance: 1.000e-02 > 1.0e-08"
+    # the first point alone passes; the fourth alone has nothing to compare
+    first = {method: _evaluation(ev.h[:1], ev.route[:1]) for method, ev in evs.items()}
+    assert deviations(first, 1e-8).passed and deviations(first, 1e-8).reason == ""
+    last = {method: _evaluation(ev.h[3:], ev.route[3:]) for method, ev in evs.items()}
+    assert deviations(last, 1.0).reason == "no point is served by two routes"
 
 
 separations = st.floats(min_value=0.0, max_value=1e3)
