@@ -39,9 +39,10 @@ physical units (``general`` and ``pipeline``), where ``H_ii H_jj``
 overflows (``all``) and where ``p / z_R`` overflows, and ``crb`` with a
 budget ``nu * m * eps`` that underflows or overflows and with a bound that
 overflows.  Then the parser's own output: ``-h`` and ``<command> -h``
-for each of the five subcommands, no arguments, ``nonsense``, ``eval``
-without ``--p``, ``eval ... --bogus 1``, ``--bogus eval ...`` and
-``sweep ... --method magic``.  Last, ``eval --p -1e-3`` for every method
+for each of the five subcommands, help before a subcommand (``-h eval``
+and ``--help crossval --k 1 --zr 2``), no arguments, ``nonsense``,
+``eval`` without ``--p``, ``eval ... --bogus 1``, ``--bogus eval ...``
+and ``sweep ... --method magic``.  Last, ``eval --p -1e-3`` for every method
 and ``sweep --fixed -1e-3`` (a negative value in e-notation), ``crb
 --eps 2`` with and without ``--from-limits`` (the weak-source model's
 warning on stderr), and ``eval --p -inf`` and ``sweep --fixed -nan`` (a
@@ -146,7 +147,8 @@ def commands() -> list[list[str]]:
     cmds.append(["crb", "--k", "3.361379129910657e-89", "--zr", "1.6189050187068476e+91",
                  "--s", "0", "--p", "0", "--method", "general", "--nu", "1",
                  "--m", "8.6289390270983e-151", "--eps", "0.5"])
-    cmds += [["-h"], *([command, "-h"] for command in COMMANDS), [], ["nonsense"],
+    cmds += [["-h"], *([command, "-h"] for command in COMMANDS),
+             ["-h", "eval"], ["--help", "crossval", *PSF], [], ["nonsense"],
              ["eval", *PSF, "--s", "1"],
              ["eval", *PSF, "--s", "1", "--p", "0", "--bogus", "1"],
              ["--bogus", "eval", *PSF, "--s", "1", "--p", "0"],

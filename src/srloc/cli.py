@@ -255,7 +255,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         "per_entry_max_rel_deviation_h": check.rel_h.tolist(),
         "per_entry_max_rel_deviation_gamma": check.rel_g.tolist(),
         "sparsity_pattern_ok": bool(np.all(check.sparsity_ok, where=check.compared)),
-        "failures": [{"s": float(grid_s[i]), "p": float(grid_p[i]),
+        "failures": [{"s": float(grid_s[i]), "p": float(grid_p[i]), "reason": check.why(i),
                       "max_rel_deviation": float(check.max_rel[i])}
                      for i in np.flatnonzero(check.failed)[:20]],
         "pass": check.passed,
@@ -319,91 +319,96 @@ class _Parser(argparse.ArgumentParser):
             r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The ``srloc`` parser, with the arguments of subcommand ``command`` only.
+def _eval_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--s", type=_finite, required=True, help="angular separation")
+    parser.add_argument("--p", type=_finite, required=True, help="axial separation")
+    parser.add_argument("--method", choices=METHODS, default="gaussian-closed")
+    parser.add_argument("--tol", type=_nonnegative, default=1e-8, help="cross-check tolerance")
+    parser.add_argument("--out", help="also write the JSON record to this path")
+    parser.set_defaults(func=cmd_eval)
 
-    A call parses one subcommand, so the other four's arguments would be
-    added and never read; adding them all was about 40% of building the
-    parser, itself most of a one-point ``eval``.  Every subparser is still
-    created with its help, so ``srloc -h``, an unknown subcommand and the
-    top-level usage line of an error read as they would with every argument
-    added.  Where ``command`` names no subcommand, none gets arguments, and
-    the top-level parser exits with its help or a usage error on its own.
+
+def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--sweep", choices=("s", "p"), required=True, help="swept variable")
+    parser.add_argument("--range", default="0:5:0.01",
+                        help="swept grid as start:stop:step (default 0:5:0.01)")
+    parser.add_argument("--fixed", type=_finite, default=0.0,
+                        help="value of the non-swept separation")
+    parser.add_argument("--method", choices=METHODS, default="gaussian-closed")
+    parser.add_argument("--normalized", action="store_true",
+                        help="divide H columns by N = k/(2 z_R)")
+    parser.add_argument("--tol", type=_nonnegative, default=1e-8, help="method=all check tolerance")
+    parser.add_argument("--out", required=True, help="output CSV path")
+    parser.set_defaults(func=cmd_sweep)
+
+
+def _crossval_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--range", default="0.1:5:0.25",
+                        help="grid for both s and p, start:stop:step")
+    parser.add_argument("--tol", type=_nonnegative, default=1e-8, help="relative tolerance")
+    parser.add_argument("--out", help="also write the JSON report to this path")
+    parser.set_defaults(func=cmd_crossval)
+
+
+def _limits_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", help="also write the JSON record to this path")
+    parser.set_defaults(func=cmd_limits)
+
+
+def _crb_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--from-limits", action="store_true", help="use the limit H")
+    parser.add_argument("--s", type=_finite, help="angular separation (point evaluation)")
+    parser.add_argument("--p", type=_finite, help="axial separation (point evaluation)")
+    parser.add_argument("--method", choices=METHODS[:3], default="gaussian-closed")
+    parser.add_argument("--nu", type=_finite, required=True, help="number of runs")
+    parser.add_argument("--m", type=_finite, required=True, help="coherence intervals per run")
+    parser.add_argument("--eps", type=_finite, required=True, help="mean photons per interval")
+    parser.add_argument("--out", help="also write the JSON record to this path")
+    parser.set_defaults(func=cmd_crb)
+
+
+# name -> (help, the function that adds its arguments after --k and --zr), in `srloc -h` order
+SUBCOMMANDS = {
+    "eval": ("evaluate H and Gamma at one (s, p)", _eval_arguments),
+    "sweep": ("sweep s or p and write CSV", _sweep_arguments),
+    "crossval": ("three-route consistency over an (s, p) grid", _crossval_arguments),
+    "limits": ("coincident-source limit matrices", _limits_arguments),
+    "crb": ("total-variance Cramer-Rao bound", _crb_arguments),
+}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The ``srloc`` parser for ``argv``, with only the subparsers it reads.
+
+    Where ``argv`` starts with a subcommand, that subparser alone is built,
+    with its arguments: adding all five was most of a one-point ``eval``.
+    The subparsers' metavar then lists all five, so the top-level usage
+    line of an error is unchanged.  Any other ``argv`` ends in top-level
+    help or a usage error.  It gets all five subparsers, and the first
+    argument that is not an option (where argparse dispatches) gets its
+    subcommand's arguments.
     """
     parser = _Parser(
         prog="srloc",
         description="Quantum estimation limits for the angular and axial "
         "separations of two incoherent point sources.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate H and Gamma at one (s, p)")
-    if command == "eval":
-        _add_psf_args(p_eval)
-        p_eval.add_argument("--s", type=_finite, required=True, help="angular separation")
-        p_eval.add_argument("--p", type=_finite, required=True, help="axial separation")
-        p_eval.add_argument("--method", choices=METHODS, default="gaussian-closed")
-        p_eval.add_argument("--tol", type=_nonnegative, default=1e-8, help="cross-check tolerance")
-        p_eval.add_argument("--out", help="also write the JSON record to this path")
-        p_eval.set_defaults(func=cmd_eval)
-
-    p_sweep = sub.add_parser("sweep", help="sweep s or p and write CSV")
-    if command == "sweep":
-        _add_psf_args(p_sweep)
-        p_sweep.add_argument("--sweep", choices=("s", "p"), required=True, help="swept variable")
-        p_sweep.add_argument(
-            "--range", default="0:5:0.01", help="swept grid as start:stop:step (default 0:5:0.01)"
-        )
-        p_sweep.add_argument(
-            "--fixed", type=_finite, default=0.0, help="value of the non-swept separation"
-        )
-        p_sweep.add_argument("--method", choices=METHODS, default="gaussian-closed")
-        p_sweep.add_argument(
-            "--normalized", action="store_true",
-            help="divide H columns by N = k/(2 z_R)",
-        )
-        p_sweep.add_argument(
-            "--tol", type=_nonnegative, default=1e-8, help="method=all check tolerance"
-        )
-        p_sweep.add_argument("--out", required=True, help="output CSV path")
-        p_sweep.set_defaults(func=cmd_sweep)
-
-    p_cross = sub.add_parser("crossval", help="three-route consistency over an (s, p) grid")
-    if command == "crossval":
-        _add_psf_args(p_cross)
-        p_cross.add_argument(
-            "--range", default="0.1:5:0.25", help="grid for both s and p, start:stop:step"
-        )
-        p_cross.add_argument("--tol", type=_nonnegative, default=1e-8, help="relative tolerance")
-        p_cross.add_argument("--out", help="also write the JSON report to this path")
-        p_cross.set_defaults(func=cmd_crossval)
-
-    p_lim = sub.add_parser("limits", help="coincident-source limit matrices")
-    if command == "limits":
-        _add_psf_args(p_lim)
-        p_lim.add_argument("--out", help="also write the JSON record to this path")
-        p_lim.set_defaults(func=cmd_limits)
-
-    p_crb = sub.add_parser("crb", help="total-variance Cramer-Rao bound")
-    if command == "crb":
-        _add_psf_args(p_crb)
-        p_crb.add_argument("--from-limits", action="store_true", help="use the limit H")
-        p_crb.add_argument("--s", type=_finite, help="angular separation (point evaluation)")
-        p_crb.add_argument("--p", type=_finite, help="axial separation (point evaluation)")
-        p_crb.add_argument("--method", choices=METHODS[:3], default="gaussian-closed")
-        p_crb.add_argument("--nu", type=_finite, required=True, help="number of runs")
-        p_crb.add_argument("--m", type=_finite, required=True, help="coherence intervals per run")
-        p_crb.add_argument("--eps", type=_finite, required=True, help="mean photons per interval")
-        p_crb.add_argument("--out", help="also write the JSON record to this path")
-        p_crb.set_defaults(func=cmd_crb)
-
+    named = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                metavar=named and "{" + ",".join(SUBCOMMANDS) + "}")
+    command = named or next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
+        if named in (None, name):
+            subparser = sub.add_parser(name, help=help_text)
+            if name == command:
+                _add_psf_args(subparser)
+                add_arguments(subparser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # argparse dispatches a subcommand named by the first argument not an option
-    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits with 2 on usage errors

@@ -65,8 +65,8 @@ class Deviations:
     than two served routes.  ``sparsity_ok``: every served route keeps the
     entries of ``sld.ZEROS`` within 1e-10, so scaled.  A compared point (two
     or more served routes) fails where ``max_rel`` is not within ``tol`` or
-    ``sparsity_ok`` is False.  The grid passes where a point is compared and
-    none fails; else ``reason`` says why, for the first failed point.
+    ``sparsity_ok`` is False, and ``why(i)`` says which.  The grid passes
+    where a point is compared and none fails; else ``reason`` says why.
     """
 
     served: np.ndarray       # (N, 3) bool, in METHODS order
@@ -77,7 +77,20 @@ class Deviations:
     rel_g: np.ndarray        # (4, 4): the same of Gamma, over all N points
     compared: np.ndarray     # (N,) bool: the points served by two or more routes
     failed: np.ndarray       # (N,) bool: the compared points that fail
-    reason: str
+    tol: float               # the tolerance of max_rel
+
+    def why(self, i: int) -> str:
+        """Why failed point ``i`` fails: its deviation first, then the zero pattern."""
+        if self.max_rel[i] <= self.tol:  # False where max_rel is NaN
+            return "a served route breaks the zero pattern of H and Gamma"
+        return f"cross-method deviation exceeds tolerance: {self.max_rel[i]:.3e} > {self.tol:.1e}"
+
+    @property
+    def reason(self) -> str:
+        """Why the grid fails: the first failed point's ``why``; "" where it passes."""
+        if not self.compared.any():
+            return "no point is served by two routes"
+        return "".join(self.why(i) for i in np.flatnonzero(self.failed)[:1])
 
     passed = property(lambda self: not self.reason)
     n_points = property(lambda self: int(np.count_nonzero(self.compared)))  # compared points
@@ -294,13 +307,8 @@ def deviations(evs: dict[str, Evaluation], tol: float) -> Deviations:
     out = np.zeros((2, 4, 4))
     out[sld.GAMMA, sld.ROW, sld.COL] = out[sld.GAMMA, sld.COL, sld.ROW] = rel
     compared = served.sum(axis=0) >= 2
-    within = max_rel <= tol  # False where max_rel is NaN
-    failed = compared & ~(within & ok)
-    reason = "" if np.count_nonzero(compared) else "no point is served by two routes"
-    for i in np.flatnonzero(failed)[:1]:
-        reason = (f"cross-method deviation exceeds tolerance: {float(max_rel[i]):.3e} > {tol:.1e}"
-                  if not within[i] else "a served route breaks the zero pattern of H and Gamma")
-    return Deviations(served.T, max_abs, max_rel, ok, *out, compared, failed, reason)
+    failed = compared & ~((max_rel <= tol) & ok)  # a NaN max_rel fails
+    return Deviations(served.T, max_abs, max_rel, ok, *out, compared, failed, tol)
 
 
 def _deviations_block(tables: np.ndarray, served: np.ndarray):

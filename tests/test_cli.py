@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import srloc.cli
 import srloc.closed_forms
 import srloc.routes
 import srloc.sld
@@ -733,6 +734,28 @@ def test_crossval_sparsity_check_flags_each_zero_entry(capsys, monkeypatch, tmp_
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("matrix, entries, delta, tol, deviates", [
+    ("gaussian_qfim", [((0, 1), 1), ((1, 0), 1)], 1e-9, "1", False),          # an H zero pair
+    ("gaussian_gamma_matrix", [((0, 2), 1), ((2, 0), -1)], 1e-9, "1", False),  # Gamma[0, 2]
+    ("gaussian_gamma_matrix", [((1, 3), 1), ((3, 1), -1)], 1e-9, "1", False),  # Gamma[1, 3]
+    # a point that breaks both rules reads its deviation first
+    ("gaussian_qfim", [((0, 1), 1), ((1, 0), 1)], 1e-3, "1e-8", True),
+    ("gaussian_qfim", [((1, 1), 1)], 1e-3, "1e-8", True),                     # H_xx
+])
+def test_crossval_failures_give_each_point_its_reason(capsys, monkeypatch, matrix, entries,
+                                                      delta, tol, deviates):
+    monkeypatch.setattr("srloc.closed_forms.natural_gaussian_table",
+                        _shift(matrix, entries, delta))
+    code, out, _ = run(capsys, "crossval", *PSF, "--range", "0:2:0.5", "--tol", tol)
+    failures = json.loads(out)["failures"]
+    assert code == 1 and failures
+    for failure in failures:
+        assert failure["reason"] == (
+            f"cross-method deviation exceeds tolerance: {failure['max_rel_deviation']:.3e} "
+            f"> {float(tol):.1e}" if deviates
+            else "a served route breaks the zero pattern of H and Gamma")
+
+
 # ------------------------------------------------------------- limits, crb
 
 
@@ -979,6 +1002,39 @@ def test_unknown_option_is_a_top_level_usage_error(capsys, help_width, argv, unr
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"{TOP_USAGE}srloc: error: unrecognized arguments: {unrecognized}\n"
+
+
+@pytest.mark.parametrize("argv", [["-h", "eval"], ["--help", "crossval", *PSF]])
+def test_help_before_the_subcommand_is_the_top_level_help(capsys, help_width, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith(TOP_USAGE)
+    assert all(f"    {command} " in out for command in OPTIONS)
+
+
+@pytest.mark.parametrize("argv, code, parsers", [
+    (["eval", *PSF, "--s", "1", "--p", "2"], 0, 2),
+    (["sweep", *PSF, "--sweep", "s", "--range", "0.1:1:0.5", "--out", "x.csv"], 0, 2),
+    (["crossval", *PSF, "--range", "0.5:1.5:0.5"], 0, 2),
+    (["limits", *PSF], 0, 2),
+    (["crb", "--from-limits", *PSF, "--nu", "1000", "--m", "1", "--eps", "1"], 0, 2),
+    # argv that ends in top-level help or a usage error builds all five subparsers
+    (["-h"], 0, 6),
+    ([], 2, 6),
+    (["nonsense"], 2, 6),
+    (["--bogus", "eval", *PSF, "--s", "1", "--p", "0"], 2, 6),
+])
+def test_a_command_builds_only_the_subparser_it_names(capsys, monkeypatch, tmp_path, argv, code,
+                                                      parsers):
+    monkeypatch.chdir(tmp_path)
+    init, built = srloc.cli._Parser.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(srloc.cli._Parser, "__init__", counted)
+    assert run(capsys, *argv)[0] == code
+    assert len(built) == parsers, built
 
 
 def test_commands_in_one_process_parse_alike(capsys, tmp_path):
