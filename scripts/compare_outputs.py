@@ -38,9 +38,15 @@ general`` at (0, 1e-4), ``eval --method pipeline`` at (1e-5, 0), ``sweep
 physical units (``general`` and ``pipeline``), where ``H_ii H_jj``
 overflows (``all``) and where ``p / z_R`` overflows, and ``crb`` with a
 budget ``nu * m * eps`` that underflows or overflows and with a bound that
-overflows.  Then the parser's own output: ``-h`` and ``<command> -h``
-for each of the five subcommands, help before a subcommand (``-h eval``
-and ``--help crossval --k 1 --zr 2``), no arguments, ``nonsense``,
+overflows.  A closed route's failed point: ``eval`` at ``(40, 0)`` by
+``gaussian-closed`` and ``all`` and ``crb`` there, ``sweep`` along ``s``
+at ``p = 0`` over ``30:45:0.5`` by ``all`` and ``gaussian-closed`` (a
+non-finite H or Gamma at ``s = 37``) and over ``38:45:0.5`` by
+``gaussian-closed`` (``exp(2 varsigma)`` overflows), and ``crossval --k 1e6
+--zr 1 --range 0.1:5:0.25`` (``|gamma|`` underflows).  Then the parser's
+own output: ``-h`` and ``<command> -h`` for each of the five subcommands,
+help before a subcommand (``-h eval`` and ``--help crossval --k 1 --zr
+2``), no arguments, ``nonsense``,
 ``eval`` without ``--p``, ``eval ... --bogus 1``, ``--bogus eval ...``
 and ``sweep ... --method magic``.  Last, ``eval --p -1e-3`` for every method
 and ``sweep --fixed -1e-3`` (a negative value in e-notation), ``crb
@@ -141,6 +147,16 @@ def commands() -> list[list[str]]:
             ("general", "4.170858320864619e+169", "2.8667426688795266e-97",
              "4.7102269638616694e+104", "2.053445288830075e+259")):
         cmds.append(["eval", "--k", k, "--zr", zr, "--s", s, "--p", p, "--method", method])
+    # a closed route's failed point: at p = 0 exp(2 varsigma) overflows from s = 38, and
+    # gaussian-closed gives a non-finite H or Gamma from s = 36.95; |gamma| underflows at k = 1e6
+    for method in ("gaussian-closed", "all"):
+        cmds.append(["eval", *PSF, "--s", "40", "--p", "0", "--method", method])
+    cmds.append(["crb", *PSF, "--s", "40", "--p", "0", "--nu", "1000", "--m", "1", "--eps", "1"])
+    for grid, method in (("30:45:0.5", "all"), ("30:45:0.5", "gaussian-closed"),
+                         ("38:45:0.5", "gaussian-closed")):
+        cmds.append(["sweep", *PSF, "--sweep", "s", "--range", grid, "--fixed", "0",
+                     "--method", method, "--out", CSV])
+    cmds.append(["crossval", "--k", "1e6", "--zr", "1", "--range", "0.1:5:0.25"])
     # budgets whose product nu * m * eps underflows or overflows, and a bound that overflows
     for nu, m in (("1e-200", "1e-200"), ("1e200", "1e200")):
         cmds.append(["crb", *PSF, "--s", "1", "--p", "2", "--nu", nu, "--m", m, "--eps", "0.5"])

@@ -106,23 +106,25 @@ def _emit(record: dict, out: str | None) -> None:
             fh.write(text + "\n")
 
 
+def _raise_failure(*evs: routes.Evaluation) -> None:
+    """Raise the error of the first of ``evs`` with a failed point."""
+    for ev in evs:
+        if ev.error is not None:
+            raise ev.error
+
+
 def _evaluate_point(psf: GaussianPsf, s: float, p: float, method: str) -> dict:
-    """The evaluations of ``method`` at one point, of every route for ``all``.
-    The pipeline must serve the point itself: ``eval`` and ``crb`` raise its
-    refusal, before any other route's failure, and never report the limit."""
-    try:
-        evs = (routes.all_routes(psf, [s], [p]) if method == "all"
-               else {method: routes.evaluate(psf, [s], [p], method)})
-    except SrlocError:
-        if method == "all":  # a closed route fails: the pipeline's refusal, if any, first
-            _evaluate_point(psf, s, p, "pipeline")
-        raise
-    ev = evs.get("pipeline")
-    if ev is not None and ev.route[0] != "pipeline":
-        raise ev.error or SmallSeparationError(
+    """The evaluations of ``method`` at one point, of every route for ``all``,
+    in METHODS order.  The pipeline must serve the point itself: ``eval`` and
+    ``crb`` raise its refusal, before any other route's failure, and never report the limit."""
+    evs = (routes.all_routes(psf, [s], [p]) if method == "all"
+           else {method: routes.evaluate(psf, [s], [p], method)})
+    if "pipeline" in evs and evs["pipeline"].route[0] == "limit":
+        raise SmallSeparationError(
             f"the pipeline does not serve the coincident-source limit at (s={s!r}, p={p!r}), "
             f"where 1 - |gamma|^2 < {closed_forms.OVERLAP_DEGENERACY_TOL:.0e}; "
             "use the `limits` command")
+    _raise_failure(*evs.values())
     return evs
 
 
@@ -201,14 +203,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     s, p = (values, fixed) if args.sweep == "s" else (fixed, values)
     if args.method == "all":
         evs = routes.all_routes(psf, s, p)
+        _raise_failure(evs["general"], evs["gaussian-closed"])
         check = routes.deviations(evs, args.tol)
         if not check.passed:
             raise SrlocError(check.reason + _first(check.failed, s, p))
         ev = evs["gaussian-closed"]
     else:
         ev = routes.evaluate(psf, s, p, args.method)
-        if ev.error is not None:
-            raise ev.error
+        _raise_failure(ev)
 
     norm = psf.k / (2.0 * psf.z_r) if args.normalized else 1.0
     table = np.empty((len(s), 11))
@@ -240,7 +242,9 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     psf = GaussianPsf(k=args.k, z_r=args.zr)
     values = _grid(args.range, dims=2)
     grid_s, grid_p = np.repeat(values, len(values)), np.tile(values, len(values))
-    check = routes.deviations(routes.all_routes(psf, grid_s, grid_p), args.tol)
+    evs = routes.all_routes(psf, grid_s, grid_p)
+    _raise_failure(evs["general"], evs["gaussian-closed"])
+    check = routes.deviations(evs, args.tol)
     record = {
         "command": "crossval",
         "k": psf.k,

@@ -8,8 +8,7 @@ p~)|^2 < closed_forms.OVERLAP_DEGENERACY_TOL``, and gets
 ``small_separation_limit``.  Each method serves the other points as the
 problem of ``psf.NATURAL``:
 
-* ``pipeline``: the stacked numerical pipeline (``sld.pipeline``), and
-  ``"failed"`` (NaN matrices) where it refuses the point.
+* ``pipeline``: the stacked numerical pipeline (``sld.pipeline``).
 * ``general``: the general closed forms.
 * ``gaussian-closed``: the explicit Gaussian forms where ``|s~| >=
   SMALL_SEPARATION``, elsewhere the ``general`` method's own code path,
@@ -17,8 +16,10 @@ problem of ``psf.NATURAL``:
 
 Each method serves the whole grid at once, by masks over elementwise array
 code, in blocks of points in which the pipeline and the general forms read
-one overlap jet.  This is the only place that checks the inputs and decides
-the routes.
+one overlap jet, and labels ``"failed"`` (NaN matrices), by one mask, each
+point whose scaled row is not finite, the pipeline's refusals among them;
+``Evaluation.error`` names the first.  This is the only place that checks
+the inputs and decides the routes.
 """
 
 from __future__ import annotations
@@ -128,21 +129,6 @@ def _all(mask: np.ndarray) -> bool:
     return np.count_nonzero(mask) == mask.size
 
 
-def _require_finite(psf, method, table, route, s, p) -> None:
-    """Raise for the first point served with a non-finite H or Gamma."""
-    finite = np.isfinite(table)
-    if _all(finite):
-        return
-    for i in np.flatnonzero(~finite.all(axis=1)):
-        if route[i] == "failed":
-            continue
-        where = f"(s={float(s[i])!r}, p={float(p[i])!r})"
-        reason = _failure(psf, route[i], float(s[i]), float(p[i]))
-        if reason:
-            raise SrlocError(f"{method} route fails at {where}: {reason}")
-        raise SrlocError(f"{route[i]} route gives a non-finite H or Gamma at {where}")
-
-
 def _where(mask: np.ndarray):
     """Index of the points in ``mask``; every point is a slice, which neither
     gathers nor scatters."""
@@ -226,8 +212,7 @@ def _evaluate(psf: GaussianPsf, s, p, methods) -> dict[str, Evaluation]:
             raise InvalidParameterError(f"method must be one of {METHODS}, got {method!r}")
     scale = psf.scale[sld.ROW, sld.COL]
     # Where the natural (s, p), the overlap, its jet, a closed form or the scale
-    # overflows or divides by zero it leaves a non-finite entry, which
-    # _require_finite reports, or a pipeline failure.
+    # overflows or divides by zero it leaves a non-finite entry: a failed point.
     with np.errstate(all="ignore"):
         s_n, p_n = psf.natural(s, p)
         limit = _limit(s_n, p_n)
@@ -242,17 +227,24 @@ def _evaluate(psf: GaussianPsf, s, p, methods) -> dict[str, Evaluation]:
     evs = {}
     for method, table in zip(methods, stack):
         marks, error = [], None
-        if method == "pipeline" and failure:
-            marks.append((failed, "failed"))
-            (kind, reason), i = failure, np.argmax(failed)
-            error = kind(f"pipeline fails at (s={float(s[i])!r}, p={float(p[i])!r}): {reason}")
         if method == "gaussian-closed" and np.count_nonzero(rerouted):
             marks.append((rerouted, "general"))
         if at_limit:
             marks.append((limit, "limit"))
+        if not finite and np.count_nonzero(bad := ~np.isfinite(table).all(axis=1)):
+            # the first failed point's error, by the label it had until it failed
+            i = int(np.argmax(bad))
+            label = next((name for where, name in reversed(marks) if where[i]), method)
+            at = f"at (s={float(s[i])!r}, p={float(p[i])!r})"
+            if method == "pipeline" and failed[i]:  # the pipeline's first refusal
+                error = failure[0](f"pipeline fails {at}: {failure[1]}")
+            elif reason := _failure(psf, label, float(s[i]), float(p[i])):
+                error = SrlocError(f"{method} route fails {at}: {reason}")
+            else:
+                error = SrlocError(f"{label} route gives a non-finite H or Gamma {at}")
+            table[bad] = np.nan
+            marks.append((bad, "failed"))
         route = _labels(method, len(s), marks)
-        if not finite:
-            _require_finite(psf, method, table, route, s, p)
         evs[method] = Evaluation(table, route, eigs if method == "pipeline" else None, error)
     return evs
 
@@ -272,10 +264,9 @@ def _labels(method: str, n: int, marks) -> tuple[str, ...]:
 def evaluate(psf: GaussianPsf, s: Sequence[float], p: Sequence[float], method: str) -> Evaluation:
     """H and Gamma at the N points (s[i], p[i]) by one method (see the module doc).
 
-    Raises ``InvalidParameterError`` for an unknown method or for s and p
-    that are not finite 1-D sequences of equal length, and ``SrlocError``,
-    naming (s, p) and the route, where a served point's H or Gamma is not
-    finite, and why where its closed form overflows or divides by zero.
+    Raises only ``InvalidParameterError``: for an unknown method, or s and p
+    that are not finite 1-D sequences of equal length.  A point whose H or
+    Gamma is not finite is ``"failed"``, and ``error`` names the first.
     """
     return _evaluate(psf, s, p, (method,))[method]
 

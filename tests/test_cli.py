@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 import srloc.cli
 import srloc.closed_forms
+import srloc.gram
+import srloc.psf
 import srloc.routes
 import srloc.sld
 from srloc.cli import _CSV_BLOCK_ROWS, _CSV_KERNEL_ROWS, _csv_rows, main
@@ -81,6 +83,35 @@ def test_eval_all_runs_the_pipeline_once(capsys, monkeypatch):
     assert record["route"] == "pipeline"
     assert record["rho_eigenvalues"][0] == pytest.approx(0.941249, abs=1e-6)
     assert max(abs(v) for v in record["rho_eigenvalues"][2:]) <= 1e-10
+
+
+@pytest.mark.parametrize("s, p, code, message", [
+    ("40", "0", 1, "gaussian-closed route fails at (s=40.0, p=0.0): exp(2 varsigma) overflows"),
+    ("1e200", "0", 1, "pipeline fails at (s=1e+200, p=0.0): overlap jet is not finite "
+     "(it overflows at this separation)"),
+    ("1", "2", 0, ""),
+])
+def test_eval_all_computes_the_pipeline_and_the_overlap_jet_once(capsys, monkeypatch, s, p,
+                                                                 code, message):
+    # a closed route's failed point is read from its evaluation: no route runs again
+    seen = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            seen[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(srloc.sld, "pipeline", counting("pipeline", srloc.sld.pipeline))
+    jet = counting("jet", srloc.psf.gaussian_overlap_jet)
+    # in every module that binds it
+    for module in (srloc.psf, srloc.gram, srloc.sld, srloc.closed_forms, srloc.routes):
+        if hasattr(module, "gaussian_overlap_jet"):
+            monkeypatch.setattr(module, "gaussian_overlap_jet", jet)
+    got, _, err = run(capsys, "eval", "--k", "1", "--zr", "2", "--s", s, "--p", p,
+                      "--method", "all")
+    assert (got, err) == (code, message and f"error: {message}\n")
+    assert seen == {"pipeline": 1, "jet": 1}
 
 
 def test_eval_pipeline_refuses_coincident_sources(capsys):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,8 +69,21 @@ def test_evaluate_rejects_bad_input(psf):
     ("general", 120.0, "fails"),
 ])
 def test_evaluate_fails_closed_on_closed_forms(psf, method, s, reason):
-    with pytest.raises(SrlocError, match=rf"{method} route {reason}.*\(s={s!r}, p=0\.0\)"):
-        evaluate(psf, [1.0, s, s + 1.0], [0.0, 0.0, 0.0], method)
+    ev = evaluate(psf, [1.0, s, s + 1.0], [0.0, 0.0, 0.0], method)
+    assert isinstance(ev.error, SrlocError)
+    assert re.search(rf"{method} route {reason}.*\(s={s!r}, p=0\.0\)", str(ev.error))
+    _assert_failed_at(psf, method, ev, [1.0, s, s + 1.0], [0.0, 0.0, 0.0], 1)
+
+
+def _assert_failed_at(psf, method, ev, s, p, failed):
+    """Point ``failed`` of ``ev`` is "failed" and NaN, and every point has
+    the label and the row bits of its one-point evaluation."""
+    assert ev.route[failed] == "failed"
+    assert np.isnan(ev.table[failed]).all()
+    for i in range(len(s)):
+        alone = evaluate(psf, s[i:i + 1], p[i:i + 1], method)
+        assert alone.route == ev.route[i:i + 1]
+        assert alone.table.tobytes() == ev.table[i].tobytes()
 
 
 @pytest.mark.parametrize("method", ["gaussian-closed", "general"])
@@ -89,8 +103,25 @@ def test_closed_route_point_bits_independent_of_stack(psf, method):
 @pytest.mark.parametrize("method", ["gaussian-closed", "general"])
 def test_evaluate_names_the_failure_where_s_squared_overflows(psf, method):
     # no numpy warning escapes (pytest turns RuntimeWarning into an error)
-    with pytest.raises(SrlocError, match=rf"{method} route fails at \(s=1e\+200, p=0\.0\)"):
-        evaluate(psf, [1.0, 1e200], [0.0, 0.0], method)
+    ev = evaluate(psf, [1.0, 1e200], [0.0, 0.0], method)
+    assert isinstance(ev.error, SrlocError)
+    assert re.search(rf"{method} route fails at \(s=1e\+200, p=0\.0\)", str(ev.error))
+    _assert_failed_at(psf, method, ev, [1.0, 1e200], [0.0, 0.0], 1)
+
+
+@pytest.mark.parametrize("method, s_failed", [
+    ("gaussian-closed", 37.0), ("gaussian-closed", 40.0), ("general", 120.0)])
+def test_closed_route_failed_point_independent_of_stack(psf, method, s_failed):
+    # the grid of test_closed_route_point_bits_independent_of_stack, with a point
+    # that the closed form cannot serve in its middle
+    s = np.array([0.1, 0.0, 1.3, 0.0, s_failed, 2.5, 0.0, 1e-7, 3.7])
+    p = np.array([0.0, 2.0, 2.2, 0.0, 0.0, 0.0, 0.3, 1e-5, 1.1])
+    full = evaluate(psf, s, p, method)
+    assert {"general", "limit", "failed"} <= set(full.route)
+    _assert_failed_at(psf, method, full, s, p, 4)
+    alone = evaluate(psf, s[4:5], p[4:5], method)
+    assert type(full.error) is type(alone.error) is SrlocError
+    assert str(full.error) == str(alone.error)
 
 
 def test_all_routes_keeps_each_method_on_its_own_route(psf):
