@@ -4,11 +4,13 @@ Three layers, each giving H and Gamma from one call:
 
 * ``general_table``: exact expressions for any PSF in terms of the
   overlap magnitude/phase derivatives and the PSF constants.  Valid
-  wherever 1 - |gamma|^2 >= ``OVERLAP_DEGENERACY_TOL``.
+  wherever 1 - |gamma|^2 >= ``OVERLAP_DEGENERACY_TOL``, out to the far
+  separations where |gamma|^2 underflows to 0.
 * ``natural_gaussian_table``: explicit Gaussian-beam expressions in the
   natural separations (s~, p~) and varsigma = s~^2 / (p~^2 + 4).  Powers of
-  s in their denominators need |s~| >= ``SMALL_SEPARATION``; the s -> 0
-  regime is covered by the general layer (regular for p != 0).
+  s in their denominators need |s~| >= ``SMALL_SEPARATION``, and exp(2
+  varsigma) overflows from about varsigma = 342; both regimes are covered
+  by the general layer (regular at s = 0 for p != 0).
 * ``small_separation_limit``: the (s, p) -> (0, 0) limit, where H is
   diagonal and Gamma vanishes.  ``routes.evaluate`` serves it, for every
   method, exactly where the general layer's guard refuses a point.
@@ -51,7 +53,11 @@ def _overlap_factors(jet: OverlapJet):
 
     d log(gamma)/ds = d|gamma|/ds / |gamma| + i d(arg gamma)/ds, and the same
     in p, so ``d_s / gamma`` carries the magnitude and phase derivatives
-    without a branch cut.
+    without a branch cut.  At a far separation |gamma|^2 underflows to 0 and
+    such a quotient can be 0/0: there one that is not finite is taken as 0.
+    Every term it enters is weighted by |gamma|^2 or |gamma|^2 / (1 -
+    |gamma|^2), so the forms give their far-separation limit, H =
+    diag(c, 4c, v, 4v) in the PSF constants c and v, and Gamma = 0.
     """
     shape, (gamma, d_s, d_p) = _points(jet.gamma, jet.d_s, jet.d_p, dtype=complex)
     ag = np.abs(gamma)
@@ -62,8 +68,11 @@ def _overlap_factors(jet: OverlapJet):
             f"1 - |gamma|^2 = {one_minus.min():.3e} below {OVERLAP_DEGENERACY_TOL:.1e}; "
             "use small_separation_limit for (nearly) coincident sources"
         )
-    ls = d_s / gamma
-    lp = d_p / gamma
+    if np.count_nonzero(far := ag2 == 0.0):
+        with np.errstate(all="ignore"):
+            ls, lp = (np.where(far & ~np.isfinite(q), 0.0, q) for q in (d_s / gamma, d_p / gamma))
+    else:
+        ls, lp = d_s / gamma, d_p / gamma
     return shape, ag2, one_minus, ls.real, ls.imag, lp.real, lp.imag
 
 

@@ -11,21 +11,22 @@ problem of ``psf.NATURAL``:
 * ``pipeline``: the stacked numerical pipeline (``sld.pipeline``).
 * ``general``: the general closed forms.
 * ``gaussian-closed``: the explicit Gaussian forms where ``|s~| >=
-  SMALL_SEPARATION``, elsewhere the ``general`` method's own code path,
+  SMALL_SEPARATION`` and their row is finite, elsewhere (near s~ = 0, and
+  far out, where they overflow) the ``general`` method's own code path,
   labelled ``"general"``.
 
 Each method serves the whole grid at once, by masks over elementwise array
 code, in blocks of points in which the pipeline and the general forms read
 one overlap jet, and labels ``"failed"`` (NaN matrices), by one mask, each
 point whose scaled row is not finite, the pipeline's refusals among them;
-``Evaluation.error`` names the first.  This is the only place that checks
-the inputs and decides the routes.
+``Evaluation.error`` names the first.  A closed route fails only where the
+overlap jet or the scaling by ``psf.scale`` is not finite, and the pipeline
+refuses such a point too.  This is the only place that checks the inputs
+and decides the routes.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -109,21 +110,6 @@ def _blocks(n: int):
     return (slice(start, start + BLOCK_POINTS) for start in range(0, n, BLOCK_POINTS))
 
 
-# ln of the largest double: exp overflows above it.
-_LOG_MAX = math.log(sys.float_info.max)
-
-
-def _failure(psf: GaussianPsf, route: str, s: float, p: float) -> str:
-    """Why the closed form of ``route`` is undefined in double precision at
-    (s, p), or "" when it is not."""
-    if route == "gaussian-closed" and 2.0 * closed_forms.varsigma(psf.k, psf.z_r, s, p) > _LOG_MAX:
-        return "exp(2 varsigma) overflows"
-    with np.errstate(all="ignore"):  # NaN where s^2 overflows: |gamma| is 0 there too
-        if route == "general" and not np.abs(gaussian_overlap(psf, s, p)) > 0.0:
-            return "|gamma| underflows to 0"
-    return ""
-
-
 def _all(mask: np.ndarray) -> bool:
     """``mask.all()``, without the reduction overhead that a one-point call feels."""
     return np.count_nonzero(mask) == mask.size
@@ -186,11 +172,14 @@ def _serve(s, p, limit, methods):
             general[block][at] = closed_forms.general_table(jet, sld._CONSTS)
         if closed is not None:
             explicit = off & (np.abs(s_b) >= SMALL_SEPARATION)
-            rest = rerouted[block]
-            rest[:] = off ^ explicit
             if np.count_nonzero(explicit):
                 at = _where(explicit)
-                closed[block][at] = closed_forms.natural_gaussian_table(s_b[at], p_b[at])
+                rows = closed_forms.natural_gaussian_table(s_b[at], p_b[at])
+                closed[block][at] = rows
+                if not _all(np.isfinite(rows)):  # they overflow from about varsigma = 342
+                    explicit[at] = np.isfinite(rows).all(axis=1)
+            rest = rerouted[block]
+            rest[:] = off ^ explicit
             if np.count_nonzero(rest):
                 at = _where(rest)
                 closed[block][at] = (general[block][at] if general is not None else
@@ -238,8 +227,6 @@ def _evaluate(psf: GaussianPsf, s, p, methods) -> dict[str, Evaluation]:
             at = f"at (s={float(s[i])!r}, p={float(p[i])!r})"
             if method == "pipeline" and failed[i]:  # the pipeline's first refusal
                 error = failure[0](f"pipeline fails {at}: {failure[1]}")
-            elif reason := _failure(psf, label, float(s[i]), float(p[i])):
-                error = SrlocError(f"{method} route fails {at}: {reason}")
             else:
                 error = SrlocError(f"{label} route gives a non-finite H or Gamma {at}")
             table[bad] = np.nan

@@ -86,14 +86,16 @@ def test_eval_all_runs_the_pipeline_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("s, p, code, message", [
-    ("40", "0", 1, "gaussian-closed route fails at (s=40.0, p=0.0): exp(2 varsigma) overflows"),
+    # far out: gaussian-closed takes its rows from the general forms
+    ("40", "0", 0, ""),
     ("1e200", "0", 1, "pipeline fails at (s=1e+200, p=0.0): overlap jet is not finite "
      "(it overflows at this separation)"),
     ("1", "2", 0, ""),
 ])
 def test_eval_all_computes_the_pipeline_and_the_overlap_jet_once(capsys, monkeypatch, s, p,
                                                                  code, message):
-    # a closed route's failed point is read from its evaluation: no route runs again
+    # a failed point is read from its evaluation, and gaussian-closed reads the
+    # rows it reroutes from the general method's: no route runs again
     seen = Counter()
 
     def counting(name, fn):
@@ -310,7 +312,7 @@ JET_OVERFLOWS = "pipeline fails at {}: overlap jet is not finite"
      JET_OVERFLOWS.format("(s=1e+200, p=0.0)")),
     # the first point of the grid, in grid order, where a route fails
     (["crossval", *PSF, "--range", "0:1e200:5e199"],
-     "general route fails at (s=5e+199, p=0.0): |gamma| underflows to 0"),
+     "general route gives a non-finite H or Gamma at (s=5e+199, p=0.0)"),
 ])
 def test_overflowing_jet_fails_closed(capsys, argv, message):
     code, out, err = run(capsys, *argv)

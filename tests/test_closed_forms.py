@@ -64,6 +64,20 @@ def test_general_rejects_degenerate_overlap(psf, consts):
         general_matrices(gaussian_overlap_jet(psf, 0.0, 1e-9), consts)
 
 
+def test_general_gives_the_far_separation_limit_where_gamma_underflows():
+    # natural s~ = 76 and 77: gamma subnormal, |gamma|^2 = 0; s~ = 1e3: the whole
+    # jet is 0, so d_s / gamma is 0/0.  No RuntimeWarning escapes (pytest turns
+    # it into an error).
+    consts = gaussian_constants(NATURAL)
+    want_h = np.diag([0.25, 1.0, 0.25, 1.0])
+    jet = gaussian_overlap_jet(NATURAL, np.array([76.0, 77.0, 1e3]), np.array([0.0, 0.3, 2.0]))
+    assert jet.gamma[0] != 0.0 and jet.gamma[2] == 0.0
+    for one in (jet, jet[2]):  # a stack, and one point alone
+        h, g = general_matrices(one, consts)
+        assert np.array_equal(h, np.broadcast_to(want_h, h.shape))
+        assert not g.any()
+
+
 def test_general_gamma_zero_structure(psf, consts):
     _, g = general_matrices(gaussian_overlap_jet(psf, 1.0, 0.0), consts)
     # both mixed-magnitude/phase products vanish at p = 0

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import math
-import re
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from srloc.psf import NATURAL, GaussianPsf, gaussian_overlap
 from srloc.routes import METHODS, Evaluation, all_routes, deviations, evaluate
 from srloc.sld import COLUMNS, ZEROS
 
-from oracle import oracle
+from oracle import oracle, row_scaled_error
 
 
 def test_evaluate_labels_each_point_with_its_route(psf):
@@ -63,16 +62,23 @@ def test_evaluate_rejects_bad_input(psf):
         evaluate(psf, [1.0], [1.0], "all")
 
 
-@pytest.mark.parametrize("method, s, reason", [
-    ("gaussian-closed", 37.0, "gives a non-finite"),
-    ("gaussian-closed", 40.0, "fails"),
-    ("general", 120.0, "fails"),
-])
-def test_evaluate_fails_closed_on_closed_forms(psf, method, s, reason):
-    ev = evaluate(psf, [1.0, s, s + 1.0], [0.0, 0.0, 0.0], method)
-    assert isinstance(ev.error, SrlocError)
-    assert re.search(rf"{method} route {reason}.*\(s={s!r}, p=0\.0\)", str(ev.error))
-    _assert_failed_at(psf, method, ev, [1.0, s, s + 1.0], [0.0, 0.0, 0.0], 1)
+# The one text of a closed route's failed point: the overlap jet overflows at
+# s = 1e200, where gaussian-closed has rerouted the point to the general forms.
+JET_OVERFLOWS = "general route gives a non-finite H or Gamma at (s=1e+200, p=0.0)"
+
+
+@pytest.mark.parametrize("method, s", [
+    ("gaussian-closed", 37.0), ("gaussian-closed", 40.0), ("general", 120.0)])
+def test_evaluate_fails_closed_on_closed_forms(psf, method, s):
+    # far out the explicit forms overflow and |gamma|^2 underflows to 0: both
+    # closed routes serve (s, 0) by the general forms, and fail closed only
+    # where the jet overflows
+    ev = evaluate(psf, [1.0, s, 1e200], [0.0, 0.0, 0.0], method)
+    assert ev.route[:2] == (method, "general")
+    h_ref, g_ref = oracle(psf, s, 0.0)
+    assert row_scaled_error(ev.h[1], ev.gamma_mat[1], h_ref, g_ref) <= 1e-15
+    assert type(ev.error) is SrlocError and str(ev.error) == JET_OVERFLOWS
+    _assert_failed_at(psf, method, ev, [1.0, s, 1e200], [0.0, 0.0, 0.0], 2)
 
 
 def _assert_failed_at(psf, method, ev, s, p, failed):
@@ -105,19 +111,20 @@ def test_evaluate_names_the_failure_where_s_squared_overflows(psf, method):
     # no numpy warning escapes (pytest turns RuntimeWarning into an error)
     ev = evaluate(psf, [1.0, 1e200], [0.0, 0.0], method)
     assert isinstance(ev.error, SrlocError)
-    assert re.search(rf"{method} route fails at \(s=1e\+200, p=0\.0\)", str(ev.error))
+    assert str(ev.error) == JET_OVERFLOWS
     _assert_failed_at(psf, method, ev, [1.0, 1e200], [0.0, 0.0], 1)
 
 
-@pytest.mark.parametrize("method, s_failed", [
+@pytest.mark.parametrize("method, s_far", [
     ("gaussian-closed", 37.0), ("gaussian-closed", 40.0), ("general", 120.0)])
-def test_closed_route_failed_point_independent_of_stack(psf, method, s_failed):
+def test_closed_route_failed_point_independent_of_stack(psf, method, s_far):
     # the grid of test_closed_route_point_bits_independent_of_stack, with a point
-    # that the closed form cannot serve in its middle
-    s = np.array([0.1, 0.0, 1.3, 0.0, s_failed, 2.5, 0.0, 1e-7, 3.7])
-    p = np.array([0.0, 2.0, 2.2, 0.0, 0.0, 0.0, 0.3, 1e-5, 1.1])
+    # whose jet overflows in its middle and a far point, served, at its end
+    s = np.array([0.1, 0.0, 1.3, 0.0, 1e200, 2.5, 0.0, 1e-7, 3.7, s_far])
+    p = np.array([0.0, 2.0, 2.2, 0.0, 0.0, 0.0, 0.3, 1e-5, 1.1, 0.0])
     full = evaluate(psf, s, p, method)
     assert {"general", "limit", "failed"} <= set(full.route)
+    assert full.route[-1] == "general"
     _assert_failed_at(psf, method, full, s, p, 4)
     alone = evaluate(psf, s[4:5], p[4:5], method)
     assert type(full.error) is type(alone.error) is SrlocError
@@ -274,6 +281,38 @@ def test_every_route_matches_the_oracle_across_scales(k, zr):
             err = max(np.max(np.abs(ev.h[i] - h_ref) / scale),
                       np.max(np.abs(ev.gamma_mat[i] - g_ref) / scale))
             assert err <= 1e-13, (method, s[i], p[i], err)
+
+
+@pytest.mark.parametrize("k, zr", [(1.0, 2.0), (1e3, 1e3), (1e7, 1e-3)])
+def test_every_route_matches_the_oracle_at_far_separation(k, zr):
+    # natural s~ from where the explicit forms still serve (30) past where they
+    # overflow (36.95 at p~ = 0) to where |gamma|^2 underflows to 0 (55 at p~ = 0)
+    psf = GaussianPsf(k=k, z_r=zr)
+    s_n = [30.0, 36.95, 37.2, 37.7, 40.0, 55.0, 120.0, 1e3, 1e6]
+    s, p = (a.ravel() for a in np.meshgrid(s_n, [0.0, 0.3, 2.0]))
+    s, p = s / math.sqrt(2.0 * k / zr), p * zr
+    refs = [oracle(psf, a, b) for a, b in zip(s, p)]
+    for method in METHODS:
+        ev = evaluate(psf, s, p, method)
+        assert ev.error is None, (method, ev.error)
+        for i, ref in enumerate(refs):
+            err = row_scaled_error(ev.h[i], ev.gamma_mat[i], *ref)
+            assert err <= 1e-15, (method, s[i], p[i], ev.route[i], err)
+
+
+def test_gaussian_closed_reroutes_only_near_zero_or_far_out():
+    # the explicit forms serve every point with |s~| >= 1e-6 and varsigma <= 300
+    # (they overflow from about 342), so a NaN in them cannot hide behind the
+    # reroute; up to |s~| = 1e20: from about 1e28 their powers of s~ overflow
+    s = np.concatenate([[0.0], np.geomspace(1e-9, 1e20, 88)])
+    s, p = (a.ravel() for a in np.meshgrid(s, s))
+    ev = evaluate(NATURAL, s, p, "gaussian-closed")
+    route = np.array(ev.route)
+    assert ev.error is None and set(route) == {"gaussian-closed", "general", "limit"}
+    sigma = s * s / (p * p + 4.0)
+    explicit = (np.abs(s) >= srloc.closed_forms.SMALL_SEPARATION) & (sigma <= 300.0)
+    assert np.array_equal(route == "gaussian-closed", explicit & (route != "limit"))
+    assert np.count_nonzero((route == "general") & (sigma > 300.0)) > 0
 
 
 @pytest.mark.parametrize("k, zr", [(1e3, 1e3), (1e4, 1e4), (1e5, 1e5), (1e7, 1e-3)])
