@@ -55,7 +55,13 @@ and ``sweep ... --method magic``.  Last, ``eval --p -1e-3`` for every method
 and ``sweep --fixed -1e-3`` (a negative value in e-notation), ``crb
 --eps 2`` with and without ``--from-limits`` (the weak-source model's
 warning on stderr), and ``eval --p -inf`` and ``sweep --fixed -nan`` (a
-negative non-finite value, a usage error).
+negative non-finite value, a usage error).  Then the parser's edge cases,
+where a command's own parser must read ``argv`` as the whole ``srloc`` parser
+does, or leave what it does not recognize to it: ``--k=1``, the abbreviations
+``--meth``, ``--rang`` (``sweep`` and ``crossval``) and ``--from``, a
+repeated ``--k``, an extra positional, ``--``, ``-- x``, ``-x``, ``eval -h
+--bogus``, ``eval --bogus --k x``, ``limits ... eval``, a bare ``limits``
+and ``--tol -1`` for ``eval``, ``sweep`` and ``crossval``.
 """
 
 from __future__ import annotations
@@ -187,6 +193,19 @@ def commands() -> list[list[str]]:
     cmds.append(["eval", *PSF, "--s", "1", "--p", "-inf"])
     cmds.append(["sweep", *PSF, "--sweep", "s", "--range", "0:1:0.25", "--fixed", "-nan",
                  "--out", CSV])
+    # the parser's edge cases, some of which a command's own parser leaves to the whole one
+    point = ["eval", *PSF, "--s", "1", "--p", "2"]
+    cmds += [["eval", "--k=1", "--zr", "2", "--s", "1", "--p", "2"],
+             [*point, "--meth", "all"],
+             ["sweep", *PSF, "--sweep", "s", "--rang", "0:1:0.25", "--out", CSV],
+             ["crossval", *PSF, "--rang", "0:1:0.5"],
+             ["crb", "--from", *PSF, "--nu", "1000", "--m", "1", "--eps", "1"],
+             ["eval", "--k", "3", *PSF, "--s", "1", "--p", "2"],
+             [*point, "extra"], [*point, "--"], [*point, "--", "x"], [*point, "-x"],
+             ["eval", "-h", "--bogus"], ["eval", "--bogus", "--k", "x"],
+             ["limits", *PSF, "eval"], ["limits"]]
+    for command in (point, ["sweep", *PSF, "--sweep", "s", "--out", CSV], ["crossval", *PSF]):
+        cmds.append([*command, "--tol", "-1"])
     return cmds
 
 

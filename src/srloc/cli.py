@@ -1,14 +1,8 @@
-"""Command-line interface.
+"""Command-line interface: the ``srloc`` subcommands of ``SUBCOMMANDS``.
 
-Subcommands:
-
-* ``eval``      single-point H and Gamma with diagnostics (JSON)
-* ``sweep``     1-D parameter sweep to CSV (figure-ready data)
-* ``crossval``  three-route consistency check over an (s, p) grid (JSON)
-* ``limits``    coincident-source limit matrices (JSON)
-* ``crb``       total-variance Cramer-Rao bound for a photon budget (JSON)
-
-Exit codes: 0 success, 1 numerical/model failure, 2 usage error.
+A command parses with its subcommand's own ``ArgumentParser``; the whole
+``srloc`` parser is built only for top-level help and usage errors.  Exit
+codes: 0 success, 1 numerical/model failure or a closed stdout, 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -382,40 +377,37 @@ SUBCOMMANDS = {
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The ``srloc`` parser for ``argv``, with only the subparsers it reads.
-
-    Where ``argv`` starts with a subcommand, that subparser alone is built,
-    with its arguments: adding all five was most of a one-point ``eval``.
-    The subparsers' metavar then lists all five, so the top-level usage
-    line of an error is unchanged.  Any other ``argv`` ends in top-level
-    help or a usage error.  It gets all five subparsers, and the first
-    argument that is not an option (where argparse dispatches) gets its
-    subcommand's arguments.
-    """
+    """The whole ``srloc`` parser, for help and usage errors: all five subparsers,
+    and the arguments of the one that the first argument not an option names."""
     parser = _Parser(
         prog="srloc",
         description="Quantum estimation limits for the angular and axial "
         "separations of two incoherent point sources.",
     )
-    named = argv[0] if argv and argv[0] in SUBCOMMANDS else None
-    sub = parser.add_subparsers(dest="subcommand", required=True,
-                                metavar=named and "{" + ",".join(SUBCOMMANDS) + "}")
-    command = named or next((arg for arg in argv if not arg.startswith("-")), None)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
     for name, (help_text, add_arguments) in SUBCOMMANDS.items():
-        if named in (None, name):
-            subparser = sub.add_parser(name, help=help_text)
-            if name == command:
-                _add_psf_args(subparser)
-                add_arguments(subparser)
+        subparser = sub.add_parser(name, help=help_text)
+        if name == command:  # where argparse dispatches
+            _add_psf_args(subparser)
+            add_arguments(subparser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run ``srloc`` on ``argv`` (default ``sys.argv[1:]``); returns the exit code."""
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits with 2 on usage errors
+    named = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    try:  # argparse exits with 2 on usage errors
+        if named:  # the subparser build_parser would add, alone; the whole parser
+            # parses only what it leaves unrecognized, or argv that names none first
+            parser = _Parser(prog=f"srloc {named}")
+            _add_psf_args(parser)
+            SUBCOMMANDS[named][1](parser)
+            args, unrecognized = parser.parse_known_args(argv[1:])
+        if not named or unrecognized:
+            args = build_parser(argv).parse_args(argv)
+    except SystemExit as exc:
         return int(exc.code or 0)
     # a ModelValidityWarning prints as one "warning:" line, as the "note:" and
     # "error:" lines do; other warnings keep their format
@@ -425,6 +417,8 @@ def main(argv: list[str] | None = None) -> int:
         else format_warning(message, category, *where))
     try:
         return args.func(args)
+    except BrokenPipeError:  # a closed stdout is no error line: see entrypoint
+        raise
     except (SrlocError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, InvalidParameterError) else EXIT_NUMERICAL
@@ -433,7 +427,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # a reader closed stdout: Python's signal docs' recipe, exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_NUMERICAL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

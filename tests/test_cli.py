@@ -285,14 +285,20 @@ def test_a_non_numeric_value_is_a_usage_error(capsys):
     assert err.endswith("error: argument --k: expected a finite number, got 'abc'\n")
 
 
-def test_crb_prints_a_model_validity_warning_as_one_line(tmp_path):
-    # run as a command: pytest records warnings in process, so none reaches stderr
+def cli_command(*argv):
+    """``python -m srloc.cli`` with ``argv``, and the environment that imports this srloc."""
     src = os.path.dirname(os.path.dirname(srloc.routes.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return [sys.executable, "-m", "srloc.cli", *argv], env
+
+
+def test_crb_prints_a_model_validity_warning_as_one_line(tmp_path):
+    # run as a command: pytest records warnings in process, so none reaches stderr
     budget = ["--nu", "1", "--m", "1", "--eps", "2"]
     for point in (["--from-limits"], ["--s", "1", "--p", "2"]):
-        done = subprocess.run([sys.executable, "-m", "srloc.cli", "crb", *PSF, *point, *budget],
-                              cwd=tmp_path, env=env, capture_output=True, text=True, check=False)
+        cmd, env = cli_command("crb", *PSF, *point, *budget)
+        done = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True,
+                              check=False)
         assert done.returncode == 0
         assert json.loads(done.stdout)["budget"]["eps"] == 2.0
         assert done.stderr == ("warning: eps = 2.0 exceeds 1: the weak-source model assumes "
@@ -992,6 +998,29 @@ def test_crossval_and_sweep_exit_cleanly_at_physical_extremes(k, zr, step, offse
                 assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:12]), argv
 
 
+def test_a_closed_stdout_exits_1_without_an_error_line(tmp_path):
+    # a reader that closes stdout after one line, as `srloc ... | head -n 1` does; the
+    # 10,000-row CSV written to stdout outgrows the pipe's buffer, so a later write fails
+    cmd, env = cli_command("sweep", *PSF, "--sweep", "s", "--range", "5e-4:5:5e-4",
+                           "--out", "/dev/stdout")
+    with subprocess.Popen(cmd, cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"swept_var,s,p,")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
+    # a reader gone before the first write: the JSON record fails at the last flush
+    cmd, env = cli_command("limits", *PSF)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(cmd, cwd=tmp_path, env=env, stdout=write, stderr=subprocess.PIPE,
+                              check=False, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
 # -------------------------------------------------------------------- parser
 
 OPTIONS = {
@@ -1044,21 +1073,9 @@ def test_help_before_the_subcommand_is_the_top_level_help(capsys, help_width, ar
     assert all(f"    {command} " in out for command in OPTIONS)
 
 
-@pytest.mark.parametrize("argv, code, parsers", [
-    (["eval", *PSF, "--s", "1", "--p", "2"], 0, 2),
-    (["sweep", *PSF, "--sweep", "s", "--range", "0.1:1:0.5", "--out", "x.csv"], 0, 2),
-    (["crossval", *PSF, "--range", "0.5:1.5:0.5"], 0, 2),
-    (["limits", *PSF], 0, 2),
-    (["crb", "--from-limits", *PSF, "--nu", "1000", "--m", "1", "--eps", "1"], 0, 2),
-    # argv that ends in top-level help or a usage error builds all five subparsers
-    (["-h"], 0, 6),
-    ([], 2, 6),
-    (["nonsense"], 2, 6),
-    (["--bogus", "eval", *PSF, "--s", "1", "--p", "0"], 2, 6),
-])
-def test_a_command_builds_only_the_subparser_it_names(capsys, monkeypatch, tmp_path, argv, code,
-                                                      parsers):
-    monkeypatch.chdir(tmp_path)
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The prog of each ``_Parser`` constructed, in order."""
     init, built = srloc.cli._Parser.__init__, []
 
     def counted(self, *args, **kwargs):
@@ -1066,8 +1083,55 @@ def test_a_command_builds_only_the_subparser_it_names(capsys, monkeypatch, tmp_p
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(srloc.cli._Parser, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("argv, code, parsers", [
+    (["eval", *PSF, "--s", "1", "--p", "2"], 0, 1),
+    (["sweep", *PSF, "--sweep", "s", "--range", "0.1:1:0.5", "--out", "x.csv"], 0, 1),
+    (["crossval", *PSF, "--range", "0.5:1.5:0.5"], 0, 1),
+    (["limits", *PSF], 0, 1),
+    (["crb", "--from-limits", *PSF, "--nu", "1000", "--m", "1", "--eps", "1"], 0, 1),
+    # argv that ends in top-level help or a usage error builds all five subparsers
+    (["-h"], 0, 6),
+    ([], 2, 6),
+    (["nonsense"], 2, 6),
+    (["--bogus", "eval", *PSF, "--s", "1", "--p", "0"], 2, 6),
+    # the subcommand's own parser, then the whole one for the top-level error
+    (["eval", *PSF, "--s", "1", "--p", "0", "--bogus", "1"], 2, 1 + 6),
+])
+def test_a_command_builds_only_the_subparser_it_names(capsys, monkeypatch, tmp_path,
+                                                      parsers_built, argv, code, parsers):
+    monkeypatch.chdir(tmp_path)
     assert run(capsys, *argv)[0] == code
-    assert len(built) == parsers, built
+    assert len(parsers_built) == parsers, parsers_built
+
+
+@pytest.mark.parametrize("argv", [
+    *(["eval", *PSF, "--s", "1", "--p", "2", *extra] for extra in
+      ([], ["--meth", "all"], ["--k", "3"], ["--method=general", "--tol", "0"])),
+    ["eval", "--k=1", "--zr", "2", "--s", "1", "--p", "-1e-3"],
+    ["sweep", *PSF, "--sweep", "s", "--out", "x.csv"],
+    ["sweep", *PSF, "--sweep", "p", "--rang", "0:1:0.5", "--fixed", "-1e-3", "--normalized",
+     "--out", "x.csv", "--out", "y.csv"],
+    ["crossval", *PSF],
+    ["crossval", "--k=1e3", "--zr", "1e3", "--rang", "0.1:1:0.5", "--tol", "1e-6"],
+    ["limits", *PSF],
+    ["limits", "--zr", "2", "--k=1", "--out", "x.json"],
+    ["crb", "--from", *PSF, "--nu", "1000", "--m", "1", "--eps", "1"],
+    ["crb", *PSF, "--s", "1", "--p", "-1e-3", "--method", "general", "--nu", "1", "--nu", "2",
+     "--m", "1", "--eps", "0.5"],
+])
+def test_the_command_parser_reads_argv_as_the_whole_parser_does(monkeypatch, parsers_built,
+                                                                 argv):
+    # every command's handler records its namespace instead of running
+    seen = []
+    for name in ("cmd_eval", "cmd_sweep", "cmd_crossval", "cmd_limits", "cmd_crb"):
+        monkeypatch.setattr(srloc.cli, name, lambda args: seen.append(args) or 0)
+    assert main(argv) == 0 and parsers_built == [f"srloc {argv[0]}"]
+    whole = vars(srloc.cli.build_parser(argv).parse_args(argv))
+    assert whole.pop("subcommand") == argv[0]
+    assert vars(seen[0]) == whole
 
 
 def test_commands_in_one_process_parse_alike(capsys, tmp_path):
